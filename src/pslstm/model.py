@@ -105,7 +105,7 @@ class ModelTape:
     patches: np.ndarray
     embedded: np.ndarray
     block_inputs: list
-    cell_tapes: list
+    cell_tapes: list               # SequenceTape per block
     residuals: list
     ln_caches: list
     dropout_masks: list
@@ -193,8 +193,9 @@ class Forecaster:
             xn = x
 
         patches = self._arrange(xn)
-        u = np.einsum("rnp,ep->rne", patches, self.params["embed.W"]) \
-            + self.params["embed.b"]
+        u = (patches.reshape(-1, self.in_width) @ self.params["embed.W"].T) \
+            .reshape(patches.shape[:2] + (self.width,))
+        u += self.params["embed.b"]
         masks: list = []
         if drop > 0:
             mask = (dropout_rng.uniform(u.shape) >= drop) / (1.0 - drop)
@@ -235,7 +236,11 @@ class Forecaster:
         return yhat, tape
 
     def backward(self, tape: ModelTape, grad_y: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss wrt every parameter, given dloss/dyhat."""
+        """Gradients of a scalar loss wrt every parameter, given dloss/dyhat.
+
+        Consumes the tape: the cell tapes' gate buffers are reused for the
+        gradients, so one forward pass supports one backward pass.
+        """
         c = self.config
         grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
         g = np.asarray(grad_y, dtype=np.float64) * tape.sigma      # denorm
@@ -267,7 +272,8 @@ class Forecaster:
         mask = tape.dropout_masks[0]
         if mask is not None:
             g_u = g_u * mask
-        grads["embed.W"] = np.einsum("rne,rnp->ep", g_u, tape.patches)
+        grads["embed.W"] = g_u.reshape(-1, self.width).T \
+            @ tape.patches.reshape(-1, self.in_width)
         grads["embed.b"] = g_u.sum(axis=(0, 1))
         return grads
 
@@ -328,13 +334,28 @@ def save_checkpoint(model: Forecaster, path) -> None:
 
 
 def load_checkpoint(path) -> Forecaster:
+    """Rebuild a Forecaster from a checkpoint written by save_checkpoint.
+
+    The file must hold a valid config and exactly the model's parameters,
+    each with its model's shape; anything else raises ValueError.
+    """
     with open(path) as fh:
         blob = json.load(fh)
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
-    model = Forecaster(config_from_dict(blob["config"]), seed=0)
-    for name, entry in blob["params"].items():
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+    try:
+        model = Forecaster(config_from_dict(blob["config"]), seed=0)
+        stored = {name: np.array(entry["data"], dtype=np.float64)
+                  .reshape(entry["shape"])
+                  for name, entry in blob["params"].items()}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed checkpoint: {exc!r}") from exc
+    missing = sorted(set(model.params) - set(stored))
+    unknown = sorted(set(stored) - set(model.params))
+    if missing or unknown:
+        raise ValueError(f"checkpoint parameters do not match the model: "
+                         f"missing {missing}, unknown {unknown}")
+    for name, arr in stored.items():
         if model.params[name].shape != arr.shape:
             raise ValueError(f"checkpoint shape mismatch for {name}")
         model.params[name][...] = arr

@@ -213,7 +213,9 @@ def check_contraction(params: SLSTMParams, threshold: float = 0.9,
         u = rng.uniform((n_grid, params.d_input)) * 2.0 - 1.0
         v = rng.uniform((n_grid, params.d_hidden)) * 2.0 - 1.0
         sample = np.exp(u @ params.W_f.T + v @ params.R_f.T + params.b_f)
-        assert sample.max() <= sup + 1e-9
+        if not sample.max() <= sup + 1e-9:
+            raise RuntimeError(f"check_contraction: grid sample "
+                               f"{sample.max()} exceeds the analytic sup {sup}")
     # tolerance absorbs rounding when b_f was solved for the threshold itself
     return sup, sup <= threshold * (1.0 + 1e-9)
 

@@ -56,13 +56,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function; saturates to {0, 1} cleanly."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Logistic function as 0.5 * (1 + tanh(x / 2)); saturates to {0, 1}
+    cleanly, without overflow warnings."""
+    out = np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+    out *= 0.5      # 0.5 + 0.5 t rounds exactly like 0.5 * (1 + t)
+    out += 0.5
     return out
 
 

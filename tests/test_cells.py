@@ -327,6 +327,23 @@ def test_backward_off_block_gradients_are_exact_zero():
         assert np.all(grads[f"R_{g}"] * off == 0.0)
 
 
+def test_backward_consumes_the_tape():
+    params = random_params(44, 3, 4, n_heads=2)
+    x = Rng(45).normal((2, 5, 3), 0.0, 1.0)
+    _, tape = slstm_forward(params, x)
+    slstm_backward(params, tape, np.ones((2, 5, 4)))
+    with pytest.raises(ValueError, match="consumed"):
+        slstm_backward(params, tape, np.ones((2, 5, 4)))
+
+
+def test_stabilized_forward_rejects_non_finite_hidden_state():
+    params = random_params(46, 3, 4, n_heads=2)
+    x = Rng(47).normal((1, 6, 3), 0.0, 1.0)
+    x[0, 3, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        slstm_forward(params, x)
+
+
 def test_backward_length_mismatch():
     params = random_params(0, 2, 2)
     _, tape = slstm_forward(params, np.zeros((1, 3, 2)))

@@ -114,6 +114,18 @@ def test_eval_checkpoint(tmp_path):
     assert "val" in metrics
 
 
+def test_eval_checkpoint_missing_parameter_exits_data(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    run(tmp_path, "train", "--config", cfg)
+    ckpt = tmp_path / "runs" / "train" / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    del blob["params"]["head.b"]
+    ckpt.write_text(json.dumps(blob))
+    assert run(tmp_path, "eval", "--config", cfg,
+               "--checkpoint", str(ckpt)) == EXIT_DATA
+    assert "head.b" in capsys.readouterr().err
+
+
 # -- probe ------------------------------------------------------------------
 
 def test_probe_contraction_regime(tmp_path):

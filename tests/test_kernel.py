@@ -1,0 +1,155 @@
+"""Differential tests of the fused sequence kernel.
+
+slstm_forward hoists the input projection out of the time loop and runs
+the recurrence head by head; a plain loop over slstm_step is the reference.
+Inputs come from seeded generators, hypothesis only draws shapes, seeds and
+modes. Values agree to rounding (the hoisted GEMM may sum in another
+order); non-finite values, in raw mode's overflow regime, must land in
+exactly the same places.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from pslstm.cells import (GateMode, PARAM_NAMES, SLSTMParams, SLSTMState,
+                          grad_check, slstm_backward, slstm_forward,
+                          slstm_step)
+from pslstm.tensorops import Rng
+
+ACTIVATIONS = ("exponential", "sigmoid")
+ALL_MODES = [
+    GateMode(forget_activation=f, input_activation=i, stabilized=stab,
+             memory_mixing=mix, normalizer=norm)
+    for f, i, stab, mix, norm in itertools.product(
+        ACTIVATIONS, ACTIVATIONS, (True, False), (True, False), (True, False))
+    if norm or not stab
+]
+
+
+@st.composite
+def cases(draw, overflow=False):
+    n_heads = draw(st.integers(1, 3))
+    d = n_heads * draw(st.integers(1, 4))
+    return dict(batch=draw(st.integers(1, 4)), steps=draw(st.integers(1, 8)),
+                d_in=draw(st.integers(1, 5)), d=d, n_heads=n_heads,
+                seed=draw(st.integers(0, 2**16)),
+                init=draw(st.sampled_from(["none", "state", "state_with_m"])),
+                mode=draw(st.sampled_from(
+                    [m for m in ALL_MODES if not m.stabilized] if overflow
+                    else ALL_MODES)))
+
+
+def build(case, forget_bias=None):
+    rng = Rng(case["seed"])
+    mode = case["mode"]
+    params = SLSTMParams.init(rng.spawn(1), case["d_in"], case["d"],
+                              n_heads=case["n_heads"],
+                              memory_mixing=mode.memory_mixing)
+    if forget_bias is not None:
+        params.b_f = forget_bias + 5.0 * rng.uniform((case["d"],))
+        params.b_i = 5.0 * rng.uniform((case["d"],))
+    B, d = case["batch"], case["d"]
+    x = rng.normal((B, case["steps"], case["d_in"]), 0.0, 1.5)
+    init = None
+    if case["init"] != "none":
+        init = SLSTMState(h=rng.normal((B, d), 0.0, 0.5),
+                          c=rng.normal((B, d), 0.0, 0.5),
+                          n=0.5 + rng.uniform((B, d)),
+                          m=rng.normal((B, d), 0.0, 1.0)
+                          if case["init"] == "state_with_m" else None)
+    return params, x, init, mode
+
+
+def step_loop(params, x, init, mode):
+    """Reference: slstm_step once per timestep."""
+    B, S, _ = x.shape
+    state = init if init is not None else SLSTMState.zeros(B, params.d_hidden)
+    h = np.empty((B, S, params.d_hidden))
+    c = np.empty_like(h)
+    n = np.empty_like(h)
+    for t in range(S):
+        state, _ = slstm_step(params, x[:, t], state, mode)
+        h[:, t], c[:, t], n[:, t] = state.h, state.c, state.n
+    return h, c, n
+
+
+def run_both(params, x, init, mode):
+    """(kernel, reference) outputs, or the FloatingPointError both raise."""
+    try:
+        ref = step_loop(params, x, init, mode)
+    except FloatingPointError:
+        ref = FloatingPointError
+    try:
+        h, tape = slstm_forward(params, x, init, mode)
+        fused = (h, tape.c.transpose(1, 0, 2),
+                 tape.n.transpose(1, 0, 2) if mode.normalizer else ref[2])
+    except FloatingPointError:
+        fused = FloatingPointError
+    return fused, ref
+
+
+def assert_same(a, b):
+    """Equal non-finite placement, finite values equal to rounding."""
+    assert np.array_equal(np.isnan(a), np.isnan(b))
+    assert np.array_equal(np.isposinf(a), np.isposinf(b))
+    assert np.array_equal(np.isneginf(a), np.isneginf(b))
+    finite = np.isfinite(a)
+    np.testing.assert_allclose(a[finite], b[finite], rtol=1e-9, atol=1e-12)
+
+
+@given(cases())
+def test_forward_matches_step_loop(case):
+    fused, ref = run_both(*build(case))
+    if ref is FloatingPointError or fused is FloatingPointError:
+        assert fused is ref
+        return
+    for a, b in zip(fused, ref):
+        assert_same(a, b)
+
+
+@given(cases(overflow=True))
+def test_raw_overflow_lands_in_the_same_places(case):
+    # forget biases of 150 to 155 overflow c and n within a few steps
+    params, x, init, mode = build(case, forget_bias=150.0)
+    fused, ref = run_both(params, x, init, mode)
+    for a, b in zip(fused, ref):
+        assert_same(a, b)
+
+
+def test_overflow_regime_is_reached():
+    # the overflow property test would be vacuous if nothing overflowed
+    case = dict(batch=2, steps=8, d_in=2, d=4, n_heads=2, seed=3,
+                init="none", mode=GateMode(stabilized=False))
+    fused, _ = run_both(*build(case, forget_bias=150.0))
+    assert not np.all(np.isfinite(fused[1]))
+
+
+@given(st.integers(1, 2), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from([(2, 1), (2, 2), (4, 2), (3, 3)]),
+       st.sampled_from(ALL_MODES), st.integers(0, 2**16))
+def test_backward_matches_finite_differences(batch, steps, d_in, width,
+                                             mode, seed):
+    d, n_heads = width
+    case = dict(batch=batch, steps=steps, d_in=d_in, d=d, n_heads=n_heads,
+                seed=seed, init="state", mode=mode)
+    params, x, init, _ = build(case)
+    gh = Rng(seed).spawn(2).normal((batch, steps, d), 0.0, 1.0)
+
+    def loss_and_grads(pdict):
+        p = SLSTMParams(n_heads=n_heads, **{k: pdict[k] for k in PARAM_NAMES})
+        h_seq, tape = slstm_forward(p, x, init, mode)
+        grads, _ = slstm_backward(p, tape, gh, mode)
+        return float(np.sum(h_seq * gh)), grads
+
+    on_block = params.recurrent_mask() if mode.memory_mixing \
+        else np.zeros((d, d))
+    err = grad_check(loss_and_grads,
+                     {k: getattr(params, k) for k in PARAM_NAMES},
+                     epsilon=1e-5, masks={f"R_{g}": on_block for g in "zifo"})
+    assert err < 1e-4
+    _, grads = loss_and_grads({k: getattr(params, k) for k in PARAM_NAMES})
+    off_block = params.recurrent_mask() == 0.0
+    for g in "zifo":
+        assert np.all(grads[f"R_{g}"][off_block] == 0.0)

@@ -280,6 +280,46 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(path)
 
 
+def _edited_checkpoint(tmp_path, edit):
+    import json
+    model = Forecaster(tiny_config(), seed=0)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    blob = json.loads(path.read_text())
+    edit(blob)
+    path.write_text(json.dumps(blob))
+    return path
+
+
+def test_checkpoint_missing_parameter_rejected(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda b: b["params"].pop("block0.R_f"))
+    with pytest.raises(ValueError, match="missing"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_unknown_parameter_rejected(tmp_path):
+    path = _edited_checkpoint(tmp_path, lambda b: b["params"].update(
+        {"block1.W_z": b["params"]["block0.W_z"]}))
+    with pytest.raises(ValueError, match="unknown"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_shape_mismatch_rejected(tmp_path):
+    def transpose_head(blob):
+        rows, cols = blob["params"]["head.W"]["shape"]
+        blob["params"]["head.W"]["shape"] = [cols, rows]
+    path = _edited_checkpoint(tmp_path, transpose_head)
+    with pytest.raises(ValueError, match="shape"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bad_config_rejected(tmp_path):
+    path = _edited_checkpoint(
+        tmp_path, lambda b: b["config"].update({"hidden_layers": 3}))
+    with pytest.raises(ValueError, match="malformed"):
+        load_checkpoint(path)
+
+
 def test_config_round_trip_through_dict():
     cfg = tiny_config(gate_mode=GateMode(memory_mixing=False),
                       channel_strategy="mixed")

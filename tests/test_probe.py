@@ -179,6 +179,15 @@ def test_contraction_zero_bias_never_satisfied():
     assert not ok
 
 
+def test_contraction_grid_cross_check_raises(monkeypatch):
+    # grid points outside the unit box can exceed the analytic sup; the
+    # cross-check must raise, also under python -O
+    params, _, _ = chain_params(ChainConfig(seed=2))
+    monkeypatch.setattr(Rng, "uniform", lambda self, shape: np.full(shape, 3.0))
+    with pytest.raises(RuntimeError, match="exceeds the analytic sup"):
+        check_contraction(params, threshold=0.9, n_grid=4)
+
+
 def test_contraction_corner_enumeration_oracle():
     # brute-force the 2^(p+q) box corners; the analytic bound must be
     # attained at one of them

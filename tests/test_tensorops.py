@@ -86,6 +86,14 @@ def test_sigmoid_saturates_without_warning():
     assert out[1] == 1.0
 
 
+def test_sigmoid_matches_branchwise_exp_form():
+    # the exp(-|x|) form the tanh form replaced, evaluated branch by branch
+    x = np.linspace(-40.0, 40.0, 80_001)
+    ex = np.exp(-np.abs(x))
+    reference = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    assert np.max(np.abs(sigmoid(x) - reference)) <= 1e-15
+
+
 def test_log_sigmoid_matches_log_of_sigmoid():
     x = np.linspace(-30, 30, 201)
     assert np.allclose(log_sigmoid(x), np.log(sigmoid(x)), atol=1e-12)
