@@ -500,23 +500,6 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     return grads, grad_x
 
 
-# Classic LSTM wrappers.
-
-def lstm_step(params: SLSTMParams, x: np.ndarray,
-              prev: SLSTMState) -> tuple[SLSTMState, np.ndarray]:
-    return slstm_step(params, x, prev, LSTM_MODE)
-
-
-def lstm_forward(params: SLSTMParams, x_seq: np.ndarray,
-                 init: SLSTMState | None = None) -> tuple[np.ndarray, SequenceTape]:
-    return slstm_forward(params, x_seq, init, LSTM_MODE)
-
-
-def lstm_backward(params: SLSTMParams, tape: SequenceTape,
-                  grad_h_seq: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    return slstm_backward(params, tape, grad_h_seq, LSTM_MODE)
-
-
 def grad_check(loss_and_grads: Callable[[dict[str, np.ndarray]],
                                         tuple[float, dict[str, np.ndarray]]],
                params: dict[str, np.ndarray], epsilon: float = 1e-5,

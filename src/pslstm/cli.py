@@ -13,6 +13,7 @@ divergence, 5 probe-invariant failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -233,8 +234,35 @@ def cmd_probe(args) -> int:
     return EXIT_PROBE if failed else EXIT_OK
 
 
-def cmd_sweep_patch(args) -> int:
+def _run_grid(args, cfg: dict, command: str, filename: str, header: list,
+              variants: list, score) -> int:
+    """Train once per (label, model overrides) variant and write one CSV row
+    per variant: the label, then score(model, dataset)'s floats as repr."""
     t0 = time.perf_counter()
+    run_dir = prepare_run_dir(args.output_dir, command, args.force)
+    rows = []
+    for label, overrides in variants:
+        sub = json.loads(json.dumps(cfg))
+        sub["model"].update(overrides)
+        model, _, dataset = _train_once(sub, args.seed or 0)
+        values = score(model, dataset)
+        rows.append([label] + [repr(v) for v in values])
+        print(f"{command} {label}: " + " ".join(
+            f"{name}={v:.6f}" for name, v in zip(header[1:], values)))
+    with open(run_dir / filename, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    write_run_info(run_dir, cfg, args.seed or 0, time.perf_counter() - t0)
+    return EXIT_OK
+
+
+def _test_scores(model, dataset) -> tuple[float, float]:
+    m = evaluate(model, dataset, "test")
+    return m.mse, m.mae
+
+
+def cmd_sweep_patch(args) -> int:
     cfg = load_run_config(args.config, {})
     sizes = []
     for s in args.sizes:
@@ -246,38 +274,18 @@ def cmd_sweep_patch(args) -> int:
     bad = [s for s in sizes if s > model_cfg.lookback]
     if bad:
         raise ConfigError(f"patch sizes {bad} exceed lookback {model_cfg.lookback}")
-    run_dir = prepare_run_dir(args.output_dir, "sweep-patch", args.force)
-    rows = []
-    for size in sorted(sizes):
-        sub = json.loads(json.dumps(cfg))
-        sub["model"]["patch_size"] = size
-        sub["model"]["patch_stride"] = size
-        model, _, dataset = _train_once(sub, args.seed or 0)
-        m = evaluate(model, dataset, "test")
-        rows.append((size, m.mse, m.mae))
-        print(f"patch={size}: mse={m.mse:.6f} mae={m.mae:.6f}")
-    _write_table(run_dir / "sweep_patch.csv", ["patch_size", "test_mse", "test_mae"], rows)
-    write_run_info(run_dir, cfg, args.seed or 0, time.perf_counter() - t0)
-    return EXIT_OK
+    variants = [(s, {"patch_size": s, "patch_stride": s}) for s in sorted(sizes)]
+    return _run_grid(args, cfg, "sweep-patch", "sweep_patch.csv",
+                     ["patch_size", "test_mse", "test_mae"], variants,
+                     _test_scores)
 
 
 def cmd_sweep_lookback(args) -> int:
-    t0 = time.perf_counter()
     cfg = load_run_config(args.config, {})
-    lookbacks = sorted(set(args.sizes))
-    run_dir = prepare_run_dir(args.output_dir, "sweep-lookback", args.force)
-    rows = []
-    for L in lookbacks:
-        sub = json.loads(json.dumps(cfg))
-        sub["model"]["lookback"] = L
-        model, _, dataset = _train_once(sub, args.seed or 0)
-        m = evaluate(model, dataset, "test")
-        rows.append((L, m.mse, m.mae))
-        print(f"lookback={L}: mse={m.mse:.6f} mae={m.mae:.6f}")
-    _write_table(run_dir / "sweep_lookback.csv",
-                 ["lookback", "test_mse", "test_mae"], rows)
-    write_run_info(run_dir, cfg, args.seed or 0, time.perf_counter() - t0)
-    return EXIT_OK
+    variants = [(L, {"lookback": L}) for L in sorted(set(args.sizes))]
+    return _run_grid(args, cfg, "sweep-lookback", "sweep_lookback.csv",
+                     ["lookback", "test_mse", "test_mae"], variants,
+                     _test_scores)
 
 
 ABLATION_AXES = {
@@ -289,7 +297,6 @@ ABLATION_AXES = {
 
 
 def cmd_ablate(args) -> int:
-    t0 = time.perf_counter()
     cfg = load_run_config(args.config, {})
     axes = args.axes
     if not axes:
@@ -297,32 +304,27 @@ def cmd_ablate(args) -> int:
     for axis in axes:
         if axis not in ABLATION_AXES:
             raise ConfigError(f"unknown ablation axis {axis!r}")
-    run_dir = prepare_run_dir(args.output_dir, "ablate", args.force)
-
     combos = [{}]
     for axis in axes:
         combos = [{**c, axis: v} for c in combos for v in ABLATION_AXES[axis]]
-    rows = []
+    variants = []
     for combo in combos:
-        sub = json.loads(json.dumps(cfg))
-        gm = dict(sub["model"].get("gate_mode", {}))
+        overrides = {"gate_mode": dict(cfg["model"].get("gate_mode", {}))}
         for axis, value in combo.items():
             if axis == "channel_strategy":
-                sub["model"]["channel_strategy"] = value
+                overrides["channel_strategy"] = value
             else:
-                gm[axis] = value
-        sub["model"]["gate_mode"] = gm
-        model, _, dataset = _train_once(sub, args.seed or 0)
-        tr = evaluate(model, dataset, "train")
-        va = evaluate(model, dataset, "val")
-        te = evaluate(model, dataset, "test")
-        label = ",".join(f"{k}={v}" for k, v in combo.items())
-        rows.append((label, tr.mse, va.mse, te.mse))
-        print(f"{label}: train={tr.mse:.6f} val={va.mse:.6f} test={te.mse:.6f}")
-    _write_table(run_dir / "ablation.csv",
-                 ["variant", "train_mse", "val_mse", "test_mse"], rows)
-    write_run_info(run_dir, cfg, args.seed or 0, time.perf_counter() - t0)
-    return EXIT_OK
+                overrides["gate_mode"][axis] = value
+        variants.append((",".join(f"{k}={v}" for k, v in combo.items()),
+                         overrides))
+
+    def scores(model, dataset):
+        return tuple(evaluate(model, dataset, split).mse
+                     for split in ("train", "val", "test"))
+
+    return _run_grid(args, cfg, "ablate", "ablation.csv",
+                     ["variant", "train_mse", "val_mse", "test_mse"], variants,
+                     scores)
 
 
 def cmd_gradcheck(args) -> int:
@@ -345,15 +347,6 @@ def cmd_gradcheck(args) -> int:
                      masks=model.masks)
     print(f"gradcheck: max relative error {err:.3e}")
     return EXIT_OK if err < 1e-4 else 1
-
-
-def _write_table(path, header, rows) -> None:
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[0]] + [repr(v) for v in row[1:]])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,8 +56,8 @@ class RawSeries:
 
 def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> RawSeries:
     """Read a delimited numeric matrix; the date column (if declared) is
-    kept as timestamps. Rows with any unparseable cell are dropped and the
-    drop count reported on the result."""
+    kept as timestamps. Rows with any unparseable or non-finite cell are
+    dropped and the drop count reported on the result."""
     schema = schema or CsvSchema()
     rows: list[list[float]] = []
     stamps: list[str] = []
@@ -80,16 +81,22 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
                                  f"expected {width}")
             cells = raw[1:] if schema.has_date_column else raw
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError:
+                row = None
+            # float() also parses nan and inf, which no statistic survives
+            if row is None or not all(map(math.isfinite, row)):
                 dropped += 1
                 continue
+            rows.append(row)
             if schema.has_date_column:
                 stamps.append(raw[0])
     if not rows:
-        raise ValueError(f"{path}: no usable numeric rows")
+        raise ValueError(f"{path}: no usable numeric rows "
+                         f"({dropped} unparseable or non-finite)")
     if dropped:
-        warnings.warn(f"{path}: dropped {dropped} unparseable rows")
+        warnings.warn(f"{path}: dropped {dropped} unparseable or "
+                      f"non-finite rows")
     return RawSeries(name=name or str(path), values=np.array(rows, dtype=np.float64),
                      timestamps=stamps if schema.has_date_column else None,
                      n_dropped_rows=dropped)
@@ -121,12 +128,11 @@ class WindowedDataset:
         return self.values[s:s + L], self.values[s + L:s + L + T]
 
     def batch(self, split: str, indices) -> tuple[np.ndarray, np.ndarray]:
-        xs, ys = [], []
-        for i in indices:
-            x, y = self.window(split, i)
-            xs.append(x)
-            ys.append(y)
-        return np.stack(xs), np.stack(ys)
+        """Windows (B, L, M) and targets (B, T, M) of the indexed windows."""
+        s = self.starts[split][indices][:, None]
+        L, T = self.lookback, self.horizon
+        # two gathers, not slices of one, so both arrays are C-contiguous
+        return self.values[s + np.arange(L)], self.values[s + L + np.arange(T)]
 
     def train_channel_mean(self) -> np.ndarray:
         rows = self.starts["train"]

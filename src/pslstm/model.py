@@ -99,14 +99,10 @@ def _unpatch_rows(B: int, M: int, horizon: int, rows: np.ndarray) -> np.ndarray:
 @dataclass
 class ModelTape:
     """Intermediate values of one forward pass, consumed by backward()."""
-    B: int
     mu: np.ndarray
     sigma: np.ndarray
     patches: np.ndarray
-    embedded: np.ndarray
-    block_inputs: list
     cell_tapes: list               # SequenceTape per block
-    residuals: list
     ln_caches: list
     dropout_masks: list
     flat: np.ndarray
@@ -203,15 +199,12 @@ class Forecaster:
             masks.append(mask)
         else:
             masks.append(None)
-        embedded = u
 
-        block_inputs, cell_tapes, residuals, ln_caches = [], [], [], []
+        cell_tapes, ln_caches = [], []
         for k, cell in enumerate(self.blocks):
-            block_inputs.append(u)
             h_seq, tape = slstm_forward(cell, u, None, c.gate_mode)
             cell_tapes.append(tape)
             r = u + h_seq
-            residuals.append(r)
             mean = r.mean(axis=-1, keepdims=True)
             std = np.sqrt(r.var(axis=-1, keepdims=True) + _LN_EPS)
             xhat = (r - mean) / std
@@ -229,10 +222,9 @@ class Forecaster:
         out_rows = flat @ self.params["head.W"].T + self.params["head.b"]
         yhat_n = _unpatch_rows(B, c.n_channels, c.horizon, out_rows)
         yhat = yhat_n * sigma + mu
-        tape = ModelTape(B=B, mu=mu, sigma=sigma, patches=patches,
-                         embedded=embedded, block_inputs=block_inputs,
-                         cell_tapes=cell_tapes, residuals=residuals,
-                         ln_caches=ln_caches, dropout_masks=masks, flat=flat)
+        tape = ModelTape(mu=mu, sigma=sigma, patches=patches,
+                         cell_tapes=cell_tapes, ln_caches=ln_caches,
+                         dropout_masks=masks, flat=flat)
         return yhat, tape
 
     def backward(self, tape: ModelTape, grad_y: np.ndarray) -> dict[str, np.ndarray]:
@@ -244,9 +236,7 @@ class Forecaster:
         c = self.config
         grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
         g = np.asarray(grad_y, dtype=np.float64) * tape.sigma      # denorm
-        g_rows = g.transpose(0, 2, 1).reshape(-1, self.out_width) \
-            if c.channel_strategy == "independent" \
-            else g.transpose(0, 2, 1).reshape(tape.B, -1)
+        g_rows = g.transpose(0, 2, 1).reshape(-1, self.out_width)
         grads["head.W"] = g_rows.T @ tape.flat
         grads["head.b"] = g_rows.sum(axis=0)
         g_u = (g_rows @ self.params["head.W"]).reshape(
@@ -295,15 +285,6 @@ class Forecaster:
         for name, arr in self.params.items():
             other.params[name][...] = arr
         return other
-
-
-def channel_mixed_forward(model: Forecaster, x: np.ndarray,
-                          training: bool = False,
-                          dropout_rng: Rng | None = None) -> np.ndarray:
-    if model.config.channel_strategy != "mixed":
-        raise ValueError("channel_mixed_forward requires channel_strategy='mixed'")
-    yhat, _ = model.forward(x, training=training, dropout_rng=dropout_rng)
-    return yhat
 
 
 # -- checkpointing ---------------------------------------------------------

@@ -154,6 +154,21 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
     return np.array([np.dot(xc[:n - k], xc[k:]) / var for k in range(max_lag + 1)])
 
 
+def _geometric_fit(k: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Least-squares fit of log v = a k + b over positive v; returns
+    (exp(a), R^2). With fewer than two points the decay is taken as
+    immediate: (0.0, 1.0)."""
+    if len(k) < 2:
+        return 0.0, 1.0
+    logv = np.log(v)
+    slope, intercept = np.polyfit(k, logv, 1)
+    fit = slope * k + intercept
+    ss_res = float(np.sum((logv - fit) ** 2))
+    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(np.exp(slope)), r2
+
+
 @dataclass
 class MemoryReport:
     acf: np.ndarray                # (max_lag + 1, p), lag 0 first
@@ -178,19 +193,8 @@ def memory_report(trace: ChainTrace, max_lag: int = 20) -> MemoryReport:
     mean_abs = np.abs(acf).mean(axis=1)
     lags = np.arange(1, max_lag + 1)
     keep = mean_abs[1:] > 0.01
-    if keep.sum() < 2:
-        # Correlation gone immediately: effectively white, report rho ~ 0.
-        return MemoryReport(acf=acf, rho_hat=0.0, r_squared=1.0,
-                            contraction_bound=float(np.nanmax(trace.f_norm)),
-                            lags_used=int(keep.sum()))
-    k = lags[keep].astype(np.float64)
-    logv = np.log(mean_abs[1:][keep])
-    slope, intercept = np.polyfit(k, logv, 1)
-    fit = slope * k + intercept
-    ss_res = float(np.sum((logv - fit) ** 2))
-    ss_tot = float(np.sum((logv - logv.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return MemoryReport(acf=acf, rho_hat=float(np.exp(slope)), r_squared=r2,
+    rho, r2 = _geometric_fit(lags[keep], mean_abs[1:][keep])
+    return MemoryReport(acf=acf, rho_hat=rho, r_squared=r2,
                         contraction_bound=float(np.nanmax(trace.f_norm)),
                         lags_used=int(keep.sum()))
 
@@ -264,17 +268,7 @@ def two_trajectory_coupling(config: ChainConfig, horizon: int | None = None,
         if step_below is None and gap < tol:
             step_below = t
     positive = gaps > 0
-    if positive.sum() >= 2:
-        k = np.arange(H)[positive].astype(np.float64)
-        logv = np.log(gaps[positive])
-        slope, intercept = np.polyfit(k, logv, 1)
-        fit = slope * k + intercept
-        ss_res = float(np.sum((logv - fit) ** 2))
-        ss_tot = float(np.sum((logv - logv.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-        rate = float(np.exp(slope))
-    else:
-        rate, r2 = 0.0, 1.0
+    rate, r2 = _geometric_fit(np.arange(H)[positive], gaps[positive])
     return CouplingReport(gaps=gaps, decay_rate=rate, r_squared=r2,
                           step_below_tol=step_below)
 

@@ -12,6 +12,7 @@ import copy
 import csv
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -125,18 +126,6 @@ def _batches(n: int, batch_size: int, rng: Rng):
         yield order[lo:lo + batch_size]
 
 
-def _split_loss(model: Forecaster, dataset: WindowedDataset, split: str,
-                batch_size: int) -> float:
-    total, count = 0.0, 0
-    n = dataset.n_windows(split)
-    for lo in range(0, n, batch_size):
-        x, y = dataset.batch(split, range(lo, min(lo + batch_size, n)))
-        yhat, _ = model.forward(x)
-        total += float(np.sum((yhat - y) ** 2))
-        count += y.size
-    return total / count
-
-
 def train(model: Forecaster, dataset: WindowedDataset,
           config: TrainConfig) -> tuple[Forecaster, list[EpochRecord]]:
     """Train with early stopping; returns the best-validation-epoch model.
@@ -170,8 +159,8 @@ def train(model: Forecaster, dataset: WindowedDataset,
             adam_step(model.params, grads, opt, config, model.masks)
         if diverged:
             break
-        train_mse = _split_loss(model, dataset, "train", config.batch_size)
-        val_mse = _split_loss(model, dataset, "val", config.batch_size)
+        train_mse = evaluate(model, dataset, "train", config.batch_size).mse
+        val_mse = evaluate(model, dataset, "val", config.batch_size).mse
         history.append(EpochRecord(epoch, train_mse, val_mse,
                                    time.perf_counter() - t0))
         if val_mse < best_val:
@@ -188,21 +177,30 @@ def train(model: Forecaster, dataset: WindowedDataset,
     return model, history
 
 
-def evaluate(model: Forecaster, dataset: WindowedDataset,
-             split: str = "test", batch_size: int = 64) -> Metrics:
-    """MSE/MAE over every window of the split, on the standardized scale."""
+def _score(dataset: WindowedDataset, split: str, batch_size: int,
+           predict: Callable[[np.ndarray], np.ndarray]) -> Metrics:
+    """MSE/MAE of predict(x) against y over every window of the split.
+
+    Errors are summed per batch in float64, so a split scores the same
+    bytes for the same batch size.
+    """
     n = dataset.n_windows(split)
     if n == 0:
-        raise ValueError(f"evaluate: split {split!r} is empty")
+        raise ValueError(f"split {split!r} is empty")
     se, ae, count = 0.0, 0.0, 0
     for lo in range(0, n, batch_size):
         x, y = dataset.batch(split, range(lo, min(lo + batch_size, n)))
-        yhat, _ = model.forward(x)
-        diff = yhat - y
+        diff = predict(x) - y
         se += float(np.sum(diff * diff))
         ae += float(np.sum(np.abs(diff)))
         count += y.size
     return Metrics(mse=se / count, mae=ae / count, n_samples=n)
+
+
+def evaluate(model: Forecaster, dataset: WindowedDataset,
+             split: str = "test", batch_size: int = 64) -> Metrics:
+    """MSE/MAE over every window of the split, on the standardized scale."""
+    return _score(dataset, split, batch_size, lambda x: model.forward(x)[0])
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:
@@ -218,28 +216,11 @@ def write_history_csv(history: list[EpochRecord], path) -> None:
 
 def persistence_metrics(dataset: WindowedDataset, split: str = "test") -> Metrics:
     """Repeat the last observed value across the horizon."""
-    n = dataset.n_windows(split)
-    se, ae, count = 0.0, 0.0, 0
-    for lo in range(0, n, 256):
-        x, y = dataset.batch(split, range(lo, min(lo + 256, n)))
-        yhat = np.repeat(x[:, -1:, :], y.shape[1], axis=1)
-        diff = yhat - y
-        se += float(np.sum(diff * diff))
-        ae += float(np.sum(np.abs(diff)))
-        count += y.size
-    return Metrics(mse=se / count, mae=ae / count, n_samples=n)
+    return _score(dataset, split, 256, lambda x: x[:, -1:, :])
 
 
 def train_mean_metrics(dataset: WindowedDataset, split: str = "test") -> Metrics:
     """Predict the per-channel mean of the train split (zero after z-scoring
     unless channels were constant)."""
-    n = dataset.n_windows(split)
     mean = dataset.train_channel_mean()
-    se, ae, count = 0.0, 0.0, 0
-    for lo in range(0, n, 256):
-        _, y = dataset.batch(split, range(lo, min(lo + 256, n)))
-        diff = y - mean[None, None, :]
-        se += float(np.sum(diff * diff))
-        ae += float(np.sum(np.abs(diff)))
-        count += y.size
-    return Metrics(mse=se / count, mae=ae / count, n_samples=n)
+    return _score(dataset, split, 256, lambda x: mean)

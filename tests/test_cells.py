@@ -5,8 +5,7 @@ import pytest
 
 from pslstm.cells import (GateMode, LSTM_MODE, PARAM_NAMES, SLSTMParams,
                           SLSTMState, block_diagonal_mask, grad_check,
-                          lstm_forward, lstm_step, slstm_backward,
-                          slstm_forward, slstm_step)
+                          slstm_backward, slstm_forward, slstm_step)
 from pslstm.tensorops import Rng, ShapeError, sigmoid
 
 
@@ -156,7 +155,7 @@ def test_lstm_zero_params_oracle():
     params = scalar_params()
     prev = SLSTMState(h=np.zeros((1, 1)), c=np.full((1, 1), 0.8),
                       n=np.ones((1, 1)))
-    state, _ = lstm_step(params, np.zeros((1, 1)), prev)
+    state, _ = slstm_step(params, np.zeros((1, 1)), prev, LSTM_MODE)
     assert np.isclose(state.c[0, 0], 0.4)
     assert np.isclose(state.h[0, 0], 0.5 * np.tanh(0.4))
 

@@ -77,6 +77,16 @@ def test_train_missing_dataset_exits_data(tmp_path, capsys):
     assert "/nonexistent/weather.csv" in capsys.readouterr().err
 
 
+def test_train_non_finite_csv_exits_data(tmp_path, capsys):
+    rows = "".join(f"t{k},{k % 7}.0,inf\n" for k in range(100))
+    data = tmp_path / "inf.csv"
+    data.write_text("date,a,b\n" + rows)
+    cfg = write_config(tmp_path, model={**TINY_MODEL, "n_channels": 2},
+                       data={"source": "csv", "path": str(data)})
+    assert run(tmp_path, "train", "--config", cfg) == EXIT_DATA
+    assert "100 unparseable or non-finite" in capsys.readouterr().err
+
+
 def test_train_metrics_byte_identical_across_runs(tmp_path):
     cfg = write_config(tmp_path)
     run(tmp_path, "train", "--config", cfg, "--seed", "7")
@@ -182,6 +192,7 @@ def test_sweep_lookback_table(tmp_path):
                "--sizes", "8", "16") == EXIT_OK
     lines = (tmp_path / "runs" / "sweep-lookback" / "sweep_lookback.csv") \
         .read_text().strip().splitlines()
+    assert lines[0] == "lookback,test_mse,test_mae"
     assert len(lines) == 3
 
 

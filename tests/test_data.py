@@ -35,6 +35,17 @@ def test_load_csv_drops_unparseable_row(tmp_path):
     assert raw.n_dropped_rows == 1
 
 
+def test_load_csv_drops_non_finite_row(tmp_path):
+    p = write_csv(tmp_path / "nan.csv",
+                  "date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,nan,4.0\n"
+                  "2020-01-03,5.0,6.0\n")
+    with pytest.warns(UserWarning, match="dropped 1"):
+        raw = load_csv(p)
+    assert np.array_equal(raw.values, [[1, 2], [5, 6]])
+    assert raw.timestamps == ["2020-01-01", "2020-01-03"]
+    assert raw.n_dropped_rows == 1
+
+
 def test_load_csv_ragged_row_rejected(tmp_path):
     p = write_csv(tmp_path / "ragged.csv", "date,a,b\nx,1,2\ny,1\n")
     with pytest.raises(ValueError, match="ragged"):

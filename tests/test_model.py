@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from pslstm.cells import GateMode, grad_check
-from pslstm.model import (Forecaster, ModelConfig, channel_mixed_forward,
-                          config_from_dict, load_checkpoint, patchify,
-                          save_checkpoint)
+from pslstm.model import (Forecaster, ModelConfig, config_from_dict,
+                          load_checkpoint, patchify, save_checkpoint)
 from pslstm.tensorops import Rng, ShapeError
 from pslstm.training import mse_loss
 
@@ -208,14 +207,8 @@ def test_channel_mixed_single_channel_degenerates_to_independent():
     b = Forecaster(tiny_config(n_channels=1, channel_strategy="mixed"), seed=7)
     x = Rng(9).normal((4, 16, 1), 0.0, 1.0)
     y_a, _ = a.forward(x)
-    y_b = channel_mixed_forward(b, x)
+    y_b, _ = b.forward(x)
     assert np.array_equal(y_a, y_b)
-
-
-def test_channel_mixed_forward_requires_mixed_config():
-    model = Forecaster(tiny_config(), seed=0)
-    with pytest.raises(ValueError):
-        channel_mixed_forward(model, np.zeros((1, 16, 2)))
 
 
 def test_channel_mixed_parameter_count_grows_with_channels():

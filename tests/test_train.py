@@ -193,10 +193,16 @@ def test_train_improves_and_restores_best_epoch():
     model, history = train(model, ds, TrainConfig(max_epochs=4, patience=4))
     assert len(history) >= 1
     # returned parameters come from the best-val epoch
-    from pslstm.training import _split_loss
-    val = _split_loss(model, ds, "val", 32)
+    val = evaluate(model, ds, "val", 32).mse
     best = min(rec.val_mse for rec in history)
     assert val == pytest.approx(best, rel=1e-9)
+
+
+def test_history_val_mse_is_evaluate_at_train_batch_size():
+    ds = small_dataset()
+    cfg = TrainConfig(max_epochs=1, patience=1, batch_size=24)
+    model, history = train(Forecaster(ModelConfig(**TINY), seed=0), ds, cfg)
+    assert history[0].val_mse == evaluate(model, ds, "val", cfg.batch_size).mse
 
 
 def test_train_deterministic_given_seed():
@@ -275,6 +281,14 @@ def test_evaluate_empty_split_rejected():
     ds.starts["test"] = np.empty(0, dtype=np.int64)
     with pytest.raises(ValueError):
         evaluate(Forecaster(ModelConfig(**TINY), seed=0), ds, "test")
+
+
+@pytest.mark.parametrize("baseline", [persistence_metrics, train_mean_metrics])
+def test_baselines_reject_empty_split(baseline):
+    ds = small_dataset()
+    ds.starts["test"] = np.empty(0, dtype=np.int64)
+    with pytest.raises(ValueError):
+        baseline(ds, "test")
 
 
 def test_metrics_monotone_under_zero_error_window():
