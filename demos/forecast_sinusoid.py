@@ -22,7 +22,7 @@ print("trainable parameters:", model.count_params())
 model, history = train(model, dataset,
                        TrainConfig(max_epochs=5, patience=3, batch_size=64))
 for rec in history:
-    print(f"epoch {rec.epoch}: train {rec.train_mse:.4f} "
+    print(f"epoch {rec.epoch}: train (running) {rec.train_mse:.4f} "
           f"val {rec.val_mse:.4f} ({rec.seconds:.1f}s)")
 
 test = evaluate(model, dataset, "test")

@@ -104,7 +104,7 @@ class ModelTape:
     patches: np.ndarray
     cell_tapes: list               # SequenceTape per block
     ln_caches: list
-    dropout_masks: list
+    dropout_masks: list            # bool keep-mask per site, or None
     flat: np.ndarray
 
 
@@ -167,6 +167,19 @@ class Forecaster:
                       .transpose(0, 2, 1, 3) \
                       .reshape(B, c.n_patches, self.in_width)
 
+    def _dropout(self, u: np.ndarray, rng: Rng) -> np.ndarray:
+        """Draw a bool keep-mask and apply it to u; backward() reapplies it."""
+        keep = rng.uniform(u.shape) >= self.config.dropout_rate
+        self._apply_keep(u, keep)
+        return keep
+
+    def _apply_keep(self, a: np.ndarray, keep: np.ndarray | None) -> None:
+        """Inverted dropout in place: zero a where keep is False and scale
+        the rest by 1 / (1 - dropout_rate); no-op without a mask."""
+        if keep is not None:
+            a *= keep
+            a *= 1.0 / (1.0 - self.config.dropout_rate)
+
     def forward(self, x: np.ndarray, training: bool = False,
                 dropout_rng: Rng | None = None) -> tuple[np.ndarray, ModelTape]:
         c = self.config
@@ -192,31 +205,23 @@ class Forecaster:
         u = (patches.reshape(-1, self.in_width) @ self.params["embed.W"].T) \
             .reshape(patches.shape[:2] + (self.width,))
         u += self.params["embed.b"]
-        masks: list = []
-        if drop > 0:
-            mask = (dropout_rng.uniform(u.shape) >= drop) / (1.0 - drop)
-            u = u * mask
-            masks.append(mask)
-        else:
-            masks.append(None)
+        masks = [self._dropout(u, dropout_rng) if drop > 0 else None]
 
         cell_tapes, ln_caches = [], []
         for k, cell in enumerate(self.blocks):
             h_seq, tape = slstm_forward(cell, u, None, c.gate_mode)
             cell_tapes.append(tape)
-            r = u + h_seq
-            mean = r.mean(axis=-1, keepdims=True)
-            std = np.sqrt(r.var(axis=-1, keepdims=True) + _LN_EPS)
-            xhat = (r - mean) / std
+            # layer norm of the residual sum, in place; the sum of squares
+            # over the width repeats np.var's arithmetic bit for bit
+            xhat = u + h_seq
+            xhat -= xhat.mean(axis=-1, keepdims=True)
+            std = np.sqrt(np.sum(xhat * xhat, axis=-1, keepdims=True)
+                          / self.width + _LN_EPS)
+            xhat /= std
             ln_caches.append((xhat, std))
-            u = xhat * self.params[f"block{k}.ln_gain"] \
-                + self.params[f"block{k}.ln_bias"]
-            if drop > 0:
-                mask = (dropout_rng.uniform(u.shape) >= drop) / (1.0 - drop)
-                u = u * mask
-                masks.append(mask)
-            else:
-                masks.append(None)
+            u = xhat * self.params[f"block{k}.ln_gain"]
+            u += self.params[f"block{k}.ln_bias"]
+            masks.append(self._dropout(u, dropout_rng) if drop > 0 else None)
 
         flat = u.reshape(u.shape[0], -1)
         out_rows = flat @ self.params["head.W"].T + self.params["head.b"]
@@ -243,9 +248,7 @@ class Forecaster:
             tape.flat.shape[0], c.n_patches, self.width)
 
         for k in range(c.n_blocks - 1, -1, -1):
-            mask = tape.dropout_masks[k + 1]
-            if mask is not None:
-                g_u = g_u * mask
+            self._apply_keep(g_u, tape.dropout_masks[k + 1])
             xhat, std = tape.ln_caches[k]
             grads[f"block{k}.ln_gain"] = (g_u * xhat).sum(axis=(0, 1))
             grads[f"block{k}.ln_bias"] = g_u.sum(axis=(0, 1))
@@ -259,9 +262,7 @@ class Forecaster:
                 grads[f"block{k}.{name}"] = arr
             g_u = g_r + g_in
 
-        mask = tape.dropout_masks[0]
-        if mask is not None:
-            g_u = g_u * mask
+        self._apply_keep(g_u, tape.dropout_masks[0])
         grads["embed.W"] = g_u.reshape(-1, self.width).T \
             @ tape.patches.reshape(-1, self.in_width)
         grads["embed.b"] = g_u.sum(axis=(0, 1))

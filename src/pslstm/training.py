@@ -4,6 +4,11 @@ mini-batches, early stopping on validation loss, MSE/MAE evaluation.
 Losses and metrics are computed on the dataset's standardized scale (the
 usual benchmark convention); the model's own instance normalization is
 internal and orthogonal to this.
+
+An epoch's `train_mse` is the running training loss: the mean of the
+epoch's training-mode batch losses, weighted by window count, taken under
+dropout while the weights move. The split is not scored again in eval
+mode; `evaluate(model, dataset, "train")` gives that figure.
 """
 
 from __future__ import annotations
@@ -49,6 +54,9 @@ class Metrics:
 
 @dataclass
 class EpochRecord:
+    """One epoch of `train`: `train_mse` is the window-weighted mean of the
+    epoch's training-mode batch losses, `val_mse` the eval-mode MSE of the
+    val split after the epoch."""
     epoch: int
     train_mse: float
     val_mse: float
@@ -147,6 +155,7 @@ def train(model: Forecaster, dataset: WindowedDataset,
         shuffle_rng = Rng(config.seed).spawn(1000 + epoch)
         drop_rng = Rng(config.seed).spawn(2000 + epoch)
         diverged = False
+        loss_sum = 0.0
         for idx in _batches(n_train, config.batch_size, shuffle_rng):
             x, y = dataset.batch("train", idx)
             yhat, tape = model.forward(x, training=True, dropout_rng=drop_rng)
@@ -154,14 +163,14 @@ def train(model: Forecaster, dataset: WindowedDataset,
             if not np.isfinite(loss):
                 diverged = True
                 break
+            loss_sum += loss * len(idx)
             grads = model.backward(tape, grad)
             grads = clip_gradients(grads, config.clip_norm)
             adam_step(model.params, grads, opt, config, model.masks)
         if diverged:
             break
-        train_mse = evaluate(model, dataset, "train", config.batch_size).mse
         val_mse = evaluate(model, dataset, "val", config.batch_size).mse
-        history.append(EpochRecord(epoch, train_mse, val_mse,
+        history.append(EpochRecord(epoch, loss_sum / n_train, val_mse,
                                    time.perf_counter() - t0))
         if val_mse < best_val:
             best_val = val_mse

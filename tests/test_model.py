@@ -156,7 +156,7 @@ def test_dropout_off_at_evaluation_time():
 
 # -- backward ---------------------------------------------------------------
 
-def _model_gradcheck(cfg, seed=0, eps=1e-5):
+def _model_gradcheck(cfg, seed=0, eps=1e-5, training=False):
     model = Forecaster(cfg, seed=seed)
     rng = Rng(seed + 100)
     x = rng.normal((2, cfg.lookback, cfg.n_channels), 0.0, 1.0)
@@ -165,7 +165,11 @@ def _model_gradcheck(cfg, seed=0, eps=1e-5):
     def loss_and_grads(params):
         for k, v in params.items():
             model.params[k][...] = v
-        yhat, tape = model.forward(x)
+        # a fresh generator per call draws the same dropout masks every time
+        yhat, tape = model.forward(x, training=training,
+                                   dropout_rng=Rng(seed + 200))
+        if training and cfg.dropout_rate > 0:
+            assert all(m.dtype == bool for m in tape.dropout_masks)
         loss, gy = mse_loss(yhat, y)
         return loss, model.backward(tape, gy)
 
@@ -184,6 +188,12 @@ def test_backward_two_blocks():
     cfg = ModelConfig(lookback=8, horizon=2, n_channels=1, patch_size=4,
                       embed_dim=4, n_blocks=2, n_heads=2, dropout_rate=0.0)
     assert _model_gradcheck(cfg) < 1e-4
+
+
+def test_backward_through_dropout():
+    cfg = ModelConfig(lookback=8, horizon=2, n_channels=2, patch_size=4,
+                      embed_dim=4, n_blocks=2, n_heads=2, dropout_rate=0.3)
+    assert _model_gradcheck(cfg, training=True) < 1e-4
 
 
 def test_backward_channel_mixed():

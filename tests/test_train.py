@@ -1,8 +1,11 @@
 """Tests for the loss, optimizer, clipping, and the training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
+from pslstm import training
 from pslstm.datasets import make_synthetic, split_and_standardize
 from pslstm.model import Forecaster, ModelConfig
 from pslstm.tensorops import Rng, ShapeError
@@ -203,6 +206,47 @@ def test_history_val_mse_is_evaluate_at_train_batch_size():
     cfg = TrainConfig(max_epochs=1, patience=1, batch_size=24)
     model, history = train(Forecaster(ModelConfig(**TINY), seed=0), ds, cfg)
     assert history[0].val_mse == evaluate(model, ds, "val", cfg.batch_size).mse
+
+
+def test_train_scores_only_the_val_split_in_eval_mode(monkeypatch):
+    ds = small_dataset()
+    eval_calls = []
+    forward = Forecaster.forward
+
+    def counting_forward(self, x, training=False, dropout_rng=None):
+        if not training:
+            eval_calls.append(x.shape[0])
+        return forward(self, x, training, dropout_rng)
+
+    monkeypatch.setattr(Forecaster, "forward", counting_forward)
+    cfg = TrainConfig(max_epochs=3, patience=3, batch_size=24)
+    _, history = train(Forecaster(ModelConfig(**TINY), seed=0), ds, cfg)
+    n_val = ds.n_windows("val")
+    assert len(eval_calls) == len(history) * math.ceil(n_val / cfg.batch_size)
+    assert sum(eval_calls) == len(history) * n_val
+
+
+def test_history_train_mse_is_window_weighted_step_loss(monkeypatch):
+    ds = small_dataset()
+    steps = []
+
+    def recording_mse_loss(yhat, y):
+        loss, grad = mse_loss(yhat, y)
+        steps.append((loss, y.shape[0]))
+        return loss, grad
+
+    monkeypatch.setattr(training, "mse_loss", recording_mse_loss)
+    cfg = TrainConfig(max_epochs=3, patience=3, batch_size=24)
+    model = Forecaster(ModelConfig(**{**TINY, "dropout_rate": 0.1}), seed=0)
+    _, history = train(model, ds, cfg)
+    n_train = ds.n_windows("train")
+    per_epoch = math.ceil(n_train / cfg.batch_size)
+    assert len(steps) == len(history) * per_epoch
+    for rec in history:
+        epoch = steps[rec.epoch * per_epoch:(rec.epoch + 1) * per_epoch]
+        assert sum(b for _, b in epoch) == n_train
+        expected = sum(loss * b for loss, b in epoch) / n_train
+        assert rec.train_mse == pytest.approx(expected, rel=1e-12)
 
 
 def test_train_deterministic_given_seed():
