@@ -21,8 +21,8 @@ Recurrent weight matrices are block-diagonal with ``n_heads`` equal blocks:
 memory mixing happens within a head but never across heads.
 
 States are (B, d) and the sequences slstm_forward takes and returns are
-(B, S, d). Parameters stay dense per gate (SLSTMParams); each call fuses
-them, in O(d^2), into the kernel layout:
+(B, S, d). Parameters stay dense per gate (SLSTMParams); slstm_forward
+and slstm_step fuse them, in O(d^2), into the kernel layout:
 
 - W (4d, d_input) and b (4d,) with head-major rows: head k (s = d / H
   units) owns rows [4sk, 4s(k+1)), holding its z, i, f and o units in that
@@ -42,7 +42,9 @@ it replaces referenced 13 (B, d) arrays). Previous states come from the
 same arrays one step back; c / n is recomputed. slstm_backward writes the
 pre-activation gradients into the gate buffer: the only GEMM in its loop is
 the per-head carry into h, and after the loop single GEMMs give the W and b
-gradients and the input gradient, one GEMM per head the R gradient.
+gradients and the input gradient, one GEMM per head the R gradient. It reads
+the fused W and R the forward kept on the tape instead of fusing again, so
+the gradient belongs to the weights the forward actually ran with.
 """
 
 from __future__ import annotations
@@ -188,8 +190,9 @@ class SequenceTape:
     because h depends only on ratios. h_prev, c_prev and n_prev are the
     arrays shifted by one step, and c / n is recomputed. A sigmoid gate also
     keeps d log(gate) / d pre, which its rescaled value does not determine.
-    slstm_backward overwrites ``gates`` with the gradients, so a tape is
-    consumed by one backward pass.
+    W and R are the fused weights the forward ran with (copies, not views
+    of the parameters). slstm_backward overwrites ``gates`` with the
+    gradients, so a tape is consumed by one backward pass.
     """
 
     x: np.ndarray                 # (B, S, d_input), the input as given
@@ -200,6 +203,8 @@ class SequenceTape:
     h: np.ndarray                 # (S, B, d)
     dlog_i: np.ndarray | None     # (S, B, d) for a sigmoid input gate
     dlog_f: np.ndarray | None     # (S, B, d) for a sigmoid forget gate
+    W: np.ndarray                 # (4d, d_input), fused head-major rows
+    R: np.ndarray                 # (H, s, 4s), per-head recurrent blocks
 
 
 def _fused_weights(params: SLSTMParams
@@ -375,7 +380,8 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
         n=np.empty((S, B, d)) if mode.normalizer else None,
         h=np.empty((S, B, d)),
         dlog_i=np.empty((S, B, d)) if mode.input_activation == "sigmoid" else None,
-        dlog_f=np.empty((S, B, d)) if mode.forget_activation == "sigmoid" else None)
+        dlog_f=np.empty((S, B, d)) if mode.forget_activation == "sigmoid" else None,
+        W=W, R=R)
 
     c_all, n_all, h_all = (None if a is None else _heads(a, H)
                            for a in (tape.c, tape.n, tape.h))
@@ -406,7 +412,8 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
 
     Returns (param grads keyed like PARAM_NAMES, grad wrt the inputs).
     Off-block entries of every R gradient are exact zeros: they are never
-    written.
+    written. The weights come from the tape, as the forward fused them, so
+    params is not read.
     """
     grad_h_seq = np.asarray(grad_h_seq, dtype=np.float64)
     squeeze = grad_h_seq.ndim == 2
@@ -418,7 +425,7 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
                          f"tape {(B, S, d)}")
     if tape.gates is None:
         raise ValueError("slstm_backward: the tape was already consumed")
-    W, _, R = _fused_weights(params)
+    W, R = tape.W, tape.R
     H, s = R.shape[0], R.shape[1]
     R_t = R.transpose(0, 2, 1)
     # the gate buffer becomes the pre-activation gradient buffer

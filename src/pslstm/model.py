@@ -233,13 +233,14 @@ class Forecaster:
         return yhat, tape
 
     def backward(self, tape: ModelTape, grad_y: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss wrt every parameter, given dloss/dyhat.
+        """Gradients of a scalar loss wrt every parameter, given dloss/dyhat,
+        keyed in the order of self.params.
 
         Consumes the tape: the cell tapes' gate buffers are reused for the
         gradients, so one forward pass supports one backward pass.
         """
         c = self.config
-        grads = {name: np.zeros_like(arr) for name, arr in self.params.items()}
+        grads = {}
         g = np.asarray(grad_y, dtype=np.float64) * tape.sigma      # denorm
         g_rows = g.transpose(0, 2, 1).reshape(-1, self.out_width)
         grads["head.W"] = g_rows.T @ tape.flat
@@ -266,7 +267,8 @@ class Forecaster:
         grads["embed.W"] = g_u.reshape(-1, self.width).T \
             @ tape.patches.reshape(-1, self.in_width)
         grads["embed.b"] = g_u.sum(axis=(0, 1))
-        return grads
+        # params order: clip_gradients sums the squared norms in dict order
+        return {name: grads[name] for name in self.params}
 
     # -- bookkeeping -------------------------------------------------------
 

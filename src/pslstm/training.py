@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -87,13 +88,55 @@ def clip_gradients(grads: dict[str, np.ndarray],
     return {name: g * scale for name, g in grads.items()}
 
 
+#: Elements per Adam chunk: 256 KB of float64, so a chunk and its scratch
+#: stay cache-resident through the update's elementwise passes.
+_CHUNK = 32768
+
+
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array."""
+    """First/second moment accumulators, one pair per parameter array, and
+    the chunk plan adam_step walks.
+
+    The plan is made once, here. Each parameter is split into row-slices of
+    at most _CHUNK elements (a 1-D array into element slices; a row wider
+    than _CHUNK is a chunk of its own). Each chunk keeps its slice, the
+    matching views of m and v, and three scratch views (tmp, step and the
+    masked gradient) into one (3, n) buffer, n = min(_CHUNK, largest
+    parameter) but at least the widest row. So a step allocates nothing
+    sized to the parameter count. m and v are updated in place through
+    these views; rebinding an entry of m or v detaches it from the plan.
+    """
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        n = min(_CHUNK, max((p.size for p in params.values()), default=1))
+        n = max(n, 1, *(_row_size(p.shape) for p in params.values()))
+        scratch = np.empty((3, n))
+        # per chunk: (slice, m view, v view, tmp, step, masked gradient)
+        self._plan = {}
+        for name, p in params.items():
+            chunks = []
+            for sl in _row_slices(p.shape):
+                m, v = self.m[name][sl], self.v[name][sl]
+                chunks.append((sl, m, v, *(buf[:m.size].reshape(m.shape)
+                                           for buf in scratch)))
+            self._plan[name] = chunks
+
+
+def _row_size(shape: tuple[int, ...]) -> int:
+    """Elements per index of the leading axis (1 for a 1-D array)."""
+    return math.prod(shape[1:])
+
+
+def _row_slices(shape: tuple[int, ...]) -> list:
+    """Leading-axis slices of at most _CHUNK elements (at least one row)."""
+    if not shape:
+        return [...]
+    rows = max(1, _CHUNK // max(_row_size(shape), 1))
+    return [slice(lo, min(lo + rows, shape[0]))
+            for lo in range(0, shape[0], rows)]
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -101,8 +144,15 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               masks: dict[str, np.ndarray] | None = None) -> None:
     """One bias-corrected Adam update, in place.
 
-    Block-diagonal masks are re-applied to the masked gradients so frozen
-    recurrent entries stay exactly zero through the whole run.
+    A masked parameter's gradient is multiplied by its mask first, so m
+    and v stay exactly +0.0 where the mask is 0 and frozen entries (such as
+    off-block recurrent weights) never move. grads are not written. Every
+    gradient is checked to be finite before anything is written.
+
+    The update runs chunk by chunk over the plan in `state` (see
+    AdamState), each elementwise pass writing into the chunk's scratch
+    views. Every operation is elementwise and done in the order of the
+    whole-array update, so the results are bit-identical to it.
     """
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -111,21 +161,28 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
+    lr, eps = config.learning_rate, config.eps_opt
     for name, p in params.items():
         g = grads[name]
-        if masks is not None and name in masks:
-            g = g * masks[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        step = config.learning_rate * (m / corr1) / (np.sqrt(v / corr2)
-                                                     + config.eps_opt)
-        if masks is not None and name in masks:
-            step = step * masks[name]
-        p -= step
+        mask = None if masks is None else masks.get(name)
+        for sl, m, v, tmp, step, gm in state._plan[name]:
+            gs = g[sl]
+            if mask is not None:
+                gs = np.multiply(gs, mask[sl], out=gm)
+            m *= b1
+            m += np.multiply(gs, 1.0 - b1, out=tmp)
+            v *= b2
+            np.multiply(gs, 1.0 - b2, out=tmp)
+            tmp *= gs
+            v += tmp
+            np.divide(v, corr2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(m, corr1, out=step)
+            step *= lr
+            step /= tmp
+            ps = p[sl]
+            ps -= step
 
 
 def _batches(n: int, batch_size: int, rng: Rng):

@@ -335,6 +335,28 @@ def test_backward_consumes_the_tape():
         slstm_backward(params, tape, np.ones((2, 5, 4)))
 
 
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_backward_uses_the_weights_the_forward_ran_with(n_heads):
+    # backward reads the tape's fused weights, so changing the parameters
+    # between forward and backward does not change the gradients
+    rng = Rng(48)
+    x = rng.normal((2, 5, 3), 0.0, 1.0)
+    gh = rng.normal((2, 5, 4), 0.0, 1.0)
+    params = random_params(49, 3, 4, n_heads=n_heads)
+    pristine = SLSTMParams(n_heads=n_heads, **{k: getattr(params, k).copy()
+                                               for k in PARAM_NAMES})
+    _, tape = slstm_forward(pristine, x)
+    want, want_gx = slstm_backward(pristine, tape, gh)
+
+    _, tape = slstm_forward(params, x)
+    for name in PARAM_NAMES:
+        getattr(params, name)[...] += 0.5
+    grads, gx = slstm_backward(params, tape, gh)
+    assert np.array_equal(gx, want_gx)
+    for name in PARAM_NAMES:
+        assert np.array_equal(grads[name], want[name]), name
+
+
 def test_stabilized_forward_rejects_non_finite_hidden_state():
     params = random_params(46, 3, 4, n_heads=2)
     x = Rng(47).normal((1, 6, 3), 0.0, 1.0)

@@ -210,6 +210,16 @@ def test_backward_no_instance_norm():
     assert _model_gradcheck(cfg) < 1e-4
 
 
+def test_backward_grads_follow_params_order():
+    # clip_gradients sums squared norms in dict order; params order keeps
+    # that float sum the same from run to run
+    model = Forecaster(tiny_config(n_blocks=2), seed=0)
+    x = Rng(1).normal((2, 16, 2), 0.0, 1.0)
+    yhat, tape = model.forward(x)
+    grads = model.backward(tape, np.ones_like(yhat))
+    assert list(grads) == list(model.params)
+
+
 # -- channel mixing ---------------------------------------------------------
 
 def test_channel_mixed_single_channel_degenerates_to_independent():

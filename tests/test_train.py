@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pslstm import training
+from pslstm.cells import block_diagonal_mask
 from pslstm.datasets import make_synthetic, split_and_standardize
 from pslstm.model import Forecaster, ModelConfig
 from pslstm.tensorops import Rng, ShapeError
@@ -146,6 +147,97 @@ def test_adam_fits_linear_regression():
         loss, grad = mse_loss(pred, Y)
         adam_step(params, {"W": grad.T @ X}, state, cfg)
     assert loss < 1e-3
+
+
+def _reference_adam_step(params, grads, state, config, masks=None):
+    """The whole-array Adam update that the chunked adam_step replaced."""
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in {name}")
+    state.t += 1
+    b1, b2 = config.beta1, config.beta2
+    corr1 = 1.0 - b1 ** state.t
+    corr2 = 1.0 - b2 ** state.t
+    for name, p in params.items():
+        g = grads[name]
+        if masks is not None and name in masks:
+            g = g * masks[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        step = config.learning_rate * (m / corr1) / (np.sqrt(v / corr2)
+                                                     + config.eps_opt)
+        if masks is not None and name in masks:
+            step = step * masks[name]
+        p -= step
+
+
+def _bits(a):
+    """The bytes of a in C order: equal bits, sign of zero included."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_adam_chunked_matches_whole_array_update():
+    chunk = training._CHUNK
+    rng = Rng(7)
+    shapes = {
+        "long_1d": (2 * chunk + 5,),
+        "rows_split": (300, 250),            # 131 rows per chunk
+        "wide_row": (3, chunk + 7),
+        "fortran": (200, 300),
+        "block_diag": (256, 256),
+        "frozen": (64, 64),
+        "small": (5,),
+    }
+    params = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+    params["fortran"] = np.asfortranarray(params["fortran"])
+    masks = {"block_diag": block_diagonal_mask(256, 4),
+             "frozen": np.zeros((64, 64))}     # memory_mixing=False
+    ref = {k: v.copy(order="K") for k, v in params.items()}
+    fortran, start = params["fortran"], {k: _bits(v) for k, v in ref.items()}
+    state, ref_state = AdamState(params), AdamState(ref)
+    cfg = TrainConfig(learning_rate=1e-2)
+    for step in range(5):
+        grads = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+        before = {k: _bits(g) for k, g in grads.items()}
+        adam_step(params, grads, state, cfg, masks)
+        _reference_adam_step(ref, grads, ref_state, cfg, masks)
+        assert all(_bits(g) == before[k] for k, g in grads.items())
+    assert state.t == ref_state.t == 5
+    for k in shapes:
+        assert _bits(params[k]) == _bits(ref[k]), k
+        assert _bits(state.m[k]) == _bits(ref_state.m[k]), k
+        assert _bits(state.v[k]) == _bits(ref_state.v[k]), k
+    # updated in place, layout kept
+    assert params["fortran"] is fortran and fortran.flags.f_contiguous
+    assert _bits(fortran) != start["fortran"]
+    # non-zero values under a zero mask never move; m and v stay +0.0
+    assert _bits(params["frozen"]) == start["frozen"]
+    assert _bits(state.m["frozen"]) == _bits(np.zeros((64, 64)))
+    assert _bits(state.v["frozen"]) == _bits(np.zeros((64, 64)))
+
+
+def test_adam_non_finite_last_gradient_changes_nothing():
+    rng = Rng(8)
+    shapes = {"a": (40, 900), "b": (7,), "c": (3, 4)}
+    params = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+    state = AdamState(params)
+    cfg = TrainConfig()
+    for _ in range(2):
+        adam_step(params, {k: rng.normal(s, 0.0, 1.0)
+                           for k, s in shapes.items()}, state, cfg)
+    saved = [{k: _bits(d[k]) for k in shapes}
+             for d in (params, state.m, state.v)]
+    grads = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+    grads["c"][2, 3] = np.nan
+    with pytest.raises(FloatingPointError, match="c"):
+        adam_step(params, grads, state, cfg)
+    assert state.t == 2
+    for d, bits in zip((params, state.m, state.v), saved):
+        assert {k: _bits(d[k]) for k in shapes} == bits
 
 
 def test_train_config_validation():
