@@ -17,34 +17,27 @@ mode; the hidden state is algebraically unchanged because the exp(-m)
 rescaling cancels in the c/n ratio. Raw mode keeps the textbook arithmetic
 (including its overflow) for the memory-property probe.
 
-Recurrent weight matrices are block-diagonal with ``n_heads`` equal blocks:
-memory mixing happens within a head but never across heads.
+Memory mixing happens within a head, never across heads: each recurrent
+matrix Rg is block-diagonal with n_heads (H) equal blocks of s = d / H
+units. SLSTMParams stores only what the kernels read:
 
-States are (B, d) and the sequences slstm_forward takes and returns are
-(B, S, d). Parameters stay dense per gate (SLSTMParams); slstm_forward
-and slstm_step fuse them, in O(d^2), into the kernel layout:
+- W (4d, d_input) and b (4d,) with head-major rows: head k owns rows
+  [4sk, 4s(k+1)), its z, i, f and o units in that order;
+- R (H, s, 4s), head k's recurrent block R[k], or None without memory
+  mixing (the recurrent GEMM is then skipped).
 
-- W (4d, d_input) and b (4d,) with head-major rows: head k (s = d / H
-  units) owns rows [4sk, 4s(k+1)), holding its z, i, f and o units in that
-  order. Pre-activation columns follow the same order.
-- one recurrent block R[k] (s, 4s) per head, so off-block entries of the
-  dense R matrices are never read or written.
+from_gates and gates() convert from and to the 12 per-gate arrays, which
+the initializer draws, version-1 checkpoints store and the probe reads.
 
-slstm_forward computes the input pre-activations of every step and gate
-with one (B*S, d_input) x (d_input, 4d) GEMM before the time loop; inside
-it only one (B, s) x (s, 4s) GEMM per head remains. slstm_step and the loop
-share the gate arithmetic (_gate_update).
-
-The tape is stacked and time-major: one (S, B, 4d) buffer holds the
-pre-activations, overwritten in place by the gate activations, and c, n
-and h are (S, B, d) arrays, 7d floats per row and step (the per-step cache
-it replaces referenced 13 (B, d) arrays). Previous states come from the
-same arrays one step back; c / n is recomputed. slstm_backward writes the
-pre-activation gradients into the gate buffer: the only GEMM in its loop is
-the per-head carry into h, and after the loop single GEMMs give the W and b
-gradients and the input gradient, one GEMM per head the R gradient. It reads
-the fused W and R the forward kept on the tape instead of fusing again, so
-the gradient belongs to the weights the forward actually ran with.
+States are (B, d) and sequences (B, S, d). slstm_forward computes every
+step's input pre-activations with one (B*S, d_input) x (d_input, 4d) GEMM
+before the time loop, inside which one (B, s) x (s, 4s) GEMM per head
+remains; slstm_step shares the gate arithmetic (_gate_update). The tape is
+time-major: one (S, B, 4d) buffer holds the pre-activations, overwritten by
+the gate activations, plus (S, B, d) arrays c, n and h. slstm_backward
+overwrites the gate buffer with the pre-activation gradients; after its
+loop, single GEMMs give the W, b and input gradients and one GEMM per head
+the R gradient, all in the kernel layout.
 """
 
 from __future__ import annotations
@@ -64,8 +57,8 @@ _ACTIVATIONS = ("exponential", "sigmoid")
 class GateMode:
     """Cell configuration switches.
 
-    memory_mixing=False freezes every recurrent matrix at zero (gates see
-    only the current input). normalizer=False drops the normalizer state
+    memory_mixing=False gives cells no recurrent weights (SLSTMParams.R is
+    None; gates see only the current input). normalizer=False drops the normalizer state
     and applies tanh to the cell state instead, which together with sigmoid
     gates reproduces the classic LSTM exactly.
     """
@@ -95,72 +88,97 @@ LSTM_MODE = GateMode(
 )
 
 
-def block_diagonal_mask(d: int, n_heads: int) -> np.ndarray:
-    """1/0 mask selecting the n_heads diagonal blocks of a (d, d) matrix."""
-    if d % n_heads != 0:
-        raise ValueError(f"hidden size {d} not divisible by {n_heads} heads")
-    mask = np.zeros((d, d))
-    s = d // n_heads
-    for k in range(n_heads):
-        mask[k * s:(k + 1) * s, k * s:(k + 1) * s] = 1.0
-    return mask
+#: Per-gate arrays, g in z, i, f, o: Wg (d, d_input), block-diagonal Rg
+#: (d, d) and bg (d,).
+GATE_NAMES = ("W_z", "W_i", "W_f", "W_o", "R_z", "R_i", "R_f", "R_o",
+              "b_z", "b_i", "b_f", "b_o")
 
 
 @dataclass
 class SLSTMParams:
-    """Gate weights. W_*: (d_hidden, d_input); R_*: (d_hidden, d_hidden),
-    block-diagonal with n_heads equal blocks; b_*: (d_hidden,)."""
+    """Cell weights in the kernel layout (see the module docstring)."""
 
-    W_z: np.ndarray
-    W_i: np.ndarray
-    W_f: np.ndarray
-    W_o: np.ndarray
-    R_z: np.ndarray
-    R_i: np.ndarray
-    R_f: np.ndarray
-    R_o: np.ndarray
-    b_z: np.ndarray
-    b_i: np.ndarray
-    b_f: np.ndarray
-    b_o: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
+    R: np.ndarray | None
     n_heads: int = 1
 
     @property
     def d_hidden(self) -> int:
-        return self.W_z.shape[0]
+        return self.b.shape[0] // 4
 
     @property
     def d_input(self) -> int:
-        return self.W_z.shape[1]
-
-    def recurrent_mask(self) -> np.ndarray:
-        return block_diagonal_mask(self.d_hidden, self.n_heads)
+        return self.W.shape[1]
 
     def as_dict(self, prefix: str = "") -> dict[str, np.ndarray]:
-        return {prefix + name: getattr(self, name) for name in PARAM_NAMES}
+        """The trainable arrays, keyed W, b and (with memory mixing) R."""
+        out = {prefix + "W": self.W, prefix + "b": self.b}
+        if self.R is not None:
+            out[prefix + "R"] = self.R
+        return out
+
+    @classmethod
+    def from_gates(cls, gates: dict[str, np.ndarray],
+                   n_heads: int) -> "SLSTMParams":
+        """Fuse per-gate arrays (keyed like GATE_NAMES) into the kernel
+        layout: row 4sk + gs + j of W and b is unit sk + j of gate g in head
+        k, and R[k][j, gs + i] = Rg[sk + i, sk + j]. Off-block entries of
+        the Rg are not read; without Rg entries R is None."""
+        d, H = gates["W_z"].shape[0], n_heads
+        if d % H != 0:
+            raise ValueError(f"hidden size {d} not divisible by {H} heads")
+        s = d // H
+        W = np.concatenate([gates[f"W_{g}"] for g in "zifo"])
+        W = W.reshape(4, H, s, -1).transpose(1, 0, 2, 3).reshape(4 * d, -1)
+        b = np.concatenate([gates[f"b_{g}"] for g in "zifo"])
+        b = b.reshape(4, H, s).transpose(1, 0, 2).reshape(4 * d)
+        R = None
+        if "R_z" in gates:
+            R = np.empty((H, s, 4, s))
+            for k in range(H):
+                block = slice(s * k, s * (k + 1))
+                for j, g in enumerate("zifo"):
+                    R[k, :, j] = gates[f"R_{g}"][block, block].T
+            R = R.reshape(H, s, 4 * s)
+        return cls(W=W, b=b, R=R, n_heads=H)
+
+    def gates(self) -> dict[str, np.ndarray]:
+        """The per-gate arrays (new copies), the inverse of from_gates.
+        Off-block entries of each Rg are zero; without R there are no Rg."""
+        d, H = self.d_hidden, self.n_heads
+        s = d // H
+        W = self.W.reshape(H, 4, s, -1)
+        b = self.b.reshape(H, 4, s)
+        R = None if self.R is None else self.R.reshape(H, s, 4, s)
+        out = {}
+        for j, g in enumerate("zifo"):
+            out[f"W_{g}"] = W[:, j].reshape(d, -1).copy()
+            out[f"b_{g}"] = b[:, j].reshape(d).copy()
+            if R is not None:
+                dense = np.zeros((d, d))
+                for k in range(H):
+                    dense[s * k:s * (k + 1), s * k:s * (k + 1)] = R[k, :, j].T
+                out[f"R_{g}"] = dense
+        return {name: out[name] for name in GATE_NAMES if name in out}
 
     @classmethod
     def init(cls, rng: Rng, d_input: int, d_hidden: int, n_heads: int = 1,
              memory_mixing: bool = True, forget_bias: float = -1.0) -> "SLSTMParams":
         """Gaussian fan-in init; b_f starts at -1 so the exponential forget
-        gate opens around exp(-1) ~ 0.37, inside the contraction regime."""
-        mask = block_diagonal_mask(d_hidden, n_heads)
+        gate opens around exp(-1) ~ 0.37, inside the contraction regime.
+        Each Rg is drawn dense (d, d) and only its diagonal blocks are
+        kept; without memory mixing no Rg is drawn and R is None."""
         w_std = 1.0 / np.sqrt(d_input)
         r_std = 1.0 / np.sqrt(d_hidden)
-        kw = {}
+        gates = {}
         for g in "zifo":
-            kw[f"W_{g}"] = rng.normal((d_hidden, d_input), 0.0, w_std)
+            gates[f"W_{g}"] = rng.normal((d_hidden, d_input), 0.0, w_std)
             if memory_mixing:
-                kw[f"R_{g}"] = rng.normal((d_hidden, d_hidden), 0.0, r_std) * mask
-            else:
-                kw[f"R_{g}"] = np.zeros((d_hidden, d_hidden))
-            kw[f"b_{g}"] = np.zeros(d_hidden)
-        kw["b_f"] = np.full(d_hidden, float(forget_bias))
-        return cls(n_heads=n_heads, **kw)
-
-
-PARAM_NAMES = ("W_z", "W_i", "W_f", "W_o", "R_z", "R_i", "R_f", "R_o",
-               "b_z", "b_i", "b_f", "b_o")
+                gates[f"R_{g}"] = rng.normal((d_hidden, d_hidden), 0.0, r_std)
+            gates[f"b_{g}"] = np.zeros(d_hidden)
+        gates["b_f"] = np.full(d_hidden, float(forget_bias))
+        return cls.from_gates(gates, n_heads)
 
 
 @dataclass
@@ -184,15 +202,14 @@ class SequenceTape:
     """What slstm_backward needs from one slstm_forward call.
 
     Arrays are time-major. ``gates`` holds, per step, the activations z,
-    i_eff, d_eff and o in the fused head-major layout (see the module
-    docstring); in stabilized mode i_eff, d_eff, c and n are the rescaled
-    (primed) quantities, and the gradient algebra is the same in both modes
-    because h depends only on ratios. h_prev, c_prev and n_prev are the
-    arrays shifted by one step, and c / n is recomputed. A sigmoid gate also
-    keeps d log(gate) / d pre, which its rescaled value does not determine.
-    W and R are the fused weights the forward ran with (copies, not views
-    of the parameters). slstm_backward overwrites ``gates`` with the
-    gradients, so a tape is consumed by one backward pass.
+    i_eff, d_eff and o in the kernel layout; in stabilized mode i_eff,
+    d_eff, c and n are the rescaled (primed) quantities, and the gradient
+    algebra is the same in both modes because h depends only on ratios.
+    Previous states are the arrays one step back; c / n is recomputed. A
+    sigmoid gate also keeps d log(gate) / d pre, which its rescaled value
+    does not determine. W and R are copies of the weights the forward ran
+    with. slstm_backward overwrites ``gates``, so a tape is consumed by one
+    backward pass.
     """
 
     x: np.ndarray                 # (B, S, d_input), the input as given
@@ -203,37 +220,8 @@ class SequenceTape:
     h: np.ndarray                 # (S, B, d)
     dlog_i: np.ndarray | None     # (S, B, d) for a sigmoid input gate
     dlog_f: np.ndarray | None     # (S, B, d) for a sigmoid forget gate
-    W: np.ndarray                 # (4d, d_input), fused head-major rows
-    R: np.ndarray                 # (H, s, 4s), per-head recurrent blocks
-
-
-def _fused_weights(params: SLSTMParams
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The dense gate arrays in the fused head-major layout.
-
-    Returns W (4d, d_input) and b (4d,), whose row 4sk + gs + j belongs to
-    unit sk + j of gate g (z, i, f, o) in head k, and the per-head
-    recurrent blocks R (H, s, 4s) with R[k][j, gs + i] = R_g[sk + i, sk + j],
-    so that head k's recurrent pre-activations are h[:, head k] @ R[k].
-    Off-block entries of the dense R_g are never read.
-    """
-    d, H = params.d_hidden, params.n_heads
-    if d % H != 0:
-        raise ValueError(f"hidden size {d} not divisible by {H} heads")
-    s = d // H
-    W = np.concatenate([params.W_z, params.W_i, params.W_f, params.W_o])
-    b = np.concatenate([params.b_z, params.b_i, params.b_f, params.b_o])
-    dense = np.concatenate([params.R_z, params.R_i, params.R_f, params.R_o])
-    if H == 1:      # gate-major and head-major rows coincide
-        return W, b, dense.T[None]
-    W = W.reshape(4, H, s, -1).transpose(1, 0, 2, 3).reshape(4 * d, -1)
-    b = b.reshape(4, H, s).transpose(1, 0, 2).reshape(4 * d)
-    dense = dense.reshape(4, d, d)
-    R = np.empty((H, s, 4, s))
-    for k in range(H):
-        block = slice(s * k, s * (k + 1))
-        R[k] = dense[:, block, block].transpose(2, 0, 1)
-    return W, b, R.reshape(H, s, 4 * s)
+    W: np.ndarray                 # (4d, d_input), head-major rows
+    R: np.ndarray | None          # (H, s, 4s); None without memory mixing
 
 
 def _add_recurrent(pre: np.ndarray, h_prev: np.ndarray, R: np.ndarray) -> None:
@@ -326,11 +314,11 @@ def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
     if prev.h.shape != (x.shape[0], params.d_hidden):
         raise ShapeError(f"slstm_step: state {prev.h.shape} vs "
                          f"expected {(x.shape[0], params.d_hidden)}")
-    W, b, R = _fused_weights(params)
     H, B = params.n_heads, x.shape[0]
-    pre = x @ W.T
-    pre += b
-    _add_recurrent(pre, _heads(prev.h, H), R)
+    pre = x @ params.W.T
+    pre += params.b
+    if params.R is not None:
+        _add_recurrent(pre, _heads(prev.h, H), params.R)
     c, h = np.empty((B, params.d_hidden)), np.empty((B, params.d_hidden))
     n = np.empty((B, params.d_hidden)) if mode.normalizer else None
     m, _, _ = _gate_update(
@@ -367,28 +355,29 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     if init.h.shape != (B, d):
         raise ShapeError(f"slstm_forward: state {init.h.shape} vs "
                          f"expected {(B, d)}")
-    W, b, R = _fused_weights(params)
+    R = None if params.R is None else params.R.copy()
 
     # input projection of every step and gate: one GEMM, time-major rows
     gates = np.empty((S, B, 4 * d))
     x_rows = x_seq.transpose(1, 0, 2).reshape(S * B, d_in)
-    np.matmul(x_rows, W.T, out=gates.reshape(S * B, 4 * d))
+    np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, 4 * d))
     del x_rows
-    gates += b
+    gates += params.b
     tape = SequenceTape(
         x=x_seq, init=init, gates=gates, c=np.empty((S, B, d)),
         n=np.empty((S, B, d)) if mode.normalizer else None,
         h=np.empty((S, B, d)),
         dlog_i=np.empty((S, B, d)) if mode.input_activation == "sigmoid" else None,
         dlog_f=np.empty((S, B, d)) if mode.forget_activation == "sigmoid" else None,
-        W=W, R=R)
+        W=params.W.copy(), R=R)
 
     c_all, n_all, h_all = (None if a is None else _heads(a, H)
                            for a in (tape.c, tape.n, tape.h))
     h, c, n = _heads(init.h, H), _heads(init.c, H), _heads(init.n, H)
     m = None if init.m is None else _heads(init.m, H)
     for t in range(S):
-        _add_recurrent(gates[t], h, R)
+        if R is not None:
+            _add_recurrent(gates[t], h, R)
         n_t = None if n_all is None else n_all[t]
         m, dlog_i, dlog_f = _gate_update(gates[t].reshape(B, H, 4, -1),
                                          c, n, m, mode, c_all[t], n_t, h_all[t])
@@ -410,10 +399,9 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
                    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Exact BPTT for sum_t <grad_h_seq[t], h_t>; consumes the tape.
 
-    Returns (param grads keyed like PARAM_NAMES, grad wrt the inputs).
-    Off-block entries of every R gradient are exact zeros: they are never
-    written. The weights come from the tape, as the forward fused them, so
-    params is not read.
+    Returns (param grads keyed like params.as_dict(), in the kernel
+    layout; grad wrt the inputs). The weights come from the tape, as the
+    forward ran with them; of params only n_heads is read.
     """
     grad_h_seq = np.asarray(grad_h_seq, dtype=np.float64)
     squeeze = grad_h_seq.ndim == 2
@@ -425,9 +413,9 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
                          f"tape {(B, S, d)}")
     if tape.gates is None:
         raise ValueError("slstm_backward: the tape was already consumed")
-    W, R = tape.W, tape.R
-    H, s = R.shape[0], R.shape[1]
-    R_t = R.transpose(0, 2, 1)
+    H = params.n_heads
+    s = d // H
+    R_t = None if tape.R is None else tape.R.transpose(0, 2, 1)
     # the gate buffer becomes the pre-activation gradient buffer
     grad_pre, tape.gates = tape.gates, None
     act = grad_pre.reshape(S, B, H, 4, s)
@@ -475,33 +463,24 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
         g_o = gh * hbar
         g_o *= 1.0 - o
         np.multiply(g_o, o, out=o)
-        rec = np.matmul(grad_pre[t].reshape(B, H, 4 * s).transpose(1, 0, 2), R_t)
-        gh_carry = rec.transpose(1, 0, 2)
+        if R_t is not None:
+            rec = np.matmul(grad_pre[t].reshape(B, H, 4 * s).transpose(1, 0, 2),
+                            R_t)
+            gh_carry = rec.transpose(1, 0, 2)
 
     rows = grad_pre.reshape(S * B, 4 * d)
     x_rows = tape.x.transpose(1, 0, 2).reshape(S * B, -1)
-    grad_W = (rows.T @ x_rows).reshape(H, 4, s, -1)
+    grads = {"W": rows.T @ x_rows, "b": rows.sum(axis=0)}
     del x_rows
-    grad_b = rows.sum(axis=0).reshape(H, 4, s)
-    grad_x = (rows @ W).reshape(S, B, -1).transpose(1, 0, 2)
-    # R gradients in the per-head layout, one GEMM per head over steps
-    # 1..S-1 plus step 0's from the initial state
-    h_prev = tape.h[:-1].reshape(-1, d)
-    grad_R = np.empty((H, s, 4 * s))
-    for k in range(H):
-        cols, units = slice(4 * s * k, 4 * s * (k + 1)), slice(s * k, s * (k + 1))
-        grad_R[k] = h_prev[:, units].T @ rows[B:, cols]
-        grad_R[k] += init.h[:, units].T @ rows[:B, cols]
-    grad_R = grad_R.reshape(H, s, 4, s)
-
-    grads = {}
-    for j, g in enumerate("zifo"):
-        grads[f"W_{g}"] = grad_W[:, j].reshape(d, -1)
-        grads[f"b_{g}"] = grad_b[:, j].reshape(d)
-        dense = np.zeros((d, d))
+    grad_x = (rows @ tape.W).reshape(S, B, -1).transpose(1, 0, 2)
+    if tape.R is not None:
+        # per head: steps 1..S-1, then step 0 from the initial state
+        h_prev = tape.h[:-1].reshape(-1, d)
+        grads["R"] = np.empty((H, s, 4 * s))
         for k in range(H):
-            dense[s * k:s * (k + 1), s * k:s * (k + 1)] = grad_R[k, :, j].T
-        grads[f"R_{g}"] = dense
+            cols, units = slice(4 * s * k, 4 * s * (k + 1)), slice(s * k, s * (k + 1))
+            grads["R"][k] = h_prev[:, units].T @ rows[B:, cols]
+            grads["R"][k] += init.h[:, units].T @ rows[:B, cols]
     if squeeze:
         grad_x = grad_x[0]
     return grads, grad_x
@@ -509,14 +488,12 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
 
 def grad_check(loss_and_grads: Callable[[dict[str, np.ndarray]],
                                         tuple[float, dict[str, np.ndarray]]],
-               params: dict[str, np.ndarray], epsilon: float = 1e-5,
-               masks: dict[str, np.ndarray] | None = None) -> float:
+               params: dict[str, np.ndarray], epsilon: float = 1e-5) -> float:
     """Worst relative error of analytic gradients vs central differences.
 
     loss_and_grads evaluates the scalar loss and its analytic gradients for
-    the given parameter dict. Entries where a mask is zero (frozen
-    coordinates, e.g. off-block recurrent weights) are skipped. Relative
-    error is |a - n| / max(1e-8, |a| + |n|).
+    the given parameter dict. Relative error is
+    |a - n| / max(1e-8, |a| + |n|).
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
@@ -526,12 +503,9 @@ def grad_check(loss_and_grads: Callable[[dict[str, np.ndarray]],
     worst = 0.0
     for name in sorted(params):
         arr = params[name]
-        mask = None if masks is None else masks.get(name)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
-            if mask is not None and mask[idx] == 0:
-                continue
             orig = arr[idx]
             arr[idx] = orig + epsilon
             lp, _ = loss_and_grads(params)

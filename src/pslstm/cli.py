@@ -6,8 +6,9 @@ gradcheck. Runs read a JSON config file ({"model": ..., "train": ...,
 file values, and every run writes a resolved-config snapshot into its own
 timestamp-suffixed artifact directory.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numerical
-divergence, 5 probe-invariant failure.
+Exit codes: 0 success, 2 config error (ConfigError), 3 data error
+(DataError or OSError), 4 numerical divergence (FloatingPointError), 5
+probe-invariant failure. Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .model import (Forecaster, ModelConfig, load_checkpoint,
 from .probe import (ChainConfig, chain_params, check_contraction,
                     memory_report, ratio_stability_report, simulate_chain,
                     two_trajectory_coupling, write_acf_csv, write_probe_report)
-from .tensorops import Rng
+from .tensorops import DataError, Rng
 from .training import (TrainConfig, evaluate, mse_loss, persistence_metrics,
                        train, write_history_csv)
 
@@ -112,17 +113,20 @@ def load_dataset(data_cfg: dict, model_cfg: ModelConfig):
         preset = data_cfg.get("preset")
         if preset is not None and preset not in DATASET_PRESETS:
             raise ConfigError(f"unknown dataset preset {preset!r}")
-        return split_and_standardize(raw, model_cfg.lookback, model_cfg.horizon,
-                                     preset=preset, stride=stride)
-    if kind == "synthetic":
+    elif kind == "synthetic":
         raw = make_synthetic(data_cfg.get("kind", "sinusoid"),
                              data_cfg.get("params", {"length": 4000,
                                                      "period": 24,
                                                      "noise_std": 0.1}),
                              seed=int(data_cfg.get("seed", 0)))
-        return split_and_standardize(raw, model_cfg.lookback, model_cfg.horizon,
-                                     stride=stride)
-    raise ConfigError(f"unknown data source {kind!r}")
+        preset = None
+    else:
+        raise ConfigError(f"unknown data source {kind!r}")
+    if raw.n_channels != model_cfg.n_channels:
+        raise DataError(f"dataset has {raw.n_channels} channels, the model "
+                        f"expects {model_cfg.n_channels}")
+    return split_and_standardize(raw, model_cfg.lookback, model_cfg.horizon,
+                                 preset=preset, stride=stride)
 
 
 def prepare_run_dir(output_dir: str, command: str, force: bool) -> Path:
@@ -343,8 +347,7 @@ def cmd_gradcheck(args) -> int:
         loss, grad = mse_loss(yhat, y)
         return loss, model.backward(tape, grad)
 
-    err = grad_check(loss_and_grads, model.params, epsilon=1e-5,
-                     masks=model.masks)
+    err = grad_check(loss_and_grads, model.params, epsilon=1e-5)
     print(f"gradcheck: max relative error {err:.3e}")
     return EXIT_OK if err < 1e-4 else 1
 
@@ -405,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, OSError, ValueError) as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import Rng
+from .tensorops import DataError, Rng
 
 #: name -> (train/val/test ratios, expected channel count)
 DATASET_PRESETS = {
@@ -77,8 +77,8 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
             if width is None:
                 width = len(raw)
             if len(raw) != width:
-                raise ValueError(f"{path}: ragged row with {len(raw)} cells, "
-                                 f"expected {width}")
+                raise DataError(f"{path}: ragged row with {len(raw)} cells, "
+                                f"expected {width}")
             cells = raw[1:] if schema.has_date_column else raw
             try:
                 row = [float(c) for c in cells]
@@ -92,8 +92,8 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
             if schema.has_date_column:
                 stamps.append(raw[0])
     if not rows:
-        raise ValueError(f"{path}: no usable numeric rows "
-                         f"({dropped} unparseable or non-finite)")
+        raise DataError(f"{path}: no usable numeric rows "
+                        f"({dropped} unparseable or non-finite)")
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} unparseable or "
                       f"non-finite rows")
@@ -178,8 +178,8 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
     n_val = n - n_train - n_test
     L, T = lookback, horizon
     if n_train < L + T:
-        raise ValueError(f"series too short: {n} rows for L={L}, T={T} "
-                         f"with ratios {ratios}")
+        raise DataError(f"series too short: {n} rows for L={L}, T={T} "
+                        f"with ratios {ratios}")
 
     train_rows = raw.values[:n_train]
     mean = train_rows.mean(axis=0)
@@ -227,7 +227,7 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
     elif kind == "ar1":
         phi = float(params.get("phi", 0.8))
         if abs(phi) >= 1.0 and not params.get("allow_nonstationary", False):
-            raise ValueError(f"ar1 with |phi|={abs(phi)} >= 1 is non-stationary")
+            raise DataError(f"ar1 with |phi|={abs(phi)} >= 1 is non-stationary")
         noise = float(params.get("noise_std", 1.0))
         eps = rng.normal((length, channels), 0.0, noise)
         values = np.empty((length, channels))
@@ -249,5 +249,5 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
                 comp[t] = prev
             values += comp * (1.0 - phi)
     else:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
+        raise DataError(f"unknown synthetic kind {kind!r}")
     return RawSeries(name=f"synthetic:{kind}", values=values)

@@ -22,13 +22,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cells import (GateMode, SLSTMParams, block_diagonal_mask,
-                    slstm_backward, slstm_forward)
-from .tensorops import Rng, ShapeError
+from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
+                    slstm_forward)
+from .tensorops import DataError, Rng, ShapeError
 
 _LN_EPS = 1e-5
 _INORM_EPS = 1e-5
-CHECKPOINT_VERSION = 1
+#: 2: kernel layout; version-1 files (per-gate arrays) are converted on load
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,8 @@ class Forecaster:
     """The patch-based sLSTM forecaster; owns all trainable parameters.
 
     Parameters live in a flat dict (name -> ndarray) so the optimizer can
-    treat them uniformly; recurrent matrices carry block-diagonal masks.
+    treat them uniformly; block{k}.W, .b and .R (with memory mixing) are
+    the arrays of self.blocks[k], in the kernel layout of SLSTMParams.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
@@ -127,6 +129,7 @@ class Forecaster:
             else c.horizon * c.n_channels
 
         self.params: dict[str, np.ndarray] = {}
+        # always empty: kept only because perfbench passes it to adam_step
         self.masks: dict[str, np.ndarray] = {}
         self.params["embed.W"] = rng.normal((self.width, self.in_width),
                                             0.0, 1.0 / np.sqrt(self.in_width))
@@ -138,13 +141,7 @@ class Forecaster:
                                     n_heads=c.n_heads,
                                     memory_mixing=c.gate_mode.memory_mixing)
             self.blocks.append(cell)
-            for name, arr in cell.as_dict(f"block{k}.").items():
-                self.params[name] = arr
-            rmask = block_diagonal_mask(self.width, c.n_heads)
-            if not c.gate_mode.memory_mixing:
-                rmask = np.zeros_like(rmask)
-            for g in "zifo":
-                self.masks[f"block{k}.R_{g}"] = rmask
+            self.params.update(cell.as_dict(f"block{k}."))
             self.params[f"block{k}.ln_gain"] = np.ones(self.width)
             self.params[f"block{k}.ln_bias"] = np.zeros(self.width)
 
@@ -273,15 +270,9 @@ class Forecaster:
     # -- bookkeeping -------------------------------------------------------
 
     def count_params(self) -> int:
-        """Trainable scalar count; frozen (off-block or zero-mask) recurrent
-        entries are excluded."""
-        total = 0
-        for name, arr in self.params.items():
-            if name in self.masks:
-                total += int(self.masks[name].sum())
-            else:
-                total += arr.size
-        return total
+        """Trainable scalar count: every entry of every parameter. Only the
+        diagonal blocks of the recurrent matrices are stored."""
+        return sum(arr.size for arr in self.params.values())
 
     def clone(self) -> "Forecaster":
         other = Forecaster(self.config, seed=0)
@@ -321,26 +312,45 @@ def load_checkpoint(path) -> Forecaster:
     """Rebuild a Forecaster from a checkpoint written by save_checkpoint.
 
     The file must hold a valid config and exactly the model's parameters,
-    each with its model's shape; anything else raises ValueError.
+    each with its model's shape; anything else raises DataError. A
+    version-1 file is converted to the kernel layout first.
     """
     with open(path) as fh:
-        blob = json.load(fh)
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {blob.get('version')!r}")
+        try:
+            blob = json.load(fh)
+        except ValueError as exc:      # bad JSON or bad UTF-8
+            raise DataError(f"malformed checkpoint: {exc}") from exc
+    version = blob.get("version") if isinstance(blob, dict) else None
+    if version not in (1, CHECKPOINT_VERSION):
+        raise DataError(f"unsupported checkpoint version {version!r}")
     try:
         model = Forecaster(config_from_dict(blob["config"]), seed=0)
         stored = {name: np.array(entry["data"], dtype=np.float64)
                   .reshape(entry["shape"])
                   for name, entry in blob["params"].items()}
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed checkpoint: {exc!r}") from exc
+        if version == 1:
+            _convert_version_1(stored, model)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed checkpoint: {exc!r}") from exc
     missing = sorted(set(model.params) - set(stored))
     unknown = sorted(set(stored) - set(model.params))
     if missing or unknown:
-        raise ValueError(f"checkpoint parameters do not match the model: "
-                         f"missing {missing}, unknown {unknown}")
+        raise DataError(f"checkpoint parameters do not match the model: "
+                        f"missing {missing}, unknown {unknown}")
     for name, arr in stored.items():
         if model.params[name].shape != arr.shape:
-            raise ValueError(f"checkpoint shape mismatch for {name}")
+            raise DataError(f"checkpoint shape mismatch for {name}")
         model.params[name][...] = arr
     return model
+
+
+def _convert_version_1(stored: dict[str, np.ndarray], model: Forecaster) -> None:
+    """Replace each block's 12 per-gate arrays (block{k}.W_z ... b_o) by its
+    kernel-layout arrays, in place; raises KeyError for a missing array and
+    ValueError for non-zero R_* without memory mixing."""
+    for k, cell in enumerate(model.blocks):
+        prefix = f"block{k}."
+        gates = {name: stored.pop(prefix + name) for name in GATE_NAMES}
+        if cell.R is None and any([np.any(gates.pop(f"R_{g}")) for g in "zifo"]):
+            raise ValueError(f"non-zero {prefix}R_* without memory mixing")
+        stored.update(SLSTMParams.from_gates(gates, cell.n_heads).as_dict(prefix))

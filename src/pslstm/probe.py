@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cells import GateMode, SLSTMParams, SLSTMState, slstm_step
-from .tensorops import Rng
+from .tensorops import DataError, Rng
 
 
 @dataclass
@@ -63,26 +63,29 @@ def chain_params(config: ChainConfig) -> tuple[SLSTMParams, np.ndarray, np.ndarr
     rng = Rng(pseed).spawn(77)
     p, q = config.p, config.q
     s = config.weight_scale
-    params = SLSTMParams.init(rng, d_input=p, d_hidden=q, n_heads=1)
+    # skip the draws of a default init (Wg, Rg per gate): they fix where
+    # these weights start in the stream
+    for _ in "zifo":
+        rng.normal((q, p)), rng.normal((q, q))
+    gates = {f"b_{g}": np.zeros(q) for g in "zifo"}
     for g in "zifo":
         W = rng.normal((q, p), 0.0, s / np.sqrt(p))
         R = rng.normal((q, q), 0.0, s / np.sqrt(q))
         if config.positive_feedback and g == "z":
             W, R = np.abs(W), np.abs(R)
-        setattr(params, f"W_{g}", W)
-        setattr(params, f"R_{g}", R)
+        gates[f"W_{g}"], gates[f"R_{g}"] = W, R
     if config.target_gate_bound is not None:
-        rowsum = (np.abs(params.W_f).sum(axis=1)
-                  + np.abs(params.R_f).sum(axis=1))
-        params.b_f = np.log(config.target_gate_bound) - rowsum
+        rowsum = (np.abs(gates["W_f"]).sum(axis=1)
+                  + np.abs(gates["R_f"]).sum(axis=1))
+        b_f = np.log(config.target_gate_bound) - rowsum
     else:
-        params.b_f = np.full(q, -1.0)
-    params.b_f = params.b_f + config.forget_bias_offset
+        b_f = np.full(q, -1.0)
+    gates["b_f"] = b_f + config.forget_bias_offset
     W_out = rng.normal((p, q), 0.0, config.out_scale / np.sqrt(q))
     if config.positive_feedback:
         W_out = np.abs(W_out)
     b_out = np.zeros(p)
-    return params, W_out, b_out
+    return SLSTMParams.from_gates(gates, 1), W_out, b_out
 
 
 @dataclass
@@ -97,9 +100,11 @@ class ChainTrace:
     config: ChainConfig
 
 
-def _gate_f(params: SLSTMParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _gate_f(gates: dict[str, np.ndarray], x: np.ndarray,
+            h: np.ndarray) -> np.ndarray:
+    """The forget gate from the per-gate arrays of SLSTMParams.gates()."""
     with np.errstate(over="ignore"):
-        return np.exp(x @ params.W_f.T + h @ params.R_f.T + params.b_f)
+        return np.exp(x @ gates["W_f"].T + h @ gates["R_f"].T + gates["b_f"])
 
 
 def simulate_chain(config: ChainConfig,
@@ -110,6 +115,7 @@ def simulate_chain(config: ChainConfig,
     non-finite the remaining steps are flagged non-finite and skipped.
     """
     params, W_out, b_out = chain_params(config)
+    gates = params.gates()
     mode = GateMode(stabilized=config.mode == "stabilized")
     rng = Rng(config.seed).spawn(99)
     noise = rng.normal((config.horizon, config.p), 0.0, config.noise_std) \
@@ -124,7 +130,7 @@ def simulate_chain(config: ChainConfig,
                        finite=np.zeros(H, dtype=bool), overflow_step=None,
                        config=config)
     for t in range(H):
-        f = _gate_f(params, y, state.h)
+        f = _gate_f(gates, y, state.h)
         state, _ = slstm_step(params, y, state, mode)
         with np.errstate(invalid="ignore", over="ignore"):
             y = np.tanh(state.h @ W_out.T + b_out) + noise[t][None, :]
@@ -150,7 +156,7 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
     xc = x - x.mean()
     var = float(np.dot(xc, xc))
     if var == 0.0:
-        raise ValueError("autocorrelation of a constant series")
+        raise DataError("autocorrelation of a constant series")
     return np.array([np.dot(xc[:n - k], xc[k:]) / var for k in range(max_lag + 1)])
 
 
@@ -186,7 +192,7 @@ def memory_report(trace: ChainTrace, max_lag: int = 20) -> MemoryReport:
     """
     n_finite = int(trace.finite.sum())
     if n_finite < 10 * max_lag:
-        raise ValueError(f"horizon {n_finite} too short for max_lag {max_lag}")
+        raise DataError(f"horizon {n_finite} too short for max_lag {max_lag}")
     y = trace.y_seq[:n_finite]
     acf = np.stack([autocorrelation(y[:, j], max_lag)
                     for j in range(y.shape[1])], axis=1)
@@ -209,14 +215,15 @@ def check_contraction(params: SLSTMParams, threshold: float = 0.9,
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must lie in (0, 1)")
-    row_max = params.b_f + np.abs(params.W_f).sum(axis=1) \
-        + np.abs(params.R_f).sum(axis=1)
+    g = params.gates()
+    row_max = g["b_f"] + np.abs(g["W_f"]).sum(axis=1) \
+        + np.abs(g["R_f"]).sum(axis=1)
     sup = float(np.exp(row_max.max()))
     if n_grid:
         rng = Rng(seed)
         u = rng.uniform((n_grid, params.d_input)) * 2.0 - 1.0
         v = rng.uniform((n_grid, params.d_hidden)) * 2.0 - 1.0
-        sample = np.exp(u @ params.W_f.T + v @ params.R_f.T + params.b_f)
+        sample = _gate_f(g, u, v)
         if not sample.max() <= sup + 1e-9:
             raise RuntimeError(f"check_contraction: grid sample "
                                f"{sample.max()} exceeds the analytic sup {sup}")

@@ -1,7 +1,7 @@
 """Numeric helpers shared by the library.
 
 Tensors are plain ``numpy.ndarray`` objects in double precision, row-major.
-This module holds the named shape error, the seeded random stream (bit-exact
+The module holds the shape and data errors, the seeded random stream (bit-exact
 reproducibility from a seed) and the overflow-free sigmoid and log-sigmoid.
 """
 
@@ -12,6 +12,10 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Raised when tensor shapes are inconsistent with an operation."""
+
+
+class DataError(ValueError):
+    """Raised when a CSV, checkpoint or series is rejected (CLI exit 3)."""
 
 
 class Rng:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .datasets import WindowedDataset
 from .model import Forecaster
-from .tensorops import Rng, ShapeError
+from .tensorops import DataError, Rng, ShapeError
 
 
 @dataclass
@@ -141,13 +141,14 @@ def _row_slices(shape: tuple[int, ...]) -> list:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig,
+              # no caller in src/ passes masks; kept because perfbench does
               masks: dict[str, np.ndarray] | None = None) -> None:
     """One bias-corrected Adam update, in place.
 
     A masked parameter's gradient is multiplied by its mask first, so m
-    and v stay exactly +0.0 where the mask is 0 and frozen entries (such as
-    off-block recurrent weights) never move. grads are not written. Every
-    gradient is checked to be finite before anything is written.
+    and v stay exactly +0.0 where the mask is 0 and those entries never
+    move. grads are not written. Every gradient is checked to be finite
+    before anything is written.
 
     The update runs chunk by chunk over the plan in `state` (see
     AdamState), each elementwise pass writing into the chunk's scratch
@@ -199,7 +200,7 @@ def train(model: Forecaster, dataset: WindowedDataset,
     best checkpoint is returned.
     """
     if dataset.n_windows("train") == 0 or dataset.n_windows("val") == 0:
-        raise ValueError("train requires non-empty train and val splits")
+        raise DataError("train requires non-empty train and val splits")
     opt = AdamState(model.params)
     history: list[EpochRecord] = []
     best_val = np.inf
@@ -223,7 +224,7 @@ def train(model: Forecaster, dataset: WindowedDataset,
             loss_sum += loss * len(idx)
             grads = model.backward(tape, grad)
             grads = clip_gradients(grads, config.clip_norm)
-            adam_step(model.params, grads, opt, config, model.masks)
+            adam_step(model.params, grads, opt, config)
         if diverged:
             break
         val_mse = evaluate(model, dataset, "val", config.batch_size).mse
@@ -252,7 +253,7 @@ def _score(dataset: WindowedDataset, split: str, batch_size: int,
     """
     n = dataset.n_windows(split)
     if n == 0:
-        raise ValueError(f"split {split!r} is empty")
+        raise DataError(f"split {split!r} is empty")
     se, ae, count = 0.0, 0.0, 0
     for lo in range(0, n, batch_size):
         x, y = dataset.batch(split, range(lo, min(lo + batch_size, n)))

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from pslstm.cells import (GateMode, LSTM_MODE, PARAM_NAMES, SLSTMParams,
-                          SLSTMState, block_diagonal_mask, grad_check,
-                          slstm_backward, slstm_forward, slstm_step)
+from pslstm.cells import (GateMode, LSTM_MODE, SLSTMParams, SLSTMState,
+                          grad_check, slstm_backward, slstm_forward,
+                          slstm_step)
+from pslstm.model import Forecaster, ModelConfig
 from pslstm.tensorops import Rng, ShapeError, sigmoid
 
 
@@ -20,11 +21,16 @@ def scalar_params(**overrides):
         arr = np.asarray(v, dtype=np.float64)
         kw[k] = np.atleast_1d(arr) if k.startswith("b_") else \
             arr.reshape(1, 1)
-    return SLSTMParams(n_heads=1, **kw)
+    return SLSTMParams.from_gates(kw, 1)
 
 
 def random_params(seed, d_in, d_hid, n_heads=1):
     return SLSTMParams.init(Rng(seed), d_in, d_hid, n_heads=n_heads)
+
+
+def with_gates(params, **arrays):
+    """params with some per-gate arrays replaced."""
+    return SLSTMParams.from_gates({**params.gates(), **arrays}, params.n_heads)
 
 
 def random_state(seed, batch, d_hid):
@@ -47,18 +53,26 @@ def test_gate_mode_stabilizer_needs_normalizer():
         GateMode(stabilized=True, normalizer=False)
 
 
-def test_block_diagonal_mask_structure():
-    mask = block_diagonal_mask(4, 2)
-    expect = np.array([[1, 1, 0, 0],
-                       [1, 1, 0, 0],
-                       [0, 0, 1, 1],
-                       [0, 0, 1, 1]], dtype=np.float64)
-    assert np.array_equal(mask, expect)
+def test_recurrent_weights_are_per_head_blocks():
+    params = random_params(0, 3, 6, n_heads=3)
+    assert params.R.shape == (3, 2, 8)
+    again = SLSTMParams.from_gates(params.gates(), 3)
+    for name, arr in params.as_dict().items():
+        assert np.array_equal(again.as_dict()[name], arr), name
+    # without memory mixing there is no recurrent parameter at all
+    plain = SLSTMParams.init(Rng(0), 3, 6, n_heads=3, memory_mixing=False)
+    assert plain.R is None and set(plain.as_dict()) == {"W", "b"}
+    cfg = ModelConfig(lookback=8, horizon=2, n_channels=1, patch_size=4,
+                      embed_dim=4, n_heads=2,
+                      gate_mode=GateMode(memory_mixing=False))
+    assert not any(name.endswith(".R") for name in Forecaster(cfg).params)
 
 
-def test_block_diagonal_mask_indivisible():
+def test_init_and_from_gates_reject_indivisible_heads():
     with pytest.raises(ValueError):
-        block_diagonal_mask(5, 2)
+        SLSTMParams.init(Rng(0), 3, 5, n_heads=2)
+    with pytest.raises(ValueError):
+        SLSTMParams.from_gates(random_params(0, 3, 5).gates(), 2)
 
 
 # -- single step oracles ----------------------------------------------------
@@ -121,8 +135,8 @@ def test_stabilized_matches_raw_forward():
 
 
 def test_stabilized_survives_large_forget_preactivations():
-    params = random_params(1, 2, 4)
-    params.b_f = np.full(4, 40.0)       # raw exp would overflow after a few steps
+    # raw exp would overflow after a few steps
+    params = with_gates(random_params(1, 2, 4), b_f=np.full(4, 40.0))
     x = Rng(9).normal((1, 50, 2), 0.0, 1.0)
     h, _ = slstm_forward(params, x, None, GateMode(stabilized=True))
     assert np.all(np.isfinite(h))
@@ -135,15 +149,16 @@ def test_sigmoid_gate_mode_reproduces_classic_lstm():
     x = rng.normal((2, 8, 3), 0.0, 1.0)
     h_mode, _ = slstm_forward(params, x, None, LSTM_MODE)
 
+    p = params.gates()
     h = np.zeros((2, 5))
     c = np.zeros((2, 5))
     ref = np.empty((2, 8, 5))
     for t in range(8):
         xt = x[:, t, :]
-        z = np.tanh(xt @ params.W_z.T + h @ params.R_z.T + params.b_z)
-        i = sigmoid(xt @ params.W_i.T + h @ params.R_i.T + params.b_i)
-        f = sigmoid(xt @ params.W_f.T + h @ params.R_f.T + params.b_f)
-        o = sigmoid(xt @ params.W_o.T + h @ params.R_o.T + params.b_o)
+        z = np.tanh(xt @ p["W_z"].T + h @ p["R_z"].T + p["b_z"])
+        i = sigmoid(xt @ p["W_i"].T + h @ p["R_i"].T + p["b_i"])
+        f = sigmoid(xt @ p["W_f"].T + h @ p["R_f"].T + p["b_f"])
+        o = sigmoid(xt @ p["W_o"].T + h @ p["R_o"].T + p["b_o"])
         c = f * c + i * z
         h = o * np.tanh(c)
         ref[:, t, :] = h
@@ -200,9 +215,9 @@ def test_head_isolation_with_block_diagonal_projections():
     # input channels feeding head 2
     d = 6
     params = random_params(8, d, d, n_heads=2)
-    mask = block_diagonal_mask(d, 2)
-    for g in "zifo":
-        setattr(params, f"W_{g}", getattr(params, f"W_{g}") * mask)
+    mask = np.kron(np.eye(2), np.ones((3, 3)))
+    params = with_gates(params, **{f"W_{g}": params.gates()[f"W_{g}"] * mask
+                                   for g in "zifo"})
     rng = Rng(30)
     x = rng.normal((1, 12, d), 0.0, 1.0)
     x_zeroed = x.copy()
@@ -224,7 +239,7 @@ ALL_MODES = [GateMode(),
 
 def _cell_loss_fn(mode, x, init, gh, n_heads=2):
     def loss_and_grads(pdict):
-        params = SLSTMParams(n_heads=n_heads, **{k: pdict[k] for k in PARAM_NAMES})
+        params = SLSTMParams(pdict["W"], pdict["b"], pdict.get("R"), n_heads)
         h_seq, tape = slstm_forward(params, x, init, mode)
         grads, _ = slstm_backward(params, tape, gh, mode)
         return float(np.sum(h_seq * gh)), grads
@@ -237,20 +252,13 @@ def _cell_loss_fn(mode, x, init, gh, n_heads=2):
 def test_backward_matches_finite_differences(mode):
     params = random_params(17, 3, 4, n_heads=2)
     if not mode.memory_mixing:
-        for g in "zifo":
-            setattr(params, f"R_{g}", np.zeros((4, 4)))
+        params.R = None
     rng = Rng(18)
     x = rng.normal((2, 6, 3), 0.0, 1.0)
     init = random_state(19, 2, 4)
     gh = rng.normal((2, 6, 4), 0.0, 1.0)
-    masks = None
-    if mode.memory_mixing:
-        masks = {f"R_{g}": params.recurrent_mask() for g in "zifo"}
-    else:
-        masks = {f"R_{g}": np.zeros((4, 4)) for g in "zifo"}
-    err = grad_check(_cell_loss_fn(mode, x, init, gh),
-                     {k: getattr(params, k) for k in PARAM_NAMES},
-                     epsilon=1e-5, masks=masks)
+    err = grad_check(_cell_loss_fn(mode, x, init, gh), params.as_dict(),
+                     epsilon=1e-5)
     assert err < 1e-6
 
 
@@ -260,10 +268,8 @@ def test_backward_longer_sequence_two_heads():
     x = rng.normal((1, 32, 8), 0.0, 0.5)
     init = random_state(25, 1, 8)
     gh = rng.normal((1, 32, 8), 0.0, 1.0)
-    masks = {f"R_{g}": params.recurrent_mask() for g in "zifo"}
-    err = grad_check(_cell_loss_fn(GateMode(), x, init, gh),
-                     {k: getattr(params, k) for k in PARAM_NAMES},
-                     epsilon=1e-5, masks=masks)
+    err = grad_check(_cell_loss_fn(GateMode(), x, init, gh), params.as_dict(),
+                     epsilon=1e-5)
     assert err < 1e-4
 
 
@@ -272,7 +278,7 @@ def test_backward_zero_cotangent_gives_zero_grads():
     x = Rng(3).normal((2, 5, 3), 0.0, 1.0)
     _, tape = slstm_forward(params, x)
     grads, gx = slstm_backward(params, tape, np.zeros((2, 5, 4)))
-    for name in PARAM_NAMES:
+    for name in params.as_dict():
         assert np.all(grads[name] == 0.0)
     assert np.all(gx == 0.0)
 
@@ -287,8 +293,7 @@ def test_backward_single_scalar_step_vs_symbolic():
                       n=np.array([[2.0]]), m=None)
     gh = np.array([[[1.0]]])
     err = grad_check(_cell_loss_fn(GateMode(), x[:, None, :], init, gh, n_heads=1),
-                     {k: getattr(params, k) for k in PARAM_NAMES},
-                     epsilon=1e-5)
+                     params.as_dict(), epsilon=1e-5)
     assert err < 1e-6
 
 
@@ -315,17 +320,6 @@ def test_backward_input_gradients():
     assert worst < 1e-6
 
 
-def test_backward_off_block_gradients_are_exact_zero():
-    params = random_params(41, 3, 6, n_heads=2)
-    x = Rng(42).normal((2, 7, 3), 0.0, 1.0)
-    gh = Rng(43).normal((2, 7, 6), 0.0, 1.0)
-    _, tape = slstm_forward(params, x)
-    grads, _ = slstm_backward(params, tape, gh)
-    off = 1.0 - params.recurrent_mask()
-    for g in "zifo":
-        assert np.all(grads[f"R_{g}"] * off == 0.0)
-
-
 def test_backward_consumes_the_tape():
     params = random_params(44, 3, 4, n_heads=2)
     x = Rng(45).normal((2, 5, 3), 0.0, 1.0)
@@ -343,17 +337,17 @@ def test_backward_uses_the_weights_the_forward_ran_with(n_heads):
     x = rng.normal((2, 5, 3), 0.0, 1.0)
     gh = rng.normal((2, 5, 4), 0.0, 1.0)
     params = random_params(49, 3, 4, n_heads=n_heads)
-    pristine = SLSTMParams(n_heads=n_heads, **{k: getattr(params, k).copy()
-                                               for k in PARAM_NAMES})
+    pristine = SLSTMParams(params.W.copy(), params.b.copy(), params.R.copy(),
+                           n_heads)
     _, tape = slstm_forward(pristine, x)
     want, want_gx = slstm_backward(pristine, tape, gh)
 
     _, tape = slstm_forward(params, x)
-    for name in PARAM_NAMES:
-        getattr(params, name)[...] += 0.5
+    for arr in params.as_dict().values():
+        arr[...] += 0.5
     grads, gx = slstm_backward(params, tape, gh)
     assert np.array_equal(gx, want_gx)
-    for name in PARAM_NAMES:
+    for name in params.as_dict():
         assert np.array_equal(grads[name], want[name]), name
 
 

@@ -1,9 +1,17 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
 import json
+import shutil
+from pathlib import Path
+
+import pytest
 
 from pslstm.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_run_config,
                         main)
+from pslstm.model import Forecaster
+from pslstm.tensorops import ShapeError
+
+DATA = Path(__file__).resolve().parent / "data"
 
 TINY_MODEL = {"lookback": 16, "horizon": 4, "n_channels": 1, "patch_size": 4,
               "embed_dim": 8, "n_blocks": 1, "n_heads": 2, "dropout_rate": 0.0}
@@ -87,6 +95,28 @@ def test_train_non_finite_csv_exits_data(tmp_path, capsys):
     assert "100 unparseable or non-finite" in capsys.readouterr().err
 
 
+def test_train_channel_count_mismatch_exits_data(tmp_path, capsys):
+    rows = "".join(f"t{k},{k % 7}.0,{k % 5}.0,{k % 3}.0\n" for k in range(200))
+    data = tmp_path / "three.csv"
+    data.write_text("date,a,b,c\n" + rows)
+    cfg = write_config(tmp_path, model={**TINY_MODEL, "n_channels": 2},
+                       data={"source": "csv", "path": str(data)})
+    assert run(tmp_path, "train", "--config", cfg) == EXIT_DATA
+    assert "3 channels" in capsys.readouterr().err
+
+
+def test_internal_shape_error_is_not_reported_as_data_error(tmp_path,
+                                                            monkeypatch):
+    # a ShapeError is a ValueError, but only DataError and OSError exit 3
+    def broken(self, x, training=False, dropout_rng=None):
+        raise ShapeError("forward: internal shape bug")
+
+    monkeypatch.setattr(Forecaster, "forward", broken)
+    cfg = write_config(tmp_path)
+    with pytest.raises(ShapeError, match="internal shape bug"):
+        run(tmp_path, "train", "--config", cfg)
+
+
 def test_train_metrics_byte_identical_across_runs(tmp_path):
     cfg = write_config(tmp_path)
     run(tmp_path, "train", "--config", cfg, "--seed", "7")
@@ -134,6 +164,23 @@ def test_eval_checkpoint_missing_parameter_exits_data(tmp_path, capsys):
     assert run(tmp_path, "eval", "--config", cfg,
                "--checkpoint", str(ckpt)) == EXIT_DATA
     assert "head.b" in capsys.readouterr().err
+
+
+def test_eval_version_1_checkpoint_missing_gate_exits_data(tmp_path, capsys):
+    cfg = write_config(tmp_path, model={**TINY_MODEL, "n_channels": 2},
+                       data={"source": "synthetic",
+                             "params": {"length": 400, "period": 24,
+                                        "channels": 2}})
+    ckpt = tmp_path / "v1.json"
+    shutil.copy(DATA / "v1_heads2.json", ckpt)
+    assert run(tmp_path, "eval", "--config", cfg,
+               "--checkpoint", str(ckpt)) == EXIT_OK
+    blob = json.loads(ckpt.read_text())
+    del blob["params"]["block0.R_o"]
+    ckpt.write_text(json.dumps(blob))
+    assert run(tmp_path, "eval", "--config", cfg,
+               "--checkpoint", str(ckpt)) == EXIT_DATA
+    assert "block0.R_o" in capsys.readouterr().err
 
 
 # -- probe ------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Tests for the patch-based forecaster: patching, forward/backward,
 channel strategies, parameter accounting, checkpoints."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pslstm.cells import GateMode, grad_check
 from pslstm.model import (Forecaster, ModelConfig, config_from_dict,
                           load_checkpoint, patchify, save_checkpoint)
-from pslstm.tensorops import Rng, ShapeError
+from pslstm.tensorops import DataError, Rng, ShapeError
 from pslstm.training import mse_loss
+
+DATA = Path(__file__).resolve().parent / "data"
 
 TINY = dict(lookback=16, horizon=4, n_channels=2, patch_size=4,
             embed_dim=8, n_blocks=1, n_heads=2, dropout_rate=0.0)
@@ -174,8 +179,7 @@ def _model_gradcheck(cfg, seed=0, eps=1e-5, training=False):
         return loss, model.backward(tape, gy)
 
     return grad_check(loss_and_grads,
-                      {k: v.copy() for k, v in model.params.items()},
-                      eps, masks=model.masks)
+                      {k: v.copy() for k, v in model.params.items()}, eps)
 
 
 def test_backward_matches_finite_differences_small():
@@ -253,20 +257,6 @@ def test_count_params_closed_form_tiny():
     assert model.count_params() == expect
 
 
-def test_off_block_entries_are_zero_at_init():
-    model = Forecaster(tiny_config(), seed=0)
-    for name, mask in model.masks.items():
-        assert np.all(model.params[name] * (1.0 - mask) == 0.0)
-
-
-def test_memory_mixing_off_freezes_recurrence():
-    cfg = tiny_config(gate_mode=GateMode(memory_mixing=False))
-    model = Forecaster(cfg, seed=0)
-    for name, mask in model.masks.items():
-        assert np.all(mask == 0.0)
-        assert np.all(model.params[name] == 0.0)
-
-
 # -- checkpointing ----------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
@@ -293,6 +283,14 @@ def test_checkpoint_version_guard(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("raw", [b"{not json", b"\xff\xfe{}"])
+def test_checkpoint_undecodable_rejected(tmp_path, raw):
+    path = tmp_path / "ckpt.json"
+    path.write_bytes(raw)
+    with pytest.raises(DataError, match="malformed"):
+        load_checkpoint(path)
+
+
 def _edited_checkpoint(tmp_path, edit):
     import json
     model = Forecaster(tiny_config(), seed=0)
@@ -305,14 +303,14 @@ def _edited_checkpoint(tmp_path, edit):
 
 
 def test_checkpoint_missing_parameter_rejected(tmp_path):
-    path = _edited_checkpoint(tmp_path, lambda b: b["params"].pop("block0.R_f"))
+    path = _edited_checkpoint(tmp_path, lambda b: b["params"].pop("block0.R"))
     with pytest.raises(ValueError, match="missing"):
         load_checkpoint(path)
 
 
 def test_checkpoint_unknown_parameter_rejected(tmp_path):
     path = _edited_checkpoint(tmp_path, lambda b: b["params"].update(
-        {"block1.W_z": b["params"]["block0.W_z"]}))
+        {"block1.W": b["params"]["block0.W"]}))
     with pytest.raises(ValueError, match="unknown"):
         load_checkpoint(path)
 
@@ -330,6 +328,27 @@ def test_checkpoint_bad_config_rejected(tmp_path):
     path = _edited_checkpoint(
         tmp_path, lambda b: b["config"].update({"hidden_layers": 3}))
     with pytest.raises(ValueError, match="malformed"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["v1_heads2", "v1_no_mixing"])
+def test_version_1_checkpoint_predicts_its_stored_output(name):
+    # version-1 files (per-gate arrays): n_heads=2, and n_heads=1 without
+    # memory mixing, each stored with its forward output on a fixed input
+    model = load_checkpoint(DATA / f"{name}.json")
+    blob = json.loads((DATA / f"{name}.expected.json").read_text())
+    x = np.array(blob["x"]).reshape(blob["x_shape"])
+    yhat, _ = model.forward(x)
+    assert np.array_equal(yhat, np.array(blob["yhat"]).reshape(blob["yhat_shape"]))
+    assert ("block0.R" in model.params) == model.config.gate_mode.memory_mixing
+
+
+def test_version_1_checkpoint_recurrent_weights_without_mixing_rejected(tmp_path):
+    blob = json.loads((DATA / "v1_no_mixing.json").read_text())
+    blob["params"]["block0.R_i"]["data"][0] = 0.5
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(blob))
+    with pytest.raises(DataError, match="memory mixing"):
         load_checkpoint(path)
 
 

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from pslstm.cells import SLSTMParams
 from pslstm.probe import (ChainConfig, ChainTrace, autocorrelation,
                           chain_params, check_contraction,
                           memory_report, ratio_stability_report,
@@ -18,8 +19,13 @@ from pslstm.tensorops import Rng
 def zero_weight_params(q=4, b_f=-1.0, b_out=0.5):
     cfg = ChainConfig(q=q, weight_scale=0.0, noise_std=0.0, horizon=10)
     params, W_out, _ = chain_params(cfg)
-    params.b_f = np.full(q, b_f)
+    params = with_forget_bias(params, np.full(q, b_f))
     return params, np.zeros_like(W_out), np.full(1, b_out)
+
+
+def with_forget_bias(params, b_f):
+    return SLSTMParams.from_gates({**params.gates(), "b_f": b_f},
+                                  params.n_heads)
 
 
 def trace_from_series(y, config=None):
@@ -47,7 +53,7 @@ def test_chain_params_deterministic():
     cfg = ChainConfig(seed=3)
     a, Wa, _ = chain_params(cfg)
     b, Wb, _ = chain_params(cfg)
-    assert np.array_equal(a.W_f, b.W_f)
+    assert np.array_equal(a.W, b.W) and np.array_equal(a.R, b.R)
     assert np.array_equal(Wa, Wb)
 
 
@@ -62,8 +68,9 @@ def test_chain_params_target_gate_bound_is_exact():
 def test_chain_params_positive_feedback_nonnegative():
     cfg = ChainConfig(seed=2, positive_feedback=True)
     params, W_out, _ = chain_params(cfg)
-    assert np.all(params.W_z >= 0.0)
-    assert np.all(params.R_z >= 0.0)
+    gates = params.gates()
+    assert np.all(gates["W_z"] >= 0.0)
+    assert np.all(gates["R_z"] >= 0.0)
     assert np.all(W_out >= 0.0)
 
 
@@ -172,8 +179,7 @@ def test_contraction_constant_gate_oracle():
 
 def test_contraction_zero_bias_never_satisfied():
     cfg = ChainConfig(seed=0)
-    params, _, _ = chain_params(cfg)
-    params.b_f = np.zeros(cfg.q)
+    params = with_forget_bias(chain_params(cfg)[0], np.zeros(cfg.q))
     sup, ok = check_contraction(params, threshold=0.9)
     assert sup >= 1.0
     assert not ok
@@ -194,12 +200,13 @@ def test_contraction_corner_enumeration_oracle():
     cfg = ChainConfig(p=2, q=3, seed=11)
     params, _, _ = chain_params(cfg)
     sup, _ = check_contraction(params, threshold=0.5, n_grid=128, seed=1)
+    gates = params.gates()
     best = -np.inf
     for cu in range(4):
         for cv in range(8):
             u = np.array([1.0 if cu >> j & 1 else -1.0 for j in range(2)])
             v = np.array([1.0 if cv >> j & 1 else -1.0 for j in range(3)])
-            pre = params.W_f @ u + params.R_f @ v + params.b_f
+            pre = gates["W_f"] @ u + gates["R_f"] @ v + gates["b_f"]
             best = max(best, np.exp(pre).max())
     assert abs(sup - best) < 1e-9
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pslstm import training
-from pslstm.cells import block_diagonal_mask
 from pslstm.datasets import make_synthetic, split_and_standardize
 from pslstm.model import Forecaster, ModelConfig
 from pslstm.tensorops import Rng, ShapeError
@@ -194,7 +193,7 @@ def test_adam_chunked_matches_whole_array_update():
     }
     params = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
     params["fortran"] = np.asfortranarray(params["fortran"])
-    masks = {"block_diag": block_diagonal_mask(256, 4),
+    masks = {"block_diag": np.kron(np.eye(4), np.ones((64, 64))),
              "frozen": np.zeros((64, 64))}     # memory_mixing=False
     ref = {k: v.copy(order="K") for k, v in params.items()}
     fortran, start = params["fortran"], {k: _bits(v) for k, v in ref.items()}
@@ -277,7 +276,7 @@ def test_single_step_decreases_batch_loss():
         grads = model.backward(tape, gy)
         state = AdamState(model.params)
         adam_step(model.params, grads, state,
-                  TrainConfig(learning_rate=1e-5), model.masks)
+                  TrainConfig(learning_rate=1e-5))
         loss1, _ = mse_loss(model.forward(x)[0], y)
         assert loss1 < loss0
 
@@ -352,11 +351,17 @@ def test_train_deterministic_given_seed():
 
 
 def test_block_structure_survives_training():
+    # training updates the per-head blocks in place: each cell still reads
+    # the arrays the optimizer moved, in their (H, s, 4s) layout
     ds = small_dataset()
     model = Forecaster(ModelConfig(**TINY), seed=1)
+    before = model.params["block0.R"].copy()
     model, _ = train(model, ds, TrainConfig(max_epochs=2))
-    for name, mask in model.masks.items():
-        assert np.all(model.params[name] * (1.0 - mask) == 0.0)
+    cell = model.blocks[0]
+    for name, arr in cell.as_dict("block0.").items():
+        assert model.params[name] is arr
+    assert cell.R.shape == (2, 4, 16)
+    assert not np.array_equal(cell.R, before)
 
 
 def test_train_with_dropout_runs():
