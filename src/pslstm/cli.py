@@ -32,7 +32,8 @@ from .model import (Forecaster, ModelConfig, load_checkpoint,
                     save_checkpoint)
 from .probe import (ChainConfig, chain_params, check_contraction,
                     memory_report, ratio_stability_report, simulate_chain,
-                    two_trajectory_coupling, write_acf_csv, write_probe_report)
+                    two_trajectory_coupling, write_acf_csv, write_probe_report,
+                    write_trace_csv)
 from .tensorops import DataError, Rng
 from .training import (TrainConfig, evaluate, mse_loss, persistence_metrics,
                        train, write_history_csv)
@@ -66,11 +67,16 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         unknown = set(loaded) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         for key in cfg:
-            cfg[key].update(loaded.get(key, {}))
+            section = loaded.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {key!r} is not an object")
+            cfg[key].update(section)
     for dotted, value in overrides.items():
         section, key = dotted.split(".", 1)
         cfg[section][key] = value
@@ -95,9 +101,19 @@ def make_train_config(payload: dict) -> TrainConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _config_int(value, name: str) -> int:
+    """int(value); a malformed config value is a ConfigError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} {value!r}: {exc}") from exc
+
+
 def load_dataset(data_cfg: dict, model_cfg: ModelConfig):
     kind = data_cfg.get("source", "synthetic")
-    stride = int(data_cfg.get("window_stride", 1))
+    stride = _config_int(data_cfg.get("window_stride", 1), "window_stride")
+    if stride < 1:
+        raise ConfigError(f"data window_stride must be >= 1, got {stride}")
     if kind == "csv":
         path = data_cfg.get("path")
         if not path or not os.path.exists(str(path)):
@@ -109,16 +125,23 @@ def load_dataset(data_cfg: dict, model_cfg: ModelConfig):
         raw = load_csv(path, schema)
         limit = data_cfg.get("max_rows")
         if limit:
-            raw.values = raw.values[:int(limit)]
+            raw.values = raw.values[:_config_int(limit, "max_rows")]
         preset = data_cfg.get("preset")
         if preset is not None and preset not in DATASET_PRESETS:
             raise ConfigError(f"unknown dataset preset {preset!r}")
     elif kind == "synthetic":
-        raw = make_synthetic(data_cfg.get("kind", "sinusoid"),
-                             data_cfg.get("params", {"length": 4000,
-                                                     "period": 24,
-                                                     "noise_std": 0.1}),
-                             seed=int(data_cfg.get("seed", 0)))
+        params = data_cfg.get("params", {"length": 4000, "period": 24,
+                                         "noise_std": 0.1})
+        if not isinstance(params, dict):
+            raise ConfigError("data params is not an object")
+        seed = _config_int(data_cfg.get("seed", 0), "data seed")
+        try:
+            raw = make_synthetic(data_cfg.get("kind", "sinusoid"), params,
+                                 seed=seed)
+        except DataError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad synthetic data params: {exc}") from exc
         preset = None
     else:
         raise ConfigError(f"unknown data source {kind!r}")
@@ -170,7 +193,8 @@ def _train_once(cfg: dict, seed: int):
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
     cfg = load_run_config(args.config, {})
-    seed = args.seed if args.seed is not None else int(cfg["train"].get("seed", 0))
+    seed = args.seed if args.seed is not None \
+        else _config_int(cfg["train"].get("seed", 0), "train seed")
     cfg["train"]["seed"] = seed
     run_dir = prepare_run_dir(args.output_dir, "train", args.force)
     try:
@@ -218,6 +242,7 @@ def cmd_probe(args) -> int:
     sup, contractive = check_contraction(params, threshold=0.9, n_grid=256,
                                          seed=chain.seed)
     trace = simulate_chain(chain)
+    write_trace_csv(run_dir / "trace.csv", trace)
     ratio = ratio_stability_report(trace)
     report = coupling = None
     failed = False

@@ -11,12 +11,19 @@ below 1, the chain is geometrically ergodic and its output autocorrelation
 decays like rho^k - or, with positive forget pre-activations, amplifies
 the cell and normalizer states exponentially until raw arithmetic
 overflows, even while their ratio stays bounded.
+
+One generator, _run_chain, steps every chain: it calls slstm_step once
+per step and records y, c, n and the h that fed the step, in blocks of
+rows. simulate_chain reduces the trace statistics from each block, the
+forget gate from the recorded inputs; two_trajectory_coupling runs it once
+per trajectory and takes the gaps from the two records.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +48,24 @@ class ChainConfig:
     param_seed: int | None = None            # weights seed; defaults to seed
 
     def __post_init__(self):
+        ints, reals = (int, np.integer), (int, float, np.integer, np.floating)
+        none = (type(None),)
+        for name, kinds in (("p", ints), ("q", ints), ("horizon", ints),
+                            ("seed", ints), ("param_seed", ints + none),
+                            ("noise_std", reals), ("forget_bias_offset", reals),
+                            ("weight_scale", reals), ("out_scale", reals),
+                            ("target_gate_bound", reals + none)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                noun = "a number" if float in kinds else "an integer"
+                raise TypeError(f"{name} must be {noun}, got {value!r}")
+            if float in kinds and value is not None \
+                    and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        if self.p < 1 or self.q < 1:
+            raise ValueError("p and q must be >= 1")
+        if self.target_gate_bound is not None and self.target_gate_bound <= 0:
+            raise ValueError("target_gate_bound must be > 0")
         if self.horizon < 2:
             raise ValueError("horizon must be >= 2")
         if self.noise_std < 0:
@@ -107,46 +132,62 @@ def _gate_f(gates: dict[str, np.ndarray], x: np.ndarray,
         return np.exp(x @ gates["W_f"].T + h @ gates["R_f"].T + gates["b_f"])
 
 
-def simulate_chain(config: ChainConfig,
-                   init: SLSTMState | None = None) -> ChainTrace:
-    """Iterate the self-exciting chain from y_0 = 0, h_0 = 0.
+def _chain_noise(config: ChainConfig, horizon: int) -> np.ndarray:
+    """The output noise eps_t, one (p,) row per step (zeros at std 0)."""
+    return Rng(config.seed).spawn(99).normal((horizon, config.p), 0.0,
+                                             config.noise_std)
 
-    Raw mode records non-finiteness instead of raising; once a state goes
-    non-finite the remaining steps are flagged non-finite and skipped.
-    """
-    params, W_out, b_out = chain_params(config)
-    gates = params.gates()
-    mode = GateMode(stabilized=config.mode == "stabilized")
-    rng = Rng(config.seed).spawn(99)
-    noise = rng.normal((config.horizon, config.p), 0.0, config.noise_std) \
-        if config.noise_std > 0 else np.zeros((config.horizon, config.p))
 
-    state = init if init is not None else SLSTMState.zeros(1, config.q)
-    y = np.zeros((1, config.p))
-    H = config.horizon
-    trace = ChainTrace(y_seq=np.full((H, config.p), np.nan),
-                       f_norm=np.full(H, np.nan), c_norm=np.full(H, np.nan),
-                       n_norm=np.full(H, np.nan), ratio_norm=np.full(H, np.nan),
-                       finite=np.zeros(H, dtype=bool), overflow_step=None,
-                       config=config)
+def _run_chain(params: SLSTMParams, W_out: np.ndarray, b_out: np.ndarray,
+               mode: GateMode, noise: np.ndarray, state: SLSTMState):
+    """Step one B=1 chain from y_0 = 0 and `state`, one step per noise row,
+    and yield its record in blocks (t0, y, c, n, h, overflow_step): row 0 of
+    each array is the row before step t0, row k + 1 what step t0 + k made.
+    The views are overwritten by the next block. The chain stops after
+    overflow_step, the first step whose c, n or y is not finite."""
+    (H, p), q = noise.shape, params.d_hidden
+    block = 512                 # rows per block: bounds the record's memory
+    rows = np.empty((block + 1, p + 3 * q))             # y | c | n | h
+    y, t0 = np.zeros((1, p)), 0
+    np.concatenate((y[0], state.c[0], state.n[0], state.h[0]), out=rows[0])
     for t in range(H):
-        f = _gate_f(gates, y, state.h)
         state, _ = slstm_step(params, y, state, mode)
         with np.errstate(invalid="ignore", over="ignore"):
-            y = np.tanh(state.h @ W_out.T + b_out) + noise[t][None, :]
-            ratio = state.c / state.n
-        ok = bool(np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.n))
-                  and np.all(np.isfinite(y)))
-        trace.f_norm[t] = np.max(np.abs(f))
-        trace.c_norm[t] = np.max(np.abs(state.c))
-        trace.n_norm[t] = np.max(np.abs(state.n))
-        trace.ratio_norm[t] = np.max(np.abs(ratio))
-        trace.y_seq[t] = y[0]
-        trace.finite[t] = ok
-        if not ok:
-            trace.overflow_step = t
-            break
-    return trace
+            y = np.tanh(state.h @ W_out.T + b_out) + noise[t]
+        k = t - t0 + 1
+        np.concatenate((y[0], state.c[0], state.n[0], state.h[0]), out=rows[k])
+        stop = not np.isfinite(rows[k, :p + 2 * q]).all()
+        if stop or k == block or t == H - 1:
+            yield (t0, *np.split(rows[:k + 1], [p, p + q, p + 2 * q], axis=1),
+                   t if stop else None)
+            if stop:
+                return
+            rows[0], t0 = rows[k], t + 1
+
+
+def simulate_chain(config: ChainConfig) -> ChainTrace:
+    """Iterate the self-exciting chain from y_0 = 0, h_0 = 0, reducing the
+    trace statistics from each recorded block. Raw mode records
+    non-finiteness instead of raising: the chain stops at the first step
+    whose c, n or y is non-finite, and the steps after it are NaN."""
+    params, W_out, b_out = chain_params(config)
+    mode = GateMode(stabilized=config.mode == "stabilized")
+    H, gates = config.horizon, params.gates()
+    y_seq = np.full((H, config.p), np.nan)
+    f_norm, c_norm, n_norm, ratio_norm = np.full((4, H), np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t0, y, c, n, h, overflow_step in _run_chain(
+                params, W_out, b_out, mode, _chain_noise(config, H),
+                SLSTMState.zeros(1, config.q)):
+            s = slice(t0, t0 + len(y) - 1)
+            y_seq[s] = y[1:]
+            f_norm[s] = np.abs(_gate_f(gates, y[:-1], h[:-1])).max(axis=1)
+            c_norm[s] = np.abs(c[1:]).max(axis=1)
+            n_norm[s] = np.abs(n[1:]).max(axis=1)
+            ratio_norm[s] = np.abs(c[1:] / n[1:]).max(axis=1)
+    finite = np.arange(H) < (H if overflow_step is None else overflow_step)
+    return ChainTrace(y_seq, f_norm, c_norm, n_norm, ratio_norm, finite,
+                      overflow_step, config)
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -242,42 +283,35 @@ class CouplingReport:
 def two_trajectory_coupling(config: ChainConfig, horizon: int | None = None,
                             tol: float = 1e-6,
                             init_scale: float = 1.0) -> CouplingReport:
-    """Run two chains on the same noise stream from different initial
-    hidden states and track the joint state gap per step."""
+    """Run two chains, each its own B=1 run, on the same noise from
+    different initial states; the gap at step t is the sup-norm of their
+    difference in (y_t, h_t, c_t / n_t). Past a non-finite step the gaps
+    are NaN: only an amplifying chain gets there, and the CLI couples
+    contractive chains only. decay_rate fits the positive gaps through
+    step_below_tol (all of them if the gap never gets below tol), so the
+    round-off tail below tol does not move it."""
     params, W_out, b_out = chain_params(config)
     mode = GateMode(stabilized=config.mode == "stabilized")
-    H = horizon or config.horizon
-    rng = Rng(config.seed).spawn(99)
-    noise = rng.normal((H, config.p), 0.0, config.noise_std) \
-        if config.noise_std > 0 else np.zeros((H, config.p))
-    init_rng = Rng(config.seed).spawn(4242)
-
-    state_a = SLSTMState.zeros(1, config.q)
-    if init_scale == 0.0:
-        state_b = SLSTMState.zeros(1, config.q)
-    else:
-        state_b = SLSTMState(h=init_rng.normal((1, config.q), 0.0, init_scale),
-                             c=init_rng.normal((1, config.q), 0.0, init_scale),
-                             n=np.ones((1, config.q)),
-                             m=None)
-    y_a = np.zeros((1, config.p))
-    y_b = np.zeros((1, config.p))
-    gaps = np.empty(H)
-    step_below = None
-    for t in range(H):
-        state_a, _ = slstm_step(params, y_a, state_a, mode)
-        state_b, _ = slstm_step(params, y_b, state_b, mode)
-        y_a = np.tanh(state_a.h @ W_out.T + b_out) + noise[t][None, :]
-        y_b = np.tanh(state_b.h @ W_out.T + b_out) + noise[t][None, :]
-        gap = max(np.max(np.abs(y_a - y_b)), np.max(np.abs(state_a.h - state_b.h)),
-                  np.max(np.abs(state_a.c / state_a.n - state_b.c / state_b.n)))
-        gaps[t] = gap
-        if step_below is None and gap < tol:
-            step_below = t
-    positive = gaps > 0
-    rate, r2 = _geometric_fit(np.arange(H)[positive], gaps[positive])
-    return CouplingReport(gaps=gaps, decay_rate=rate, r_squared=r2,
-                          step_below_tol=step_below)
+    noise, q = _chain_noise(config, horizon or config.horizon), config.q
+    start_b = SLSTMState.zeros(1, q)
+    if init_scale != 0.0:
+        rng = Rng(config.seed).spawn(4242)
+        start_b = SLSTMState(h=rng.normal((1, q), 0.0, init_scale),
+                             c=rng.normal((1, q), 0.0, init_scale), n=np.ones((1, q)))
+    runs = [_run_chain(params, W_out, b_out, mode, noise, s)
+            for s in (SLSTMState.zeros(1, q), start_b)]
+    gaps = np.full(len(noise), np.nan)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for (t0, y_a, c_a, n_a, h_a, _), (_, y_b, c_b, n_b, h_b, _) in zip(*runs):
+            k = min(len(y_a), len(y_b))           # shorter if one overflowed
+            diff = np.hstack((y_a[:k] - y_b[:k], h_a[:k] - h_b[:k],
+                              (c_a / n_a)[:k] - (c_b / n_b)[:k]))
+            gaps[t0:t0 + k - 1] = np.abs(diff[1:]).max(axis=1)
+    step_below = int(np.argmax(gaps < tol)) if np.any(gaps < tol) else None
+    decay = gaps if step_below is None else gaps[:step_below + 1]
+    k = np.flatnonzero(decay > 0)
+    rate, r2 = _geometric_fit(k, decay[k])
+    return CouplingReport(gaps, rate, r2, step_below)
 
 
 @dataclass
@@ -330,3 +364,19 @@ def write_acf_csv(path, report: MemoryReport) -> None:
         writer.writerow(["lag"] + [f"acf_dim{j}" for j in range(report.acf.shape[1])])
         for k in range(report.acf.shape[0]):
             writer.writerow([k] + [repr(float(v)) for v in report.acf[k]])
+
+
+def write_trace_csv(path, trace: ChainTrace) -> None:
+    """One row per recorded step, through the overflow step if any."""
+    steps = len(trace.finite) if trace.overflow_step is None \
+        else trace.overflow_step + 1
+    norms = (trace.f_norm, trace.c_norm, trace.n_norm, trace.ratio_norm)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["step"]
+                        + [f"y_dim{j}" for j in range(trace.y_seq.shape[1])]
+                        + ["f_norm", "c_norm", "n_norm", "ratio_norm", "finite"])
+        for t in range(steps):
+            writer.writerow([t] + [repr(float(v)) for v in trace.y_seq[t]]
+                            + [repr(float(a[t])) for a in norms]
+                            + [int(trace.finite[t])])

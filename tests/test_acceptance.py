@@ -315,7 +315,7 @@ def test_criterion_9_metric_files_byte_identical(tmp_path):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
 
-    blobs = {"train": [], "probe": []}
+    blobs = {"train": [], "probe": [], "trace": []}
     for rep in range(2):
         out = tmp_path / f"runs{rep}"
         assert main(["train", "--config", str(cfg_path), "--seed", "3",
@@ -324,8 +324,10 @@ def test_criterion_9_metric_files_byte_identical(tmp_path):
                      "--output-dir", str(out)]) == 0
         blobs["train"].append((out / "train" / "metrics.json").read_bytes())
         blobs["probe"].append((out / "probe" / "probe.json").read_bytes())
+        blobs["trace"].append((out / "probe" / "trace.csv").read_bytes())
     same_t = blobs["train"][0] == blobs["train"][1]
     same_p = blobs["probe"][0] == blobs["probe"][1]
+    same_tr = blobs["trace"][0] == blobs["trace"][1]
     print(f"criterion 9: metrics.json identical={same_t}, "
-          f"probe.json identical={same_p}")
-    assert same_t and same_p
+          f"probe.json identical={same_p}, trace.csv identical={same_tr}")
+    assert same_t and same_p and same_tr

@@ -55,6 +55,44 @@ def test_unknown_model_key_rejected(tmp_path):
     assert run(tmp_path, "train", "--config", cfg) == EXIT_CONFIG
 
 
+SYNTHETIC = {"source": "synthetic",
+             "params": {"length": 400, "period": 24, "noise_std": 0.1}}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("train", 5),
+    ("train", {"model": 3}),
+    ("train", {"model": TINY_MODEL, "data": [1]}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC,
+                                             "window_stride": "two"}}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "window_stride": 0}}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "seed": "x"}}),
+    ("train", {"model": TINY_MODEL, "train": {"seed": "x"},
+               "data": SYNTHETIC}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "params": 5}}),
+    ("train", {"model": TINY_MODEL, "data": {"source": "synthetic",
+                                             "params": {"length": "long"}}}),
+    ("probe", {"probe": {"q": "eight"}}),
+    ("probe", {"probe": {"horizon": 2.5}}),
+    ("probe", {"probe": {"q": 0}}),
+    ("probe", {"probe": {"p": True}}),
+    ("probe", {"probe": {"weight_scale": "big"}}),
+    ("probe", {"probe": {"noise_std": float("nan")}}),
+    ("probe", {"probe": {"target_gate_bound": -1.0}}),
+], ids=["top_level_number", "section_number", "data_list", "stride_word",
+        "stride_zero", "data_seed_word", "train_seed_word", "params_number",
+        "length_word", "probe_q_word", "probe_horizon_float", "probe_q_zero",
+        "probe_p_bool", "probe_scale_word", "probe_noise_nan",
+        "probe_negative_gate_bound"])
+def test_malformed_config_value_exits_config(tmp_path, capsys, command,
+                                             payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert run(tmp_path, command, "--config", str(path)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
 def test_cli_overrides_file_values(tmp_path):
     cfg_path = write_config(tmp_path)
     cfg = load_run_config(cfg_path, {"train.max_epochs": 5})
@@ -195,6 +233,8 @@ def test_probe_contraction_regime(tmp_path):
     assert blob["rho_hat"] < 1.0
     assert blob["coupling_step_below_tol"] is not None
     assert (tmp_path / "runs" / "probe" / "acf.csv").exists()
+    trace = (tmp_path / "runs" / "probe" / "trace.csv").read_text()
+    assert len(trace.splitlines()) == 1 + 2000
 
 
 def test_probe_amplification_regime(tmp_path):
@@ -205,6 +245,8 @@ def test_probe_amplification_regime(tmp_path):
     blob = json.loads((tmp_path / "runs" / "probe" / "probe.json").read_text())
     assert blob["overflow_step"] is not None
     assert blob["max_ratio"] < 10.0
+    trace = (tmp_path / "runs" / "probe" / "trace.csv").read_text()
+    assert len(trace.splitlines()) == 1 + blob["overflow_step"] + 1
 
 
 def test_probe_unknown_key_rejected(tmp_path):

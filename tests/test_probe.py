@@ -2,18 +2,23 @@
 decay, the analytic contraction bound, coupling, and the amplification
 regime."""
 
+import csv
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pslstm.cells import SLSTMParams
+from pslstm.cells import GateMode, SLSTMParams, SLSTMState, slstm_step
 from pslstm.probe import (ChainConfig, ChainTrace, autocorrelation,
                           chain_params, check_contraction,
                           memory_report, ratio_stability_report,
                           simulate_chain, two_trajectory_coupling,
-                          write_acf_csv, write_probe_report)
+                          write_acf_csv, write_probe_report, write_trace_csv)
 from pslstm.tensorops import Rng
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def zero_weight_params(q=4, b_f=-1.0, b_out=0.5):
@@ -47,6 +52,14 @@ def test_chain_config_validation():
         ChainConfig(noise_std=-0.1)
     with pytest.raises(ValueError):
         ChainConfig(mode="fast")
+    with pytest.raises(ValueError):
+        ChainConfig(q=0)
+    with pytest.raises(TypeError):
+        ChainConfig(q="8")
+    with pytest.raises(TypeError):
+        ChainConfig(horizon=2.5)
+    with pytest.raises(TypeError):
+        ChainConfig(seed=True)
 
 
 def test_chain_params_deterministic():
@@ -122,6 +135,132 @@ def test_stabilized_mode_stays_finite_on_same_seed():
     trace = simulate_chain(cfg)
     assert trace.overflow_step is None
     assert np.all(np.isfinite(trace.y_seq))
+
+
+# -- the blocked chain record against the per-step loops --------------------
+
+def _reference_noise(config, horizon):
+    rng = Rng(config.seed).spawn(99)
+    return rng.normal((horizon, config.p), 0.0, config.noise_std) \
+        if config.noise_std > 0 else np.zeros((horizon, config.p))
+
+
+def _reference_simulate_chain(config):
+    """simulate_chain as a per-step loop: a second forget-gate GEMM pair and
+    seven reductions every step."""
+    params, W_out, b_out = chain_params(config)
+    gates = params.gates()
+    mode = GateMode(stabilized=config.mode == "stabilized")
+    noise = _reference_noise(config, config.horizon)
+    state = SLSTMState.zeros(1, config.q)
+    y = np.zeros((1, config.p))
+    H = config.horizon
+    trace = ChainTrace(y_seq=np.full((H, config.p), np.nan),
+                       f_norm=np.full(H, np.nan), c_norm=np.full(H, np.nan),
+                       n_norm=np.full(H, np.nan), ratio_norm=np.full(H, np.nan),
+                       finite=np.zeros(H, dtype=bool), overflow_step=None,
+                       config=config)
+    for t in range(H):
+        with np.errstate(over="ignore"):
+            f = np.exp(y @ gates["W_f"].T + state.h @ gates["R_f"].T
+                       + gates["b_f"])
+        state, _ = slstm_step(params, y, state, mode)
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = np.tanh(state.h @ W_out.T + b_out) + noise[t][None, :]
+            ratio = state.c / state.n
+        ok = bool(np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.n))
+                  and np.all(np.isfinite(y)))
+        trace.f_norm[t] = np.max(np.abs(f))
+        trace.c_norm[t] = np.max(np.abs(state.c))
+        trace.n_norm[t] = np.max(np.abs(state.n))
+        trace.ratio_norm[t] = np.max(np.abs(ratio))
+        trace.y_seq[t] = y[0]
+        trace.finite[t] = ok
+        if not ok:
+            trace.overflow_step = t
+            break
+    return trace
+
+
+def _reference_coupling_gaps(config, horizon, tol=1e-6, init_scale=1.0):
+    """two_trajectory_coupling's gaps and first step below tol, stepping
+    both trajectories in one per-step loop."""
+    params, W_out, b_out = chain_params(config)
+    mode = GateMode(stabilized=config.mode == "stabilized")
+    noise = _reference_noise(config, horizon)
+    init_rng = Rng(config.seed).spawn(4242)
+    state_a = SLSTMState.zeros(1, config.q)
+    if init_scale == 0.0:
+        state_b = SLSTMState.zeros(1, config.q)
+    else:
+        state_b = SLSTMState(h=init_rng.normal((1, config.q), 0.0, init_scale),
+                             c=init_rng.normal((1, config.q), 0.0, init_scale),
+                             n=np.ones((1, config.q)), m=None)
+    y_a = np.zeros((1, config.p))
+    y_b = np.zeros((1, config.p))
+    gaps = np.empty(horizon)
+    step_below = None
+    with np.errstate(invalid="ignore", over="ignore"):
+        for t in range(horizon):
+            state_a, _ = slstm_step(params, y_a, state_a, mode)
+            state_b, _ = slstm_step(params, y_b, state_b, mode)
+            y_a = np.tanh(state_a.h @ W_out.T + b_out) + noise[t][None, :]
+            y_b = np.tanh(state_b.h @ W_out.T + b_out) + noise[t][None, :]
+            gap = max(np.max(np.abs(y_a - y_b)),
+                      np.max(np.abs(state_a.h - state_b.h)),
+                      np.max(np.abs(state_a.c / state_a.n
+                                    - state_b.c / state_b.n)))
+            gaps[t] = gap
+            if step_below is None and gap < tol:
+                step_below = t
+    return gaps, step_below
+
+
+def _shipped_chain(name, **changes):
+    payload = json.loads((CONFIGS / f"probe_{name}.json").read_text())["probe"]
+    return dataclasses.replace(ChainConfig(**payload), **changes)
+
+
+@pytest.mark.parametrize("config", [
+    _shipped_chain("contraction"),                        # q=8, 20,000 steps
+    _shipped_chain("amplification"),                      # overflows at 355
+    _shipped_chain("amplification", mode="stabilized"),
+    _shipped_chain("amplification", forget_bias_offset=2.0,
+                   horizon=3000),                         # a later block
+], ids=["contraction", "raw_overflow", "stabilized", "raw_late_overflow"])
+def test_simulate_chain_matches_per_step_loop(config):
+    got = simulate_chain(config)
+    want = _reference_simulate_chain(config)
+    for name in ("y_seq", "c_norm", "n_norm", "ratio_norm", "finite"):
+        assert np.array_equal(getattr(got, name), getattr(want, name),
+                              equal_nan=name != "finite"), name
+    assert got.overflow_step == want.overflow_step
+    # one GEMM over a block of rows rounds apart from one product per row
+    np.testing.assert_allclose(got.f_norm, want.f_norm, rtol=1e-14)
+    if config.mode == "raw" and config.forget_bias_offset > 0:
+        assert got.overflow_step is not None
+
+
+@pytest.mark.parametrize("init_scale", [1.0, 0.0])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coupling_matches_per_step_loop(seed, init_scale):
+    config = _shipped_chain("contraction", seed=seed)
+    got = two_trajectory_coupling(config, horizon=1200, init_scale=init_scale)
+    gaps, step_below = _reference_coupling_gaps(config, 1200,
+                                                init_scale=init_scale)
+    assert np.array_equal(got.gaps, gaps)
+    assert got.step_below_tol == step_below
+
+
+def test_coupling_gaps_are_nan_past_an_overflow():
+    config = _shipped_chain("amplification")
+    rep = two_trajectory_coupling(config, horizon=500)
+    overflow = simulate_chain(config).overflow_step
+    gaps, _ = _reference_coupling_gaps(config, 500)
+    first_nan = int(np.argmax(np.isnan(rep.gaps)))
+    assert first_nan <= overflow + 1
+    assert np.array_equal(rep.gaps[:first_nan - 1], gaps[:first_nan - 1])
+    assert np.all(np.isnan(rep.gaps[first_nan:]))
 
 
 # -- autocorrelation / memory_report ----------------------------------------
@@ -239,6 +378,16 @@ def test_coupling_contracts_under_gate_bound():
     assert np.all(np.diff(np.log(np.maximum(g, 1e-300))) < 1.0)
 
 
+
+def test_coupling_decay_fit_stops_at_the_tolerance():
+    # the gaps below tol fall into round-off (about 1e-17 by step 300); the
+    # decay rate is the log-linear fit over steps 0..step_below_tol only
+    rep = two_trajectory_coupling(_shipped_chain("contraction"), horizon=500)
+    k = np.arange(rep.step_below_tol + 1)
+    slope = np.polyfit(k, np.log(rep.gaps[k]), 1)[0]
+    assert rep.decay_rate == pytest.approx(np.exp(slope), rel=1e-12)
+    assert np.all(rep.gaps[k] > 0)
+
 # -- ratio stability --------------------------------------------------------
 
 def test_ratio_bounded_in_contraction_regime():
@@ -288,3 +437,25 @@ def test_acf_csv(tmp_path):
     assert lines[0] == "lag,acf_dim0"
     assert len(lines) == 12
     assert float(lines[1].split(",")[1]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", ["contraction", "amplification"])
+def test_trace_csv_rows_equal_the_trace(tmp_path, name):
+    trace = simulate_chain(_shipped_chain(name, horizon=600))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, trace)
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["step", "y_dim0", "f_norm", "c_norm", "n_norm",
+                      "ratio_norm", "finite"]
+    # every recorded step, through the overflow step of the raw chain
+    steps = 600 if trace.overflow_step is None else trace.overflow_step + 1
+    assert (trace.overflow_step is None) == (name == "contraction")
+    table = np.array(rows, dtype=float)
+    assert table.shape == (steps, 7)
+    assert np.array_equal(table[:, 0], np.arange(steps))
+    for col, arr in zip(table[:, 1:6].T,
+                        (trace.y_seq[:, 0], trace.f_norm, trace.c_norm,
+                         trace.n_norm, trace.ratio_norm)):
+        assert np.array_equal(col, arr[:steps], equal_nan=True)
+    assert np.array_equal(table[:, 6], trace.finite[:steps])
