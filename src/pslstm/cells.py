@@ -44,13 +44,11 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
 
-from .tensorops import Rng, ShapeError, log_sigmoid, sigmoid
-
-_ACTIVATIONS = ("exponential", "sigmoid")
+from .tensorops import Rng, ShapeError, check_fields, log_sigmoid, sigmoid
 
 
 @dataclass(frozen=True)
@@ -63,17 +61,14 @@ class GateMode:
     gates reproduces the classic LSTM exactly.
     """
 
-    forget_activation: str = "exponential"
-    input_activation: str = "exponential"
+    forget_activation: Literal["exponential", "sigmoid"] = "exponential"
+    input_activation: Literal["exponential", "sigmoid"] = "exponential"
     stabilized: bool = True
     memory_mixing: bool = True
     normalizer: bool = True
 
     def __post_init__(self):
-        if self.forget_activation not in _ACTIVATIONS:
-            raise ValueError(f"bad forget_activation {self.forget_activation!r}")
-        if self.input_activation not in _ACTIVATIONS:
-            raise ValueError(f"bad input_activation {self.input_activation!r}")
+        check_fields(self)
         if self.stabilized and not self.normalizer:
             raise ValueError("stabilizer requires the normalizer state")
 

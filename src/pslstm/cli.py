@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from . import __version__
-from .cells import GateMode, grad_check
+from .cells import grad_check
 from .datasets import (CsvSchema, DATASET_PRESETS, load_csv, make_synthetic,
                        split_and_standardize)
 from .model import (Forecaster, ModelConfig, load_checkpoint,
@@ -34,7 +35,7 @@ from .probe import (ChainConfig, chain_params, check_contraction,
                     memory_report, ratio_stability_report, simulate_chain,
                     two_trajectory_coupling, write_acf_csv, write_probe_report,
                     write_trace_csv)
-from .tensorops import DataError, Rng
+from .tensorops import DataError, Rng, check_fields, from_dict
 from .training import (TrainConfig, evaluate, mse_loss, persistence_metrics,
                        train, write_history_csv)
 
@@ -49,12 +50,40 @@ class ConfigError(ValueError):
     pass
 
 
-def _build_dataclass(cls, payload: dict, name: str):
-    fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - fields
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return cls(**payload)
+@dataclass
+class DataConfig:
+    """The data section: a synthetic series or a CSV file."""
+    source: Literal["synthetic", "csv"] = "synthetic"
+    window_stride: int = 1
+    path: str | None = None
+    preset: str | None = None
+    max_rows: int | None = None        # keep only the first max_rows rows
+    has_date_column: bool = True
+    delimiter: str = ","
+    has_header: bool = True
+    kind: str = "sinusoid"
+    params: dict = field(default_factory=lambda: dict(length=4000, period=24,
+                                                      noise_std=0.1))
+    seed: int = 0
+
+    def __post_init__(self):
+        check_fields(self)
+        if self.window_stride < 1:
+            raise ValueError(f"window_stride must be >= 1, got {self.window_stride}")
+        if self.max_rows is not None and self.max_rows < 1:
+            raise ValueError(f"max_rows must be >= 1, got {self.max_rows}")
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter {self.delimiter!r} is not one character")
+        if self.preset is not None and self.preset not in DATASET_PRESETS:
+            raise ValueError(f"unknown dataset preset {self.preset!r}")
+
+
+def _build(cls, payload):
+    """from_dict(cls, payload); a rejected value is a ConfigError."""
+    try:
+        return from_dict(cls, payload)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_run_config(path: str | None, overrides: dict) -> dict:
@@ -84,72 +113,34 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
 
 
 def make_model_config(payload: dict) -> ModelConfig:
-    payload = dict(payload)
-    gm = payload.get("gate_mode")
-    if isinstance(gm, dict):
-        payload["gate_mode"] = _build_dataclass(GateMode, gm, "gate_mode")
-    try:
-        return _build_dataclass(ModelConfig, payload, "model")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build(ModelConfig, payload)
 
 
 def make_train_config(payload: dict) -> TrainConfig:
-    try:
-        return _build_dataclass(TrainConfig, payload, "train")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _config_int(value, name: str) -> int:
-    """int(value); a malformed config value is a ConfigError."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} {value!r}: {exc}") from exc
+    return _build(TrainConfig, payload)
 
 
 def load_dataset(data_cfg: dict, model_cfg: ModelConfig):
-    kind = data_cfg.get("source", "synthetic")
-    stride = _config_int(data_cfg.get("window_stride", 1), "window_stride")
-    if stride < 1:
-        raise ConfigError(f"data window_stride must be >= 1, got {stride}")
-    if kind == "csv":
-        path = data_cfg.get("path")
-        if not path or not os.path.exists(str(path)):
-            raise FileNotFoundError(f"dataset file not found: {path}")
-        schema = CsvSchema(
-            has_date_column=bool(data_cfg.get("has_date_column", True)),
-            delimiter=data_cfg.get("delimiter", ","),
-            has_header=bool(data_cfg.get("has_header", True)))
-        raw = load_csv(path, schema)
-        limit = data_cfg.get("max_rows")
-        if limit:
-            raw.values = raw.values[:_config_int(limit, "max_rows")]
-        preset = data_cfg.get("preset")
-        if preset is not None and preset not in DATASET_PRESETS:
-            raise ConfigError(f"unknown dataset preset {preset!r}")
-    elif kind == "synthetic":
-        params = data_cfg.get("params", {"length": 4000, "period": 24,
-                                         "noise_std": 0.1})
-        if not isinstance(params, dict):
-            raise ConfigError("data params is not an object")
-        seed = _config_int(data_cfg.get("seed", 0), "data seed")
+    cfg = _build(DataConfig, data_cfg)
+    if cfg.source == "csv":
+        if not cfg.path or not os.path.exists(cfg.path):
+            raise FileNotFoundError(f"dataset file not found: {cfg.path}")
+        raw = load_csv(cfg.path, CsvSchema(cfg.has_date_column, cfg.delimiter,
+                                           cfg.has_header))
+        raw.values = raw.values[:cfg.max_rows]
+    else:
         try:
-            raw = make_synthetic(data_cfg.get("kind", "sinusoid"), params,
-                                 seed=seed)
+            raw = make_synthetic(cfg.kind, cfg.params, seed=cfg.seed)
         except DataError:
             raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic data params: {exc}") from exc
-        preset = None
-    else:
-        raise ConfigError(f"unknown data source {kind!r}")
     if raw.n_channels != model_cfg.n_channels:
         raise DataError(f"dataset has {raw.n_channels} channels, the model "
                         f"expects {model_cfg.n_channels}")
-    return split_and_standardize(raw, model_cfg.lookback, model_cfg.horizon,
-                                 preset=preset, stride=stride)
+    return split_and_standardize(
+        raw, model_cfg.lookback, model_cfg.horizon, stride=cfg.window_stride,
+        preset=cfg.preset if cfg.source == "csv" else None)
 
 
 def prepare_run_dir(output_dir: str, command: str, force: bool) -> Path:
@@ -192,10 +183,9 @@ def _train_once(cfg: dict, seed: int):
 
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    cfg = load_run_config(args.config, {})
-    seed = args.seed if args.seed is not None \
-        else _config_int(cfg["train"].get("seed", 0), "train seed")
-    cfg["train"]["seed"] = seed
+    overrides = {} if args.seed is None else {"train.seed": args.seed}
+    cfg = load_run_config(args.config, overrides)
+    seed = cfg["train"].setdefault("seed", 0)
     run_dir = prepare_run_dir(args.output_dir, "train", args.force)
     try:
         model, history, dataset = _train_once(cfg, seed)
@@ -233,10 +223,7 @@ def cmd_eval(args) -> int:
 def cmd_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_run_config(args.config, {})
-    try:
-        chain = _build_dataclass(ChainConfig, cfg["probe"], "probe")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    chain = _build(ChainConfig, cfg["probe"])
     run_dir = prepare_run_dir(args.output_dir, "probe", args.force)
     params, _, _ = chain_params(chain)
     sup, contractive = check_contraction(params, threshold=0.9, n_grid=256,
@@ -327,14 +314,8 @@ ABLATION_AXES = {
 
 def cmd_ablate(args) -> int:
     cfg = load_run_config(args.config, {})
-    axes = args.axes
-    if not axes:
-        raise ConfigError("ablate needs at least one axis")
-    for axis in axes:
-        if axis not in ABLATION_AXES:
-            raise ConfigError(f"unknown ablation axis {axis!r}")
     combos = [{}]
-    for axis in axes:
+    for axis in args.axes:
         combos = [{**c, axis: v} for c in combos for v in ABLATION_AXES[axis]]
     variants = []
     for combo in combos:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensorops import DataError, Rng
+from .tensorops import DataError, Rng, check_fields
 
 #: name -> (train/val/test ratios, expected channel count)
 DATASET_PRESETS = {
@@ -37,6 +36,9 @@ class CsvSchema:
     has_date_column: bool = True
     delimiter: str = ","
     has_header: bool = True
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass
@@ -152,9 +154,6 @@ class WindowedDataset:
             "norm_std": [repr(float(v)) for v in self.norm_std],
             "values_sha256": h.hexdigest(),
         }
-
-    def digest_json(self) -> str:
-        return json.dumps(self.digest(), sort_keys=True)
 
 
 def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
                     slstm_forward)
-from .tensorops import DataError, Rng, ShapeError
+from .tensorops import DataError, Rng, ShapeError, check_fields, from_dict
 
 _LN_EPS = 1e-5
 _INORM_EPS = 1e-5
@@ -43,11 +44,12 @@ class ModelConfig:
     n_blocks: int = 1
     n_heads: int = 2
     gate_mode: GateMode = field(default_factory=GateMode)
-    channel_strategy: str = "independent"
+    channel_strategy: Literal["independent", "mixed"] = "independent"
     dropout_rate: float = 0.1
     instance_norm: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if min(self.lookback, self.horizon, self.n_channels,
                self.patch_size, self.embed_dim, self.n_blocks, self.n_heads) < 1:
             raise ValueError("all size fields must be positive")
@@ -59,8 +61,6 @@ class ModelConfig:
         if self.embed_dim % self.n_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"{self.n_heads} heads")
-        if self.channel_strategy not in ("independent", "mixed"):
-            raise ValueError(f"bad channel_strategy {self.channel_strategy!r}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError("dropout_rate must be in [0, 1)")
 
@@ -274,32 +274,13 @@ class Forecaster:
         diagonal blocks of the recurrent matrices are stored."""
         return sum(arr.size for arr in self.params.values())
 
-    def clone(self) -> "Forecaster":
-        other = Forecaster(self.config, seed=0)
-        for name, arr in self.params.items():
-            other.params[name][...] = arr
-        return other
-
 
 # -- checkpointing ---------------------------------------------------------
-
-def _config_to_dict(config: ModelConfig) -> dict:
-    d = asdict(config)
-    d["gate_mode"] = asdict(config.gate_mode)
-    return d
-
-
-def config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    if isinstance(d.get("gate_mode"), dict):
-        d["gate_mode"] = GateMode(**d["gate_mode"])
-    return ModelConfig(**d)
-
 
 def save_checkpoint(model: Forecaster, path) -> None:
     blob = {
         "version": CHECKPOINT_VERSION,
-        "config": _config_to_dict(model.config),
+        "config": asdict(model.config),
         "params": {name: {"shape": list(arr.shape),
                           "data": arr.ravel().tolist()}
                    for name, arr in sorted(model.params.items())},
@@ -324,7 +305,7 @@ def load_checkpoint(path) -> Forecaster:
     if version not in (1, CHECKPOINT_VERSION):
         raise DataError(f"unsupported checkpoint version {version!r}")
     try:
-        model = Forecaster(config_from_dict(blob["config"]), seed=0)
+        model = Forecaster(from_dict(ModelConfig, blob["config"]), seed=0)
         stored = {name: np.array(entry["data"], dtype=np.float64)
                   .reshape(entry["shape"])
                   for name, entry in blob["params"].items()}

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
 from .cells import GateMode, SLSTMParams, SLSTMState, slstm_step
-from .tensorops import DataError, Rng
+from .tensorops import DataError, Rng, check_fields
 
 
 @dataclass
@@ -40,7 +40,7 @@ class ChainConfig:
     horizon: int = 2000
     seed: int = 0
     forget_bias_offset: float = 0.0
-    mode: str = "raw"              # "raw" or "stabilized"
+    mode: Literal["raw", "stabilized"] = "raw"
     weight_scale: float = 0.3
     out_scale: float = 1.0
     target_gate_bound: float | None = None   # sets b_f analytically if given
@@ -48,20 +48,7 @@ class ChainConfig:
     param_seed: int | None = None            # weights seed; defaults to seed
 
     def __post_init__(self):
-        ints, reals = (int, np.integer), (int, float, np.integer, np.floating)
-        none = (type(None),)
-        for name, kinds in (("p", ints), ("q", ints), ("horizon", ints),
-                            ("seed", ints), ("param_seed", ints + none),
-                            ("noise_std", reals), ("forget_bias_offset", reals),
-                            ("weight_scale", reals), ("out_scale", reals),
-                            ("target_gate_bound", reals + none)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                noun = "a number" if float in kinds else "an integer"
-                raise TypeError(f"{name} must be {noun}, got {value!r}")
-            if float in kinds and value is not None \
-                    and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_fields(self)
         if self.p < 1 or self.q < 1:
             raise ValueError("p and q must be >= 1")
         if self.target_gate_bound is not None and self.target_gate_bound <= 0:
@@ -70,8 +57,6 @@ class ChainConfig:
             raise ValueError("horizon must be >= 2")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
-        if self.mode not in ("raw", "stabilized"):
-            raise ValueError(f"bad mode {self.mode!r}")
 
 
 def chain_params(config: ChainConfig) -> tuple[SLSTMParams, np.ndarray, np.ndarray]:

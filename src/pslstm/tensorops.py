@@ -1,11 +1,16 @@
 """Numeric helpers shared by the library.
 
 Tensors are plain ``numpy.ndarray`` objects in double precision, row-major.
-The module holds the shape and data errors, the seeded random stream (bit-exact
-reproducibility from a seed) and the overflow-free sigmoid and log-sigmoid.
+The module holds the shape and data errors, the seeded random stream, the
+overflow-free sigmoid and log-sigmoid, and the config schema checks.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import functools
+import math
+import typing
 
 import numpy as np
 
@@ -57,3 +62,53 @@ def log_sigmoid(x: np.ndarray) -> np.ndarray:
     """log(sigmoid(x)) without intermediate overflow."""
     x = np.asarray(x, dtype=np.float64)
     return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+# -- config schema ---------------------------------------------------------
+
+_KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """field name -> (annotation without None, accepted types, Literal values
+    or None), from the resolved annotations of dataclass cls."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        none = (type(None),) if type(None) in args else ()
+        hint = args[0] if none else hints[f.name]       # X | None
+        if typing.get_origin(hint) is typing.Literal:
+            schema[f.name] = (hint, (object,), typing.get_args(hint))
+        else:
+            schema[f.name] = (hint, _KINDS.get(hint, (hint,)) + none, None)
+    return schema
+
+
+def check_fields(obj) -> None:
+    """Check each field of dataclass obj against its annotation: an int field
+    takes a Python or numpy integer, a float field any finite real, only a
+    bool field a bool; X | None also takes None, Literal[...] only its
+    values. Raises TypeError for a wrong type, ValueError for a bad value."""
+    for name, (hint, kinds, choices) in _schema(type(obj)).items():
+        v = getattr(obj, name)
+        if choices is not None and v not in choices:
+            raise ValueError(f"{name} must be one of {list(choices)}, got {v!r}")
+        if not isinstance(v, kinds) or isinstance(v, bool) and bool not in kinds:
+            raise TypeError(f"{name} must be {hint.__name__}, got {v!r}")
+        if isinstance(v, (float, np.floating)) and not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def from_dict(cls, payload):
+    """Build dataclass cls from a JSON object, rejecting unknown keys; a
+    field annotated with a dataclass is built from its nested object."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"{cls.__name__} must be an object, got {payload!r}")
+    schema = _schema(cls)
+    if unknown := payload.keys() - schema:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    nested = {k: from_dict(schema[k][0], v) for k, v in payload.items()
+              if isinstance(v, dict) and dataclasses.is_dataclass(schema[k][0])}
+    return cls(**{**payload, **nested})

@@ -24,7 +24,7 @@ import numpy as np
 
 from .datasets import WindowedDataset
 from .model import Forecaster
-from .tensorops import DataError, Rng, ShapeError
+from .tensorops import DataError, Rng, ShapeError, check_fields
 
 
 @dataclass
@@ -40,10 +40,13 @@ class TrainConfig:
     eps_opt: float = 1e-8
 
     def __post_init__(self):
+        check_fields(self)
         if not (0.0 < self.beta1 < self.beta2 < 1.0):
             raise ValueError("need 0 < beta1 < beta2 < 1")
         if self.learning_rate <= 0 or self.clip_norm <= 0:
             raise ValueError("learning_rate and clip_norm must be positive")
+        if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 0:
+            raise ValueError("need batch_size, patience >= 1, max_epochs >= 0")
 
 
 @dataclass

@@ -1,17 +1,28 @@
 """End-to-end tests of the command-line front end and its exit codes."""
 
+import contextlib
+import io
 import json
 import shutil
+import tempfile
+import typing
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pslstm.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, load_run_config,
-                        main)
-from pslstm.model import Forecaster
-from pslstm.tensorops import ShapeError
+from pslstm.cells import GateMode
+from pslstm.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, DataConfig,
+                        load_run_config, main, make_model_config,
+                        make_train_config)
+from pslstm.model import Forecaster, ModelConfig
+from pslstm.probe import ChainConfig
+from pslstm.tensorops import ShapeError, from_dict
+from pslstm.training import TrainConfig
 
 DATA = Path(__file__).resolve().parent / "data"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_MODEL = {"lookback": 16, "horizon": 4, "n_channels": 1, "patch_size": 4,
               "embed_dim": 8, "n_blocks": 1, "n_heads": 2, "dropout_rate": 0.0}
@@ -72,6 +83,21 @@ SYNTHETIC = {"source": "synthetic",
     ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "params": 5}}),
     ("train", {"model": TINY_MODEL, "data": {"source": "synthetic",
                                              "params": {"length": "long"}}}),
+    ("train", {"model": {**TINY_MODEL, "gate_mode": {"memory_mixing": "false"}},
+               "data": SYNTHETIC}),
+    ("train", {"model": {**TINY_MODEL, "gate_mode": {"stabilized": "no"}},
+               "data": SYNTHETIC}),
+    ("train", {"model": {**TINY_MODEL, "lookback": 32.5}, "data": SYNTHETIC}),
+    ("train", {"model": TINY_MODEL, "train": {"max_epochs": "one"},
+               "data": SYNTHETIC}),
+    ("train", {"model": TINY_MODEL, "train": {"batch_size": 0},
+               "data": SYNTHETIC}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "windw_stride": 2}}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC,
+                                             "has_header": "false"}}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "delimiter": 5}}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "delimiter": ",,"}}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "max_rows": -5}}),
     ("probe", {"probe": {"q": "eight"}}),
     ("probe", {"probe": {"horizon": 2.5}}),
     ("probe", {"probe": {"q": 0}}),
@@ -81,7 +107,11 @@ SYNTHETIC = {"source": "synthetic",
     ("probe", {"probe": {"target_gate_bound": -1.0}}),
 ], ids=["top_level_number", "section_number", "data_list", "stride_word",
         "stride_zero", "data_seed_word", "train_seed_word", "params_number",
-        "length_word", "probe_q_word", "probe_horizon_float", "probe_q_zero",
+        "length_word", "memory_mixing_string", "stabilized_string",
+        "lookback_float", "max_epochs_word", "batch_size_zero",
+        "data_key_typo", "has_header_string", "delimiter_number",
+        "delimiter_two_chars", "max_rows_negative", "probe_q_word",
+        "probe_horizon_float", "probe_q_zero",
         "probe_p_bool", "probe_scale_word", "probe_noise_nan",
         "probe_negative_gate_bound"])
 def test_malformed_config_value_exits_config(tmp_path, capsys, command,
@@ -91,6 +121,71 @@ def test_malformed_config_value_exits_config(tmp_path, capsys, command,
     assert run(tmp_path, command, "--config", str(path)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
+
+
+#: config section -> the dataclass its fields are checked against
+SECTIONS = {"model": ModelConfig, "model.gate_mode": GateMode,
+            "train": TrainConfig, "data": DataConfig, "probe": ChainConfig}
+
+JSON_VALUES = {
+    "null": st.none(), "bool": st.booleans(), "int": st.integers(-3, 3),
+    "float": st.floats(-3.0, 3.0), "str": st.text(max_size=3),
+    "list": st.lists(st.integers(0, 3), max_size=2),
+    "object": st.dictionaries(st.sampled_from("ab"), st.integers(0, 3),
+                              max_size=1),
+}
+
+
+def json_kinds(hint) -> set:
+    """The JSON kinds a field annotation accepts."""
+    args = typing.get_args(hint)
+    kinds = {"null"} if type(None) in args else set()
+    if kinds:
+        (hint,) = [a for a in args if a is not type(None)]
+    if typing.get_origin(hint) is typing.Literal:
+        hint = str
+    return kinds | {int: {"int"}, float: {"int", "float"}, bool: {"bool"},
+                    str: {"str"}}.get(hint, {"object"})
+
+
+WRONG_KINDS = [(section, name, kind)
+               for section, cls in SECTIONS.items()
+               for name, hint in typing.get_type_hints(cls).items()
+               for kind in sorted(JSON_VALUES.keys() - json_kinds(hint))]
+
+
+@given(st.data())
+def test_wrong_json_kind_in_any_field_exits_config(data):
+    section, name, kind = data.draw(st.sampled_from(WRONG_KINDS))
+    value = data.draw(JSON_VALUES[kind])
+    cfg = {"model": dict(TINY_MODEL), "train": {"max_epochs": 1},
+           "data": dict(SYNTHETIC), "probe": {}}
+    if section == "model.gate_mode":
+        cfg["model"]["gate_mode"] = {name: value}
+    else:
+        cfg[section][name] = value
+    command = "probe" if section == "probe" else "train"
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        path = Path(tmp) / "bad.json"
+        path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(path), "--output-dir",
+                     str(Path(tmp) / "runs"), "--force"])
+    assert code == EXIT_CONFIG, (section, name, value)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_shipped_configs_build_through_the_schemas(path):
+    cfg = load_run_config(str(path), {})
+    assert any(cfg.values())
+    if cfg["model"]:
+        assert isinstance(make_model_config(cfg["model"]), ModelConfig)
+    assert isinstance(make_train_config(cfg["train"]), TrainConfig)
+    assert isinstance(from_dict(DataConfig, cfg["data"]), DataConfig)
+    assert isinstance(from_dict(ChainConfig, cfg["probe"]), ChainConfig)
 
 
 def test_cli_overrides_file_values(tmp_path):
@@ -202,6 +297,19 @@ def test_eval_checkpoint_missing_parameter_exits_data(tmp_path, capsys):
     assert run(tmp_path, "eval", "--config", cfg,
                "--checkpoint", str(ckpt)) == EXIT_DATA
     assert "head.b" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_string_bool_exits_data(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    run(tmp_path, "train", "--config", cfg)
+    ckpt = tmp_path / "runs" / "train" / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    blob["config"]["gate_mode"]["memory_mixing"] = "false"
+    ckpt.write_text(json.dumps(blob))
+    assert run(tmp_path, "eval", "--config", cfg,
+               "--checkpoint", str(ckpt)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "memory_mixing" in err
 
 
 def test_eval_version_1_checkpoint_missing_gate_exits_data(tmp_path, capsys):

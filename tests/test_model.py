@@ -2,15 +2,16 @@
 channel strategies, parameter accounting, checkpoints."""
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pslstm.cells import GateMode, grad_check
-from pslstm.model import (Forecaster, ModelConfig, config_from_dict,
-                          load_checkpoint, patchify, save_checkpoint)
-from pslstm.tensorops import DataError, Rng, ShapeError
+from pslstm.model import (Forecaster, ModelConfig, load_checkpoint, patchify,
+                          save_checkpoint)
+from pslstm.tensorops import DataError, Rng, ShapeError, from_dict
 from pslstm.training import mse_loss
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -355,12 +356,4 @@ def test_version_1_checkpoint_recurrent_weights_without_mixing_rejected(tmp_path
 def test_config_round_trip_through_dict():
     cfg = tiny_config(gate_mode=GateMode(memory_mixing=False),
                       channel_strategy="mixed")
-    from pslstm.model import _config_to_dict
-    assert config_from_dict(_config_to_dict(cfg)) == cfg
-
-
-def test_clone_is_independent():
-    model = Forecaster(tiny_config(), seed=1)
-    other = model.clone()
-    other.params["embed.b"] += 1.0
-    assert np.all(model.params["embed.b"] == 0.0)
+    assert from_dict(ModelConfig, asdict(cfg)) == cfg

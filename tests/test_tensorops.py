@@ -1,9 +1,13 @@
 """Tests for the dense numeric kernel primitives."""
 
+from dataclasses import dataclass, field
+from typing import Literal
+
 import numpy as np
 import pytest
 
-from pslstm.tensorops import Rng, log_sigmoid, sigmoid
+from pslstm.tensorops import (Rng, check_fields, from_dict, log_sigmoid,
+                              sigmoid)
 
 
 def test_rng_reproducible():
@@ -76,3 +80,59 @@ def test_log_sigmoid_matches_log_of_sigmoid():
 def test_log_sigmoid_no_overflow_for_large_negative():
     out = log_sigmoid(np.array(-1e4))
     assert np.isclose(out, -1e4)
+
+
+# -- config schema ------------------------------------------------------------
+
+@dataclass
+class Inner:
+    flag: bool = True
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass
+class Outer:
+    n: int = 1
+    x: float = 0.5
+    bound: float | None = None
+    mode: Literal["a", "b"] = "a"
+    inner: Inner = field(default_factory=Inner)
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+def test_check_fields_accepts_numpy_scalars_and_ints_as_reals():
+    cfg = Outer(n=np.int64(3), x=2, bound=np.float32(0.25))
+    assert cfg.n == 3 and cfg.x == 2 and cfg.bound == 0.25
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    (dict(n=True), TypeError), (dict(n=2.0), TypeError),
+    (dict(n=None), TypeError), (dict(x=False), TypeError),
+    (dict(x="0.5"), TypeError), (dict(x=float("nan")), ValueError),
+    (dict(bound=np.inf), ValueError), (dict(bound="x"), TypeError),
+    (dict(mode="c"), ValueError),
+    (dict(inner={"flag": True}), TypeError),
+])
+def test_check_fields_rejects(kwargs, error):
+    with pytest.raises(error):
+        Outer(**kwargs)
+
+
+def test_check_fields_bool_takes_only_a_bool():
+    with pytest.raises(TypeError):
+        Inner(flag=1)
+    with pytest.raises(TypeError):
+        Inner(flag="false")
+
+
+def test_from_dict_builds_nested_and_rejects_unknown_keys():
+    assert from_dict(Outer, {"n": 2, "inner": {"flag": False}}) \
+        == Outer(n=2, inner=Inner(flag=False))
+    with pytest.raises(ValueError, match="unknown Inner keys"):
+        from_dict(Outer, {"inner": {"flg": False}})
+    with pytest.raises(TypeError):
+        from_dict(Outer, [1])
