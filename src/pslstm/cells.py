@@ -37,7 +37,10 @@ time-major: one (S, B, 4d) buffer holds the pre-activations, overwritten by
 the gate activations, plus (S, B, d) arrays c, n and h. slstm_backward
 overwrites the gate buffer with the pre-activation gradients; after its
 loop, single GEMMs give the W, b and input gradients and one GEMM per head
-the R gradient, all in the kernel layout.
+the R gradient, all in the kernel layout. Rows never interact in the
+recurrence, so both time loops run once per block of rows
+(tensorops.row_slices), with the state restarting for each block: a
+block's gate slice, state and temporaries stay in cache across its steps.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .tensorops import Rng, ShapeError, check_fields, log_sigmoid, sigmoid
+from .tensorops import (Rng, ShapeError, check_fields, log_sigmoid, row_slices,
+                        sigmoid)
 
 
 @dataclass(frozen=True)
@@ -368,21 +372,26 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
 
     c_all, n_all, h_all = (None if a is None else _heads(a, H)
                            for a in (tape.c, tape.n, tape.h))
-    h, c, n = _heads(init.h, H), _heads(init.c, H), _heads(init.n, H)
-    m = None if init.m is None else _heads(init.m, H)
-    for t in range(S):
-        if R is not None:
-            _add_recurrent(gates[t], h, R)
-        n_t = None if n_all is None else n_all[t]
-        m, dlog_i, dlog_f = _gate_update(gates[t].reshape(B, H, 4, -1),
-                                         c, n, m, mode, c_all[t], n_t, h_all[t])
-        c, h = c_all[t], h_all[t]
-        if n_t is not None:
-            n = n_t
-        if dlog_i is not None:
-            _heads(tape.dlog_i[t], H)[...] = dlog_i
-        if dlog_f is not None:
-            _heads(tape.dlog_f[t], H)[...] = dlog_f
+    # the time loop runs once per block of rows: rows are independent, and a
+    # block's gate slice, state and temporaries stay in cache across steps
+    for blk in row_slices(gates.shape[1:]):
+        h, c, n = (_heads(a[blk], H) for a in (init.h, init.c, init.n))
+        m = None if init.m is None else _heads(init.m[blk], H)
+        for t in range(S):
+            pre = gates[t, blk]
+            if R is not None:
+                _add_recurrent(pre, h, R)
+            n_t = None if n_all is None else n_all[t, blk]
+            m, dlog_i, dlog_f = _gate_update(
+                pre.reshape(pre.shape[0], H, 4, -1), c, n, m, mode,
+                c_all[t, blk], n_t, h_all[t, blk])
+            c, h = c_all[t, blk], h_all[t, blk]
+            if n_t is not None:
+                n = n_t
+            if dlog_i is not None:
+                _heads(tape.dlog_i[t, blk], H)[...] = dlog_i
+            if dlog_f is not None:
+                _heads(tape.dlog_f[t, blk], H)[...] = dlog_f
     h_seq = tape.h.transpose(1, 0, 2)
     if squeeze:
         h_seq = h_seq[0]
@@ -417,51 +426,52 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     c_all = _heads(tape.c, H)
     n_all = None if tape.n is None else _heads(tape.n, H)
     init = tape.init
-    gh_carry = gc_carry = gn_carry = 0.0
-    for t in range(S - 1, -1, -1):
-        z, i_eff, d_eff, o = (act[t, :, :, k] for k in range(4))
-        c = c_all[t]
-        c_prev = c_all[t - 1] if t else _heads(init.c, H)
-        gh = _heads(grad_h_seq[:, t], H) + gh_carry
-        if mode.normalizer:
-            n = n_all[t]
-            n_prev = n_all[t - 1] if t else _heads(init.n, H)
-            hbar = c / n
-            a = gh * o
-            a /= n
-            gc = a + gc_carry
-            a *= hbar
-            gn = gn_carry - a
-            gn_carry = gn * d_eff
-            into_i = gc * z
-            into_i += gn
-            into_f = gc * c_prev
-            into_f += gn * n_prev
-        else:
-            hbar = np.tanh(c)
-            gc = gh * o * (1.0 - hbar * hbar) + gc_carry
-            into_i = gc * z
-            into_f = gc * c_prev
-        gc_carry = gc * d_eff
-        # each activation is overwritten by its pre-activation gradient
-        # after its last use
-        g_z = z * z
-        np.subtract(1.0, g_z, out=g_z)
-        g_z *= gc
-        np.multiply(g_z, i_eff, out=z)
-        np.multiply(into_i, i_eff, out=i_eff)
-        np.multiply(into_f, d_eff, out=d_eff)
-        if tape.dlog_i is not None:
-            i_eff *= _heads(tape.dlog_i[t], H)
-        if tape.dlog_f is not None:
-            d_eff *= _heads(tape.dlog_f[t], H)
-        g_o = gh * hbar
-        g_o *= 1.0 - o
-        np.multiply(g_o, o, out=o)
-        if R_t is not None:
-            rec = np.matmul(grad_pre[t].reshape(B, H, 4 * s).transpose(1, 0, 2),
-                            R_t)
-            gh_carry = rec.transpose(1, 0, 2)
+    for blk in row_slices(grad_pre.shape[1:]):
+        gh_carry = gc_carry = gn_carry = 0.0
+        for t in range(S - 1, -1, -1):
+            z, i_eff, d_eff, o = (act[t, blk, :, k] for k in range(4))
+            c = c_all[t, blk]
+            c_prev = c_all[t - 1, blk] if t else _heads(init.c[blk], H)
+            gh = _heads(grad_h_seq[blk, t], H) + gh_carry
+            if mode.normalizer:
+                n = n_all[t, blk]
+                n_prev = n_all[t - 1, blk] if t else _heads(init.n[blk], H)
+                hbar = c / n
+                a = gh * o
+                a /= n
+                gc = a + gc_carry
+                a *= hbar
+                gn = gn_carry - a
+                gn_carry = gn * d_eff
+                into_i = gc * z
+                into_i += gn
+                into_f = gc * c_prev
+                into_f += gn * n_prev
+            else:
+                hbar = np.tanh(c)
+                gc = gh * o * (1.0 - hbar * hbar) + gc_carry
+                into_i = gc * z
+                into_f = gc * c_prev
+            gc_carry = gc * d_eff
+            # each activation is overwritten by its pre-activation gradient
+            # after its last use
+            g_z = z * z
+            np.subtract(1.0, g_z, out=g_z)
+            g_z *= gc
+            np.multiply(g_z, i_eff, out=z)
+            np.multiply(into_i, i_eff, out=i_eff)
+            np.multiply(into_f, d_eff, out=d_eff)
+            if tape.dlog_i is not None:
+                i_eff *= _heads(tape.dlog_i[t, blk], H)
+            if tape.dlog_f is not None:
+                d_eff *= _heads(tape.dlog_f[t, blk], H)
+            g_o = gh * hbar
+            g_o *= 1.0 - o
+            np.multiply(g_o, o, out=o)
+            if R_t is not None:
+                g_pre = _heads(grad_pre[t, blk], H)
+                rec = np.matmul(g_pre.transpose(1, 0, 2), R_t)
+                gh_carry = rec.transpose(1, 0, 2)
 
     rows = grad_pre.reshape(S * B, 4 * d)
     x_rows = tape.x.transpose(1, 0, 2).reshape(S * B, -1)

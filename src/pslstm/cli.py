@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal
@@ -72,6 +73,8 @@ class DataConfig:
             raise ValueError(f"window_stride must be >= 1, got {self.window_stride}")
         if self.max_rows is not None and self.max_rows < 1:
             raise ValueError(f"max_rows must be >= 1, got {self.max_rows}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter {self.delimiter!r} is not one character")
         if self.preset is not None and self.preset not in DATASET_PRESETS:
@@ -172,13 +175,21 @@ def _metrics_dict(metrics) -> dict:
             "n_samples": metrics.n_samples}
 
 
-def _train_once(cfg: dict, seed: int):
+def _prepare_run(cfg: dict, seed: int, datasets: dict | None = None):
+    """The model config, train config and dataset of one training run, so a
+    bad config or dataset stops the run before anything is written. Runs
+    that share a datasets dict share the dataset of each window shape."""
     model_cfg = make_model_config(cfg["model"])
     train_cfg = make_train_config({**cfg["train"], "seed": seed})
-    dataset = load_dataset(cfg["data"], model_cfg)
-    model = Forecaster(model_cfg, seed=seed)
-    model, history = train(model, dataset, train_cfg)
-    return model, history, dataset
+    datasets = {} if datasets is None else datasets
+    shape = (model_cfg.lookback, model_cfg.horizon, model_cfg.n_channels)
+    if shape not in datasets:
+        datasets[shape] = load_dataset(cfg["data"], model_cfg)
+    return model_cfg, train_cfg, datasets[shape]
+
+
+def _fit(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset):
+    return train(Forecaster(model_cfg, seed=train_cfg.seed), dataset, train_cfg)
 
 
 def cmd_train(args) -> int:
@@ -186,9 +197,10 @@ def cmd_train(args) -> int:
     overrides = {} if args.seed is None else {"train.seed": args.seed}
     cfg = load_run_config(args.config, overrides)
     seed = cfg["train"].setdefault("seed", 0)
+    model_cfg, train_cfg, dataset = _prepare_run(cfg, seed)
     run_dir = prepare_run_dir(args.output_dir, "train", args.force)
     try:
-        model, history, dataset = _train_once(cfg, seed)
+        model, history = _fit(model_cfg, train_cfg, dataset)
     except FloatingPointError as exc:
         print(f"training stage failed: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -209,9 +221,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     cfg = load_run_config(args.config, {})
-    run_dir = prepare_run_dir(args.output_dir, "eval", args.force)
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(cfg["data"], model.config)
+    run_dir = prepare_run_dir(args.output_dir, "eval", args.force)
     metrics = evaluate(model, dataset, args.split)
     with open(run_dir / "metrics.json", "w") as fh:
         json.dump({args.split: _metrics_dict(metrics)}, fh, sort_keys=True)
@@ -253,14 +265,18 @@ def cmd_probe(args) -> int:
 def _run_grid(args, cfg: dict, command: str, filename: str, header: list,
               variants: list, score) -> int:
     """Train once per (label, model overrides) variant and write one CSV row
-    per variant: the label, then score(model, dataset)'s floats as repr."""
+    per variant: the label, then score(model, dataset)'s floats as repr.
+    Every variant's configs and dataset are checked before training starts."""
     t0 = time.perf_counter()
-    run_dir = prepare_run_dir(args.output_dir, command, args.force)
-    rows = []
+    runs, datasets = [], {}
     for label, overrides in variants:
         sub = json.loads(json.dumps(cfg))
         sub["model"].update(overrides)
-        model, _, dataset = _train_once(sub, args.seed or 0)
+        runs.append((label, _prepare_run(sub, args.seed or 0, datasets)))
+    run_dir = prepare_run_dir(args.output_dir, command, args.force)
+    rows = []
+    for label, (model_cfg, train_cfg, dataset) in runs:
+        model, _ = _fit(model_cfg, train_cfg, dataset)
         values = score(model, dataset)
         rows.append([label] + [repr(v) for v in values])
         print(f"{command} {label}: " + " ".join(
@@ -407,19 +423,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_one_line(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FloatingPointError as exc:
-        print(f"numerical divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    with warnings.catch_warnings():
+        # one stderr line per warning; an error, if any, is the last line
+        warnings.showwarning = _warn_one_line
+        try:
+            if args.seed is not None and args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            return args.fn(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (DataError, OSError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except FloatingPointError as exc:
+            print(f"numerical divergence: {exc}", file=sys.stderr)
+            return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

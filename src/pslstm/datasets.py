@@ -69,30 +69,33 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
         fh = open(path, newline="")
     except OSError as exc:
         raise OSError(f"cannot read dataset file {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh, delimiter=schema.delimiter)
-        if schema.has_header:
-            next(reader, None)
-        for raw in reader:
-            if not raw:
-                continue
-            if width is None:
-                width = len(raw)
-            if len(raw) != width:
-                raise DataError(f"{path}: ragged row with {len(raw)} cells, "
-                                f"expected {width}")
-            cells = raw[1:] if schema.has_date_column else raw
-            try:
-                row = [float(c) for c in cells]
-            except ValueError:
-                row = None
-            # float() also parses nan and inf, which no statistic survives
-            if row is None or not all(map(math.isfinite, row)):
-                dropped += 1
-                continue
-            rows.append(row)
-            if schema.has_date_column:
-                stamps.append(raw[0])
+    try:
+        with fh:
+            reader = csv.reader(fh, delimiter=schema.delimiter)
+            if schema.has_header:
+                next(reader, None)
+            for raw in reader:
+                if not raw:
+                    continue
+                if width is None:
+                    width = len(raw)
+                if len(raw) != width:
+                    raise DataError(f"{path}: ragged row with {len(raw)} "
+                                    f"cells, expected {width}")
+                cells = raw[1:] if schema.has_date_column else raw
+                try:
+                    row = [float(c) for c in cells]
+                except ValueError:
+                    row = None
+                # float() also parses nan and inf, which no statistic survives
+                if row is None or not all(map(math.isfinite, row)):
+                    dropped += 1
+                    continue
+                rows.append(row)
+                if schema.has_date_column:
+                    stamps.append(raw[0])
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: no usable numeric rows "
                         f"({dropped} unparseable or non-finite)")
@@ -181,13 +184,18 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
                         f"with ratios {ratios}")
 
     train_rows = raw.values[:n_train]
-    mean = train_rows.mean(axis=0)
-    std = train_rows.std(axis=0)
-    constant = std == 0.0
+    # finite cells can still be too large to standardize
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train_rows.mean(axis=0)
+        std = train_rows.std(axis=0)
+        constant = std == 0.0
+        std = np.where(constant, 1.0, std)
+        values = (raw.values - mean) / std
+    if not (np.all(np.isfinite(std)) and np.all(np.isfinite(values))):
+        raise DataError("values too large to standardize: the train "
+                        "statistics or the scaled series overflow")
     if np.any(constant):
         warnings.warn(f"{int(constant.sum())} constant channels; std forced to 1")
-        std = np.where(constant, 1.0, std)
-    values = (raw.values - mean) / std
 
     # Window starts per split: targets stay inside the split, history may
     # reach back into the previous split.

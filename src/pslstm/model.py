@@ -25,7 +25,8 @@ import numpy as np
 
 from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
                     slstm_forward)
-from .tensorops import DataError, Rng, ShapeError, check_fields, from_dict
+from .tensorops import (DataError, Rng, ShapeError, check_fields, from_dict,
+                        row_slices)
 
 _LN_EPS = 1e-5
 _INORM_EPS = 1e-5
@@ -164,11 +165,11 @@ class Forecaster:
                       .transpose(0, 2, 1, 3) \
                       .reshape(B, c.n_patches, self.in_width)
 
-    def _dropout(self, u: np.ndarray, rng: Rng) -> np.ndarray:
-        """Draw a bool keep-mask and apply it to u; backward() reapplies it."""
-        keep = rng.uniform(u.shape) >= self.config.dropout_rate
-        self._apply_keep(u, keep)
-        return keep
+    def _keep_mask(self, shape: tuple, rng: Rng | None) -> np.ndarray | None:
+        """A bool dropout keep-mask, drawn whole; None without an rng."""
+        if rng is None:
+            return None
+        return rng.uniform(shape) >= self.config.dropout_rate
 
     def _apply_keep(self, a: np.ndarray, keep: np.ndarray | None) -> None:
         """Inverted dropout in place: zero a where keep is False and scale
@@ -202,23 +203,17 @@ class Forecaster:
         u = (patches.reshape(-1, self.in_width) @ self.params["embed.W"].T) \
             .reshape(patches.shape[:2] + (self.width,))
         u += self.params["embed.b"]
-        masks = [self._dropout(u, dropout_rng) if drop > 0 else None]
+        rng = dropout_rng if drop > 0 else None
+        masks = [self._keep_mask(u.shape, rng)]
+        self._apply_keep(u, masks[0])
 
         cell_tapes, ln_caches = [], []
         for k, cell in enumerate(self.blocks):
             h_seq, tape = slstm_forward(cell, u, None, c.gate_mode)
             cell_tapes.append(tape)
-            # layer norm of the residual sum, in place; the sum of squares
-            # over the width repeats np.var's arithmetic bit for bit
-            xhat = u + h_seq
-            xhat -= xhat.mean(axis=-1, keepdims=True)
-            std = np.sqrt(np.sum(xhat * xhat, axis=-1, keepdims=True)
-                          / self.width + _LN_EPS)
-            xhat /= std
+            masks.append(self._keep_mask(u.shape, rng))
+            xhat, std, u = self._layer_norm(k, u, h_seq, masks[-1])
             ln_caches.append((xhat, std))
-            u = xhat * self.params[f"block{k}.ln_gain"]
-            u += self.params[f"block{k}.ln_bias"]
-            masks.append(self._dropout(u, dropout_rng) if drop > 0 else None)
 
         flat = u.reshape(u.shape[0], -1)
         out_rows = flat @ self.params["head.W"].T + self.params["head.b"]
@@ -228,6 +223,51 @@ class Forecaster:
                          cell_tapes=cell_tapes, ln_caches=ln_caches,
                          dropout_masks=masks, flat=flat)
         return yhat, tape
+
+    def _layer_norm(self, k: int, u: np.ndarray, h_seq: np.ndarray,
+                    keep: np.ndarray | None):
+        """Block k's layer norm of the residual sum u + h_seq over the width,
+        its gain and bias, then the dropout keep-mask. Rows are independent,
+        so this runs one row block at a time, writing into whole arrays.
+        Returns (xhat, std, output); the sum of squares over the width
+        repeats np.var's arithmetic bit for bit."""
+        gain = self.params[f"block{k}.ln_gain"]
+        bias = self.params[f"block{k}.ln_bias"]
+        xhat, out = np.empty_like(u), np.empty_like(u)
+        std = np.empty(u.shape[:-1] + (1,))
+        for blk in row_slices(u.shape):
+            x = np.add(u[blk], h_seq[blk], out=xhat[blk])
+            x -= x.mean(axis=-1, keepdims=True)
+            sd = std[blk]
+            np.sqrt(np.sum(x * x, axis=-1, keepdims=True) / self.width
+                    + _LN_EPS, out=sd)
+            x /= sd
+            y = np.multiply(x, gain, out=out[blk])
+            y += bias
+            self._apply_keep(y, None if keep is None else keep[blk])
+        return xhat, std, out
+
+    def _layer_norm_backward(self, k: int, g_u: np.ndarray, xhat: np.ndarray,
+                             std: np.ndarray, keep: np.ndarray | None):
+        """Gradient of _layer_norm's input, one row block at a time, given
+        dloss/doutput g_u; applies the keep-mask to g_u in place first. The
+        gain and bias gradients reduce over rows, so they are summed whole
+        afterwards, over the masked g_u. Overwrites xhat."""
+        gain = self.params[f"block{k}.ln_gain"]
+        g_r = np.empty_like(g_u)
+        for blk in row_slices(g_u.shape):
+            g = g_u[blk]
+            self._apply_keep(g, None if keep is None else keep[blk])
+            x = xhat[blk]
+            gx = np.multiply(g, gain, out=g_r[blk])
+            proj = (gx * x).mean(axis=-1, keepdims=True)
+            gx -= gx.mean(axis=-1, keepdims=True)
+            gx -= x * proj
+            gx /= std[blk]
+        grads = {f"block{k}.ln_gain":
+                 np.multiply(g_u, xhat, out=xhat).sum(axis=(0, 1)),
+                 f"block{k}.ln_bias": g_u.sum(axis=(0, 1))}
+        return grads, g_r
 
     def backward(self, tape: ModelTape, grad_y: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss wrt every parameter, given dloss/dyhat,
@@ -246,19 +286,16 @@ class Forecaster:
             tape.flat.shape[0], c.n_patches, self.width)
 
         for k in range(c.n_blocks - 1, -1, -1):
-            self._apply_keep(g_u, tape.dropout_masks[k + 1])
-            xhat, std = tape.ln_caches[k]
-            grads[f"block{k}.ln_gain"] = (g_u * xhat).sum(axis=(0, 1))
-            grads[f"block{k}.ln_bias"] = g_u.sum(axis=(0, 1))
-            g_xhat = g_u * self.params[f"block{k}.ln_gain"]
-            g_r = (g_xhat - g_xhat.mean(axis=-1, keepdims=True)
-                   - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)) / std
+            ln_grads, g_r = self._layer_norm_backward(
+                k, g_u, *tape.ln_caches[k], tape.dropout_masks[k + 1])
+            grads.update(ln_grads)
             cell_grads, g_in = slstm_backward(self.blocks[k],
                                               tape.cell_tapes[k], g_r,
                                               c.gate_mode)
             for name, arr in cell_grads.items():
                 grads[f"block{k}.{name}"] = arr
-            g_u = g_r + g_in
+            g_r += g_in
+            g_u = g_r
 
         self._apply_keep(g_u, tape.dropout_masks[0])
         grads["embed.W"] = g_u.reshape(-1, self.width).T \

@@ -57,6 +57,8 @@ class ChainConfig:
             raise ValueError("horizon must be >= 2")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
+        if self.seed < 0 or (self.param_seed or 0) < 0:
+            raise ValueError("seed and param_seed must be >= 0")
 
 
 def chain_params(config: ChainConfig) -> tuple[SLSTMParams, np.ndarray, np.ndarray]:

@@ -2,7 +2,8 @@
 
 Tensors are plain ``numpy.ndarray`` objects in double precision, row-major.
 The module holds the shape and data errors, the seeded random stream, the
-overflow-free sigmoid and log-sigmoid, and the config schema checks.
+overflow-free sigmoid and log-sigmoid, the row-block rule shared by the
+cell's time loops, the layer norm and Adam, and the config schema checks.
 """
 
 from __future__ import annotations
@@ -64,6 +65,23 @@ def log_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
 
 
+# -- row blocks ------------------------------------------------------------
+
+#: Elements per row block: 256 KB of float64, so a block and the scratch of
+#: its elementwise passes stay resident in a core's L2 cache.
+_CHUNK = 32768
+
+
+def row_slices(shape: tuple[int, ...]) -> list:
+    """Leading-axis slices of at most _CHUNK elements (at least one row; a
+    1-D array is sliced by element)."""
+    if not shape:
+        return [...]
+    rows = max(1, _CHUNK // max(math.prod(shape[1:]), 1))
+    return [slice(lo, min(lo + rows, shape[0]))
+            for lo in range(0, shape[0], rows)]
+
+
 # -- config schema ---------------------------------------------------------
 
 _KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
@@ -88,7 +106,8 @@ def _schema(cls) -> dict:
 
 def check_fields(obj) -> None:
     """Check each field of dataclass obj against its annotation: an int field
-    takes a Python or numpy integer, a float field any finite real, only a
+    takes a Python or numpy integer, a float field any real that is finite
+    as a float (an int too large for a float is a bad value), only a
     bool field a bool; X | None also takes None, Literal[...] only its
     values. Raises TypeError for a wrong type, ValueError for a bad value."""
     for name, (hint, kinds, choices) in _schema(type(obj)).items():
@@ -99,6 +118,12 @@ def check_fields(obj) -> None:
             raise TypeError(f"{name} must be {hint.__name__}, got {v!r}")
         if isinstance(v, (float, np.floating)) and not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
+        if hint is float and isinstance(v, int):
+            try:
+                float(v)
+            except OverflowError:
+                raise ValueError(f"{name} does not fit a finite float, got a "
+                                 f"{v.bit_length()}-bit integer") from None
 
 
 def from_dict(cls, payload):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -24,7 +23,7 @@ import numpy as np
 
 from .datasets import WindowedDataset
 from .model import Forecaster
-from .tensorops import DataError, Rng, ShapeError, check_fields
+from .tensorops import DataError, Rng, ShapeError, check_fields, row_slices
 
 
 @dataclass
@@ -47,6 +46,8 @@ class TrainConfig:
             raise ValueError("learning_rate and clip_norm must be positive")
         if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 0:
             raise ValueError("need batch_size, patience >= 1, max_epochs >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -91,55 +92,38 @@ def clip_gradients(grads: dict[str, np.ndarray],
     return {name: g * scale for name, g in grads.items()}
 
 
-#: Elements per Adam chunk: 256 KB of float64, so a chunk and its scratch
-#: stay cache-resident through the update's elementwise passes.
-_CHUNK = 32768
-
-
 class AdamState:
     """First/second moment accumulators, one pair per parameter array, and
     the chunk plan adam_step walks.
 
-    The plan is made once, here. Each parameter is split into row-slices of
-    at most _CHUNK elements (a 1-D array into element slices; a row wider
-    than _CHUNK is a chunk of its own). Each chunk keeps its slice, the
-    matching views of m and v, and three scratch views (tmp, step and the
-    masked gradient) into one (3, n) buffer, n = min(_CHUNK, largest
-    parameter) but at least the widest row. So a step allocates nothing
-    sized to the parameter count. m and v are updated in place through
-    these views; rebinding an entry of m or v detaches it from the plan.
+    The plan is made once, here, by the row-block rule the cell and the
+    layer norm also use: tensorops.row_slices splits each parameter into
+    row-slices of at most tensorops._CHUNK elements (a 1-D array into
+    element slices; a row wider than that is a chunk of its own). Each
+    chunk keeps its slice, the matching views of m and v, and three scratch
+    views (tmp, step and the masked gradient) into one (3, n) buffer, n the
+    largest chunk. So a step allocates nothing sized to the parameter
+    count. m and v are updated in place through these views; rebinding an
+    entry of m or v detaches it from the plan.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
-        n = min(_CHUNK, max((p.size for p in params.values()), default=1))
-        n = max(n, 1, *(_row_size(p.shape) for p in params.values()))
-        scratch = np.empty((3, n))
+        slices = {k: row_slices(v.shape) for k, v in params.items()}
+        n = max((params[k][sl].size for k in params for sl in slices[k]),
+                default=1)
+        scratch = np.empty((3, max(n, 1)))
         # per chunk: (slice, m view, v view, tmp, step, masked gradient)
         self._plan = {}
         for name, p in params.items():
             chunks = []
-            for sl in _row_slices(p.shape):
+            for sl in slices[name]:
                 m, v = self.m[name][sl], self.v[name][sl]
                 chunks.append((sl, m, v, *(buf[:m.size].reshape(m.shape)
                                            for buf in scratch)))
             self._plan[name] = chunks
-
-
-def _row_size(shape: tuple[int, ...]) -> int:
-    """Elements per index of the leading axis (1 for a 1-D array)."""
-    return math.prod(shape[1:])
-
-
-def _row_slices(shape: tuple[int, ...]) -> list:
-    """Leading-axis slices of at most _CHUNK elements (at least one row)."""
-    if not shape:
-        return [...]
-    rows = max(1, _CHUNK // max(_row_size(shape), 1))
-    return [slice(lo, min(lo + rows, shape[0]))
-            for lo in range(0, shape[0], rows)]
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

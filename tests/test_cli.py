@@ -8,8 +8,9 @@ import tempfile
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslstm.cells import GateMode
@@ -105,6 +106,13 @@ SYNTHETIC = {"source": "synthetic",
     ("probe", {"probe": {"weight_scale": "big"}}),
     ("probe", {"probe": {"noise_std": float("nan")}}),
     ("probe", {"probe": {"target_gate_bound": -1.0}}),
+    ("train", {"model": TINY_MODEL, "train": {"seed": -1}, "data": SYNTHETIC}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "seed": -1}}),
+    ("probe", {"probe": {"seed": -1}}),
+    ("probe", {"probe": {"param_seed": -1}}),
+    ("train", {"model": TINY_MODEL, "train": {"learning_rate": 10**400},
+               "data": SYNTHETIC}),
+    ("probe", {"probe": {"weight_scale": 10**400}}),
 ], ids=["top_level_number", "section_number", "data_list", "stride_word",
         "stride_zero", "data_seed_word", "train_seed_word", "params_number",
         "length_word", "memory_mixing_string", "stabilized_string",
@@ -113,7 +121,10 @@ SYNTHETIC = {"source": "synthetic",
         "delimiter_two_chars", "max_rows_negative", "probe_q_word",
         "probe_horizon_float", "probe_q_zero",
         "probe_p_bool", "probe_scale_word", "probe_noise_nan",
-        "probe_negative_gate_bound"])
+        "probe_negative_gate_bound", "train_seed_negative",
+        "data_seed_negative", "probe_seed_negative",
+        "probe_param_seed_negative", "learning_rate_huge_int",
+        "probe_scale_huge_int"])
 def test_malformed_config_value_exits_config(tmp_path, capsys, command,
                                              payload):
     path = tmp_path / "bad.json"
@@ -121,6 +132,30 @@ def test_malformed_config_value_exits_config(tmp_path, capsys, command,
     assert run(tmp_path, command, "--config", str(path)) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    # the config is checked before the run directory is made
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--seed", "-1"],
+    ["gradcheck", "--seed", "-3"],
+    ["sweep-patch", "--sizes", "4", "--seed", "-1"],
+    ["sweep-patch", "--sizes", "4", "8", "--config", "BAD"],
+    ["ablate", "--axes", "memory_mixing", "--config", "BAD"],
+], ids=["train_flag", "gradcheck_flag", "sweep_flag", "sweep_config",
+        "ablate_config"])
+def test_grid_and_flag_errors_exit_config_without_a_run_dir(tmp_path, capsys,
+                                                            argv):
+    bad = write_config(tmp_path, "bad.json",
+                       model={**TINY_MODEL, "dropout_rate": "x"})
+    cfg = write_config(tmp_path)
+    argv = [bad if a == "BAD" else a for a in argv]
+    if "--config" not in argv:
+        argv += ["--config", cfg]
+    assert main([*argv, "--output-dir", str(tmp_path / "runs")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
 
 
 #: config section -> the dataclass its fields are checked against
@@ -171,6 +206,7 @@ def test_wrong_json_kind_in_any_field_exits_config(data):
         path.write_text(json.dumps(cfg))
         code = main([command, "--config", str(path), "--output-dir",
                      str(Path(tmp) / "runs"), "--force"])
+        assert not (Path(tmp) / "runs").exists()
     assert code == EXIT_CONFIG, (section, name, value)
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
@@ -226,6 +262,81 @@ def test_train_non_finite_csv_exits_data(tmp_path, capsys):
                        data={"source": "csv", "path": str(data)})
     assert run(tmp_path, "train", "--config", cfg) == EXIT_DATA
     assert "100 unparseable or non-finite" in capsys.readouterr().err
+
+
+NON_FINITE = ["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-1E400"]
+
+
+CSV_DEFECTS = ["ragged", "empty", "header_only", "non_finite",
+               "some_non_finite", "too_large", "bad_utf8"]
+
+
+@st.composite
+def broken_csvs(draw, defect):
+    """(CSV bytes, has_header, has_date_column, channels) for a file with the
+    defect, which no run can train on."""
+    has_header, has_date = draw(st.booleans()), draw(st.booleans())
+    channels = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n = draw(st.integers(2, 60))
+    rows = [[repr(float(v)) for v in rng.normal(size=channels)]
+            for _ in range(n)]
+    if defect == "non_finite":          # every row has a non-finite cell
+        for row in rows:
+            row[rng.integers(channels)] = draw(st.sampled_from(NON_FINITE))
+    elif defect == "some_non_finite":   # too few finite rows remain
+        n_finite = draw(st.integers(0, 20))
+        for row in rows[n_finite:]:
+            row[rng.integers(channels)] = draw(st.sampled_from(NON_FINITE))
+    elif defect == "too_large":         # finite, but the statistics overflow
+        for k, row in enumerate(rows):
+            row[0] = repr((1.0 if k % 3 else -1.0) * 1.5e308)
+    elif defect == "ragged":
+        k = draw(st.integers(1, n - 1))
+        rows[k] = rows[k] + ["1.0"] if draw(st.booleans()) or channels == 1 \
+            else rows[k][1:]
+    lines = [",".join((["t%d" % k] if has_date else []) + row)
+             for k, row in enumerate(rows)]
+    header = ",".join((["date"] if has_date else [])
+                      + [f"c{j}" for j in range(channels)])
+    if defect == "empty":
+        lines = [""] * draw(st.integers(0, 2))
+    elif defect == "header_only":
+        lines = [header]
+    elif has_header:
+        lines = [header] + lines
+    text = "\n".join(lines).encode()
+    if defect == "bad_utf8":
+        text += b"\n\xff\xfe,1.0"
+    return text, has_header, has_date, channels
+
+
+@pytest.mark.parametrize("defect", CSV_DEFECTS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_broken_csv_exits_data_with_one_error_line(defect, data):
+    # ragged rows, empty and header-only files, non-finite or overflowing
+    # cells, undecodable bytes: exit 3, never a traceback or a divergence
+    text, has_header, has_date, channels = data.draw(broken_csvs(defect))
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        data = Path(tmp) / "broken.csv"
+        data.write_bytes(text)
+        cfg = write_config(Path(tmp), model={**TINY_MODEL,
+                                             "n_channels": channels},
+                           data={"source": "csv", "path": str(data),
+                                 "has_header": has_header,
+                                 "has_date_column": has_date})
+        code = main(["train", "--config", cfg, "--output-dir",
+                     str(Path(tmp) / "runs"), "--force"])
+        assert not (Path(tmp) / "runs").exists()
+    lines = err.getvalue().splitlines()
+    assert code == EXIT_DATA, (defect, lines)
+    assert lines[-1].startswith("data error: "), (defect, lines)
+    # only rows dropped on the way may add a one-line warning before it
+    allowed = 1 if defect != "some_non_finite" else 2
+    assert len(lines) <= allowed, (defect, lines)
+    assert all(line.startswith("warning: ") for line in lines[:-1])
 
 
 def test_train_channel_count_mismatch_exits_data(tmp_path, capsys):

@@ -4,10 +4,12 @@ channel strategies, parameter accounting, checkpoints."""
 import json
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pslstm import tensorops
 from pslstm.cells import GateMode, grad_check
 from pslstm.model import (Forecaster, ModelConfig, load_checkpoint, patchify,
                           save_checkpoint)
@@ -213,6 +215,99 @@ def test_backward_no_instance_norm():
                       embed_dim=4, n_blocks=1, n_heads=2, dropout_rate=0.0,
                       instance_norm=False)
     assert _model_gradcheck(cfg) < 1e-4
+
+
+def test_backward_matches_finite_differences_in_row_blocks():
+    # a budget of one layer-norm row: the cell and the layer norm each run
+    # several row blocks, and the blocks see different dropout masks
+    cfg = ModelConfig(lookback=8, horizon=2, n_channels=3, patch_size=4,
+                      embed_dim=4, n_blocks=2, n_heads=2, dropout_rate=0.3)
+    with mock.patch.object(tensorops, "_CHUNK", 2 * 4):
+        assert _model_gradcheck(cfg, training=True) < 1e-4
+
+
+# -- row blocks -------------------------------------------------------------
+
+def _whole_layer_norm(u, h_seq, gain, bias, keep, rate):
+    """The layer norm and dropout of one block over whole arrays."""
+    xhat = u + h_seq
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.sum(xhat * xhat, axis=-1, keepdims=True)
+                  / u.shape[-1] + 1e-5)
+    xhat /= std
+    out = xhat * gain
+    out += bias
+    if keep is not None:
+        out *= keep
+        out *= 1.0 / (1.0 - rate)
+    return xhat, std, out
+
+
+def _whole_layer_norm_backward(g_u, xhat, std, gain, keep, rate):
+    g_u = g_u.copy()
+    if keep is not None:
+        g_u *= keep
+        g_u *= 1.0 / (1.0 - rate)
+    g_gain, g_bias = (g_u * xhat).sum(axis=(0, 1)), g_u.sum(axis=(0, 1))
+    g_xhat = g_u * gain
+    g_r = (g_xhat - g_xhat.mean(axis=-1, keepdims=True)
+           - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)) / std
+    return g_gain, g_bias, g_r
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 4, 10**6])
+@pytest.mark.parametrize("dropout", [False, True])
+def test_blocked_layer_norm_is_bitwise_the_whole_array_version(
+        rows_per_block, dropout):
+    cfg = tiny_config(embed_dim=16, n_heads=4, dropout_rate=0.25)
+    model = Forecaster(cfg, seed=0)
+    rng = Rng(21)
+    rows, N, E = 11, cfg.n_patches, model.width     # 11: not a multiple of 4
+    u = rng.normal((rows, N, E), 0.0, 2.0)
+    h_seq = rng.normal((N, rows, E)).transpose(1, 0, 2)   # a tape-like view
+    model.params["block0.ln_gain"][...] = rng.normal((E,), 1.0, 0.3)
+    model.params["block0.ln_bias"][...] = rng.normal((E,), 0.0, 0.3)
+    gain, bias = model.params["block0.ln_gain"], model.params["block0.ln_bias"]
+    keep = rng.uniform(u.shape) >= 0.25 if dropout else None
+    g_u = rng.normal(u.shape)
+
+    ref = _whole_layer_norm(u, h_seq, gain, bias, keep, 0.25)
+    ref_grads = _whole_layer_norm_backward(g_u, ref[0], ref[1], gain, keep,
+                                           0.25)
+    with mock.patch.object(tensorops, "_CHUNK", rows_per_block * N * E):
+        got = model._layer_norm(0, u, h_seq, keep)
+        for a, b in zip(got, ref):
+            assert a.tobytes() == b.tobytes()
+        grads, g_r = model._layer_norm_backward(0, g_u.copy(), *got[:2], keep)
+    assert grads["block0.ln_gain"].tobytes() == ref_grads[0].tobytes()
+    assert grads["block0.ln_bias"].tobytes() == ref_grads[1].tobytes()
+    assert g_r.tobytes() == ref_grads[2].tobytes()
+
+
+@pytest.mark.parametrize("mixing", [False, True])
+def test_blocked_training_step_matches_one_block(mixing):
+    # 3 windows x 7 channels = 21 rows; a budget of 2 rows, in the cell and
+    # in the layer norm, leaves a tail block in both
+    cfg = tiny_config(n_channels=7, embed_dim=16, n_heads=4, n_blocks=2,
+                      dropout_rate=0.2,
+                      gate_mode=GateMode(memory_mixing=mixing))
+    rng = Rng(5)
+    x = rng.normal((3, cfg.lookback, 7))
+    g_y = rng.normal((3, cfg.horizon, 7))
+
+    def step(budget):
+        model = Forecaster(cfg, seed=1)
+        with mock.patch.object(tensorops, "_CHUNK", budget):
+            yhat, tape = model.forward(x, training=True, dropout_rng=Rng(9))
+            return [yhat, *model.backward(tape, g_y).values()]
+
+    whole = step(10**9)
+    blocked = step(2 * cfg.n_patches * 16)
+    for a, b in zip(blocked, whole):
+        if mixing:
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+        else:
+            assert a.tobytes() == b.tobytes()
 
 
 def test_backward_grads_follow_params_order():

@@ -6,8 +6,9 @@ from typing import Literal
 import numpy as np
 import pytest
 
+from pslstm import tensorops
 from pslstm.tensorops import (Rng, check_fields, from_dict, log_sigmoid,
-                              sigmoid)
+                              row_slices, sigmoid)
 
 
 def test_rng_reproducible():
@@ -116,10 +117,19 @@ def test_check_fields_accepts_numpy_scalars_and_ints_as_reals():
     (dict(bound=np.inf), ValueError), (dict(bound="x"), TypeError),
     (dict(mode="c"), ValueError),
     (dict(inner={"flag": True}), TypeError),
+    (dict(x=10**400), ValueError), (dict(bound=-10**309), ValueError),
 ])
 def test_check_fields_rejects(kwargs, error):
     with pytest.raises(error):
         Outer(**kwargs)
+
+
+def test_check_fields_takes_an_int_that_fits_a_float():
+    # only an int beyond the float range is rejected, not merely a large one
+    assert Outer(x=10**308).x == 10**308
+    assert Outer(bound=-(2**1023)).bound == -(2**1023)
+    with pytest.raises(ValueError, match="does not fit a finite float"):
+        Outer(x=2**1024)
 
 
 def test_check_fields_bool_takes_only_a_bool():
@@ -136,3 +146,23 @@ def test_from_dict_builds_nested_and_rejects_unknown_keys():
         from_dict(Outer, {"inner": {"flg": False}})
     with pytest.raises(TypeError):
         from_dict(Outer, [1])
+
+
+# -- row blocks ---------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(), (1,), (70000,), (300, 250),
+                                   (3, 40000), (1344, 21, 128), (0, 5)])
+def test_row_slices_cover_the_rows_in_budget_sized_blocks(shape):
+    slices = row_slices(shape)
+    if not shape:
+        assert slices == [...]
+        return
+    covered = [i for sl in slices for i in range(shape[0])[sl]]
+    assert covered == list(range(shape[0]))
+    row = int(np.prod(shape[1:]))
+    for sl in slices:
+        rows = sl.stop - sl.start
+        # at most the budget, unless one row alone is wider than it
+        assert rows * row <= tensorops._CHUNK or rows == 1
+    # every block but the tail is full
+    assert len({sl.stop - sl.start for sl in slices[:-1]}) <= 1

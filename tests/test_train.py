@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pslstm import training
+from pslstm import tensorops, training
 from pslstm.datasets import make_synthetic, split_and_standardize
 from pslstm.model import Forecaster, ModelConfig
 from pslstm.tensorops import Rng, ShapeError
@@ -180,7 +180,7 @@ def _bits(a):
 
 
 def test_adam_chunked_matches_whole_array_update():
-    chunk = training._CHUNK
+    chunk = tensorops._CHUNK
     rng = Rng(7)
     shapes = {
         "long_1d": (2 * chunk + 5,),
