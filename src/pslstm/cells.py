@@ -32,15 +32,22 @@ the initializer draws, version-1 checkpoints store and the probe reads.
 States are (B, d) and sequences (B, S, d). slstm_forward computes every
 step's input pre-activations with one (B*S, d_input) x (d_input, 4d) GEMM
 before the time loop, inside which one (B, s) x (s, 4s) GEMM per head
-remains; slstm_step shares the gate arithmetic (_gate_update). The tape is
-time-major: one (S, B, 4d) buffer holds the pre-activations, overwritten by
-the gate activations, plus (S, B, d) arrays c, n and h. slstm_backward
-overwrites the gate buffer with the pre-activation gradients; after its
-loop, single GEMMs give the W, b and input gradients and one GEMM per head
-the R gradient, all in the kernel layout. Rows never interact in the
-recurrence, so both time loops run once per block of rows
-(tensorops.row_slices), with the state restarting for each block: a
-block's gate slice, state and temporaries stay in cache across its steps.
+remains. The tape is time-major: one (S, B, 4d) buffer holds the
+pre-activations, overwritten by the gate activations, plus (S, B, d)
+arrays c, n and h. slstm_backward overwrites the gate buffer with the
+pre-activation gradients; after its loop, single GEMMs give the W, b and
+input gradients and one GEMM per head the R gradient, all in the kernel
+layout. Rows never interact in the recurrence, so both time loops run once
+per block of rows (tensorops.row_slices), with the state restarting for
+each block: a block's gate slice, state and scratch stay in cache across
+its steps.
+
+Each block owns one gate-major (4, b, d) scratch and a few (b, d) work
+buffers, made per call. A step copies its (b, 4d) slab into the scratch
+once (forward adds the recurrent product on the way), runs the gate
+arithmetic in place on the contiguous (b, d) gates and copies the
+activations (or their gradients) back once. slstm_step runs the same loop
+(_forward_rows) for one step.
 """
 
 from __future__ import annotations
@@ -223,78 +230,95 @@ class SequenceTape:
     R: np.ndarray | None          # (H, s, 4s); None without memory mixing
 
 
-def _add_recurrent(pre: np.ndarray, h_prev: np.ndarray, R: np.ndarray) -> None:
-    """pre (B, 4d) += the per-head recurrent product of h_prev (B, H, s)."""
-    rec = np.matmul(h_prev.transpose(1, 0, 2), R)      # (H, B, 4s)
-    view = pre.reshape(pre.shape[0], R.shape[0], -1)
-    view += rec.transpose(1, 0, 2)
-
-
-def _log_gate(pre: np.ndarray, activation: str
-              ) -> tuple[np.ndarray, np.ndarray | None]:
-    """log(gate) and d log(gate) / d pre (None when it is 1), overflow-free."""
+def _gate_in_place(x: np.ndarray, activation: str, log: bool,
+                   dlog: np.ndarray | None) -> None:
+    """Overwrite the pre-activations x with the gate, or with log(gate) if
+    log; a sigmoid gate also writes d log(gate) / d x into dlog."""
     if activation == "exponential":
-        return pre, None
-    return log_sigmoid(pre), sigmoid(-pre)
+        if not log:
+            np.exp(x, out=x)
+    elif log:
+        sigmoid(-x, out=dlog)
+        x[...] = log_sigmoid(x)
+    else:
+        sigmoid(x, out=x)
+        np.subtract(1.0, x, out=dlog)
 
 
-def _gate_in_place(pre: np.ndarray, activation: str) -> np.ndarray | None:
-    """Overwrite pre with the gate; return d log(gate) / d pre (None: 1)."""
-    if activation == "exponential":
-        np.exp(pre, out=pre)
-        return None
-    pre[...] = sigmoid(pre)
-    return 1.0 - pre
+def _head_major(g: np.ndarray, n_heads: int) -> np.ndarray:
+    """The (b, H, 4, s) kernel-layout view of a gate-major (4, b, d) array."""
+    _, b, d = g.shape
+    return g.reshape(4, b, n_heads, d // n_heads).transpose(1, 2, 0, 3)
 
 
-def _gate_update(pre: np.ndarray, c_prev: np.ndarray, n_prev: np.ndarray,
-                 m_prev: np.ndarray | None, mode: GateMode, c: np.ndarray,
-                 n: np.ndarray | None, h: np.ndarray):
-    """The gate arithmetic of one step, for every GateMode.
+def _tape_arrays(S: int, B: int, d: int, mode: GateMode) -> list:
+    """Empty (S, B, d) arrays c, n, h, dlog_i, dlog_f; None where the mode
+    has none."""
+    return [np.empty((S, B, d)) if keep else None for keep in (
+        True, mode.normalizer, True, mode.input_activation == "sigmoid",
+        mode.forget_activation == "sigmoid")]
 
-    pre is a (B, H, 4, s) view of the step's pre-activations; it is
-    overwritten with the activations z, i_eff, d_eff and o. States are
-    (B, H, s); the new c, n and h are written into the given arrays (n is
-    None without the normalizer). Returns (m, dlog_i, dlog_f); m is None
-    outside stabilized mode.
-    """
-    z, i_eff, d_eff, o = (pre[:, :, k] for k in range(4))
-    np.tanh(z, out=z)
-    o[...] = sigmoid(o)
+
+def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
+                  n_heads: int, mode: GateMode, out: list) -> np.ndarray | None:
+    """The time loop of one block of b rows, in every GateMode: pre
+    (S, b, 4d) is overwritten with the activations z, i_eff, d_eff and o,
+    out holds the (S, b, d) arrays of _tape_arrays. Returns the stabilizer
+    m after the last step (None outside stabilized mode); a stabilized h
+    that is not finite raises FloatingPointError."""
+    S, b, _ = pre.shape
+    c_out, n_out, h_out, dlog_i, dlog_f = out
+    g = np.empty((4, b, h_out.shape[2]))
+    packed = _head_major(g, n_heads)
+    z, i_eff, d_eff, o = g
+    work = np.empty_like(z)
+    m = np.empty_like(z) if mode.stabilized else None
+    h, c, n, m_prev = init.h, init.c, init.n, init.m
     # raw arithmetic may overflow (the probe relies on it); stabilized may not
     errors = contextlib.nullcontext() if mode.stabilized else \
         np.errstate(over="ignore", invalid="ignore", divide="ignore")
     with errors:
-        if mode.stabilized:
-            log_i, dlog_i = _log_gate(i_eff, mode.input_activation)
-            log_f, dlog_f = _log_gate(d_eff, mode.forget_activation)
-            if m_prev is None:
-                # -inf sentinel: the forget branch cannot win the max, and
-                # the decay factor keeps the raw exp(log_f) scaling for c_0
-                # and n_0.
-                m = np.array(log_i)
+        for t in range(S):
+            slab = pre[t].reshape(packed.shape)
+            if R is None:
+                packed[...] = slab
             else:
-                log_f = log_f + m_prev
-                m = np.maximum(log_f, log_i)
-            np.exp(np.subtract(log_i, m, out=i_eff), out=i_eff)
-            np.exp(np.subtract(log_f, m, out=d_eff), out=d_eff)
-        else:
-            dlog_i = _gate_in_place(i_eff, mode.input_activation)
-            dlog_f = _gate_in_place(d_eff, mode.forget_activation)
-            m = None
-        np.multiply(d_eff, c_prev, out=c)
-        c += i_eff * z
-        if n is not None:
-            np.multiply(d_eff, n_prev, out=n)
-            n += i_eff
-            np.divide(c, n, out=h)
-        else:
-            np.tanh(c, out=h)
-        h *= o
-    if mode.stabilized and not np.all(np.isfinite(h)):
+                rec = np.matmul(h.reshape(b, n_heads, -1).transpose(1, 0, 2), R)
+                np.add(slab, rec.transpose(1, 0, 2).reshape(packed.shape),
+                       out=packed)
+            np.tanh(z, out=z)
+            sigmoid(o, out=o)
+            _gate_in_place(i_eff, mode.input_activation, mode.stabilized,
+                           None if dlog_i is None else dlog_i[t])
+            _gate_in_place(d_eff, mode.forget_activation, mode.stabilized,
+                           None if dlog_f is None else dlog_f[t])
+            if mode.stabilized:
+                # i_eff and d_eff hold log i and log f
+                if m_prev is None:
+                    # -inf sentinel: the forget branch cannot win the max,
+                    # and the decay factor keeps the raw exp(log f) scaling
+                    # for c_0 and n_0.
+                    np.copyto(m, i_eff)
+                else:
+                    d_eff += m_prev
+                    np.maximum(d_eff, i_eff, out=m)
+                m_prev = m
+                np.subtract(g[1:3], m, out=g[1:3])
+                np.exp(g[1:3], out=g[1:3])
+            c = np.multiply(d_eff, c, out=c_out[t])
+            c += np.multiply(i_eff, z, out=work)
+            if n_out is not None:
+                n = np.multiply(d_eff, n, out=n_out[t])
+                n += i_eff
+                h = np.divide(c, n, out=h_out[t])
+            else:
+                h = np.tanh(c, out=h_out[t])
+            h *= o
+            slab[...] = packed
+    if mode.stabilized and not np.isfinite(h_out).all():
         raise FloatingPointError("stabilized sLSTM step produced a "
                                  "non-finite hidden state")
-    return m, dlog_i, dlog_f
+    return m
 
 
 def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -313,20 +337,12 @@ def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
     if prev.h.shape != (x.shape[0], params.d_hidden):
         raise ShapeError(f"slstm_step: state {prev.h.shape} vs "
                          f"expected {(x.shape[0], params.d_hidden)}")
-    H, B = params.n_heads, x.shape[0]
     pre = x @ params.W.T
     pre += params.b
-    if params.R is not None:
-        _add_recurrent(pre, _heads(prev.h, H), params.R)
-    c, h = np.empty((B, params.d_hidden)), np.empty((B, params.d_hidden))
-    n = np.empty((B, params.d_hidden)) if mode.normalizer else None
-    m, _, _ = _gate_update(
-        pre.reshape(B, H, 4, -1), _heads(prev.c, H), _heads(prev.n, H),
-        None if prev.m is None else _heads(prev.m, H), mode,
-        _heads(c, H), None if n is None else _heads(n, H), _heads(h, H))
-    state = SLSTMState(h=h, c=c, n=prev.n if n is None else n,
-                       m=None if m is None else m.reshape(B, -1))
-    return state, pre
+    out = _tape_arrays(1, x.shape[0], params.d_hidden, mode)
+    m = _forward_rows(pre[None], prev, params.R, params.n_heads, mode, out)
+    c, n, h = (None if a is None else a[0] for a in out[:3])
+    return SLSTMState(h=h, c=c, n=prev.n if n is None else n, m=m), pre
 
 
 def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
@@ -362,36 +378,15 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, 4 * d))
     del x_rows
     gates += params.b
-    tape = SequenceTape(
-        x=x_seq, init=init, gates=gates, c=np.empty((S, B, d)),
-        n=np.empty((S, B, d)) if mode.normalizer else None,
-        h=np.empty((S, B, d)),
-        dlog_i=np.empty((S, B, d)) if mode.input_activation == "sigmoid" else None,
-        dlog_f=np.empty((S, B, d)) if mode.forget_activation == "sigmoid" else None,
-        W=params.W.copy(), R=R)
-
-    c_all, n_all, h_all = (None if a is None else _heads(a, H)
-                           for a in (tape.c, tape.n, tape.h))
+    out = _tape_arrays(S, B, d, mode)
+    tape = SequenceTape(x_seq, init, gates, *out, W=params.W.copy(), R=R)
     # the time loop runs once per block of rows: rows are independent, and a
-    # block's gate slice, state and temporaries stay in cache across steps
+    # block's gate slice, state and scratch stay in cache across steps
     for blk in row_slices(gates.shape[1:]):
-        h, c, n = (_heads(a[blk], H) for a in (init.h, init.c, init.n))
-        m = None if init.m is None else _heads(init.m[blk], H)
-        for t in range(S):
-            pre = gates[t, blk]
-            if R is not None:
-                _add_recurrent(pre, h, R)
-            n_t = None if n_all is None else n_all[t, blk]
-            m, dlog_i, dlog_f = _gate_update(
-                pre.reshape(pre.shape[0], H, 4, -1), c, n, m, mode,
-                c_all[t, blk], n_t, h_all[t, blk])
-            c, h = c_all[t, blk], h_all[t, blk]
-            if n_t is not None:
-                n = n_t
-            if dlog_i is not None:
-                _heads(tape.dlog_i[t, blk], H)[...] = dlog_i
-            if dlog_f is not None:
-                _heads(tape.dlog_f[t, blk], H)[...] = dlog_f
+        rows = SLSTMState(*(None if a is None else a[blk]
+                            for a in (init.h, init.c, init.n, init.m)))
+        _forward_rows(gates[:, blk], rows, R, H, mode,
+                      [None if a is None else a[:, blk] for a in out])
     h_seq = tape.h.transpose(1, 0, 2)
     if squeeze:
         h_seq = h_seq[0]
@@ -422,55 +417,63 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     R_t = None if tape.R is None else tape.R.transpose(0, 2, 1)
     # the gate buffer becomes the pre-activation gradient buffer
     grad_pre, tape.gates = tape.gates, None
-    act = grad_pre.reshape(S, B, H, 4, s)
-    c_all = _heads(tape.c, H)
-    n_all = None if tape.n is None else _heads(tape.n, H)
     init = tape.init
     for blk in row_slices(grad_pre.shape[1:]):
+        # per block: the step's gates, gate-major, and (b, d) work buffers
+        g = np.empty((4, blk.stop - blk.start, d))
+        packed = _head_major(g, H)
+        z, i_eff, d_eff, o = g
+        gh, hbar, gc, gn, into_i, into_f, gc_next, gn_next = np.empty(
+            (8,) + z.shape)
         gh_carry = gc_carry = gn_carry = 0.0
         for t in range(S - 1, -1, -1):
-            z, i_eff, d_eff, o = (act[t, blk, :, k] for k in range(4))
-            c = c_all[t, blk]
-            c_prev = c_all[t - 1, blk] if t else _heads(init.c[blk], H)
-            gh = _heads(grad_h_seq[blk, t], H) + gh_carry
+            slab = grad_pre[t, blk].reshape(packed.shape)
+            packed[...] = slab
+            c_prev = tape.c[t - 1, blk] if t else init.c[blk]
+            np.add(_heads(grad_h_seq[blk, t], H), gh_carry, out=_heads(gh, H))
             if mode.normalizer:
-                n = n_all[t, blk]
-                n_prev = n_all[t - 1, blk] if t else _heads(init.n[blk], H)
-                hbar = c / n
-                a = gh * o
+                n = tape.n[t, blk]
+                n_prev = tape.n[t - 1, blk] if t else init.n[blk]
+                np.divide(tape.c[t, blk], n, out=hbar)
+                a = np.multiply(gh, o, out=gn)
                 a /= n
-                gc = a + gc_carry
+                np.add(a, gc_carry, out=gc)
                 a *= hbar
-                gn = gn_carry - a
-                gn_carry = gn * d_eff
-                into_i = gc * z
+                np.subtract(gn_carry, a, out=gn)
+                gn_carry = np.multiply(gn, d_eff, out=gn_next)
+                np.multiply(gc, z, out=into_i)
                 into_i += gn
-                into_f = gc * c_prev
-                into_f += gn * n_prev
+                np.multiply(gc, c_prev, out=into_f)
+                into_f += np.multiply(gn, n_prev, out=gn)
             else:
-                hbar = np.tanh(c)
-                gc = gh * o * (1.0 - hbar * hbar) + gc_carry
-                into_i = gc * z
-                into_f = gc * c_prev
-            gc_carry = gc * d_eff
+                np.tanh(tape.c[t, blk], out=hbar)
+                np.multiply(hbar, hbar, out=gn)
+                np.subtract(1.0, gn, out=gn)
+                np.multiply(gh, o, out=gc)
+                gc *= gn
+                gc += gc_carry
+                np.multiply(gc, z, out=into_i)
+                np.multiply(gc, c_prev, out=into_f)
+            gc_carry = np.multiply(gc, d_eff, out=gc_next)
             # each activation is overwritten by its pre-activation gradient
             # after its last use
-            g_z = z * z
+            g_z = np.multiply(z, z, out=gn)
             np.subtract(1.0, g_z, out=g_z)
             g_z *= gc
             np.multiply(g_z, i_eff, out=z)
             np.multiply(into_i, i_eff, out=i_eff)
             np.multiply(into_f, d_eff, out=d_eff)
             if tape.dlog_i is not None:
-                i_eff *= _heads(tape.dlog_i[t, blk], H)
+                i_eff *= tape.dlog_i[t, blk]
             if tape.dlog_f is not None:
-                d_eff *= _heads(tape.dlog_f[t, blk], H)
-            g_o = gh * hbar
-            g_o *= 1.0 - o
+                d_eff *= tape.dlog_f[t, blk]
+            g_o = np.multiply(gh, hbar, out=gh)
+            g_o *= np.subtract(1.0, o, out=hbar)
             np.multiply(g_o, o, out=o)
+            slab[...] = packed
             if R_t is not None:
-                g_pre = _heads(grad_pre[t, blk], H)
-                rec = np.matmul(g_pre.transpose(1, 0, 2), R_t)
+                rec = np.matmul(_heads(grad_pre[t, blk], H).transpose(1, 0, 2),
+                                R_t)
                 gh_carry = rec.transpose(1, 0, 2)
 
     rows = grad_pre.reshape(S * B, 4 * d)

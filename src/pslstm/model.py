@@ -18,6 +18,7 @@ patches at each time index instead; the backbone width becomes E*M.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Literal
 
@@ -339,16 +340,18 @@ def load_checkpoint(path) -> Forecaster:
         except ValueError as exc:      # bad JSON or bad UTF-8
             raise DataError(f"malformed checkpoint: {exc}") from exc
     version = blob.get("version") if isinstance(blob, dict) else None
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise DataError(f"unsupported checkpoint version {version!r}")
     try:
         model = Forecaster(from_dict(ModelConfig, blob["config"]), seed=0)
-        stored = {name: np.array(entry["data"], dtype=np.float64)
-                  .reshape(entry["shape"])
+        stored = {name: _stored_array(name, entry)
                   for name, entry in blob["params"].items()}
         if version == 1:
             _convert_version_1(stored, model)
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except DataError:
+        raise
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise DataError(f"malformed checkpoint: {exc!r}") from exc
     missing = sorted(set(model.params) - set(stored))
     unknown = sorted(set(stored) - set(model.params))
@@ -360,6 +363,25 @@ def load_checkpoint(path) -> Forecaster:
             raise DataError(f"checkpoint shape mismatch for {name}")
         model.params[name][...] = arr
     return model
+
+
+def _stored_array(name: str, entry) -> np.ndarray:
+    """One checkpoint entry's array; DataError unless its shape is a list of
+    non-negative ints and its data a flat list of prod(shape) finite
+    numbers (bools are neither)."""
+    shape, data = (entry.get(k) if isinstance(entry, dict) else None
+                   for k in ("shape", "data"))
+    if not (isinstance(shape, list)
+            and all(type(k) is int and k >= 0 for k in shape)
+            and isinstance(data, list) and len(data) == math.prod(shape)
+            and set(map(type, data)) <= {int, float}):
+        raise DataError(f"checkpoint entry {name}: shape must be a list of "
+                        f"non-negative ints, data a flat list of that many "
+                        f"numbers")
+    arr = np.array(data, dtype=np.float64)    # OverflowError: a huge int
+    if not np.isfinite(arr).all():
+        raise DataError(f"checkpoint entry {name}: non-finite data")
+    return arr.reshape(shape)
 
 
 def _convert_version_1(stored: dict[str, np.ndarray], model: Forecaster) -> None:

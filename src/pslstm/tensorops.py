@@ -50,10 +50,13 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function as 0.5 * (1 + tanh(x / 2)); saturates to {0, 1}
-    cleanly, without overflow warnings."""
-    out = np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+    cleanly, without overflow warnings. out may be x itself."""
+    if out is None:
+        out = np.tanh(0.5 * np.asarray(x, dtype=np.float64))
+    else:
+        np.tanh(np.multiply(0.5, x, out=out), out=out)
     out *= 0.5      # 0.5 + 0.5 t rounds exactly like 0.5 * (1 + t)
     out += 0.5
     return out

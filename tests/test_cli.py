@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import tempfile
 import typing
@@ -438,6 +439,84 @@ def test_eval_version_1_checkpoint_missing_gate_exits_data(tmp_path, capsys):
     assert run(tmp_path, "eval", "--config", cfg,
                "--checkpoint", str(ckpt)) == EXIT_DATA
     assert "block0.R_o" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """{version: (config path, checkpoint object)}: a trained version-2
+    checkpoint and the shipped version-1 file, each with a config it fits."""
+    tmp = tmp_path_factory.mktemp("checkpoints")
+    cfg = write_config(tmp)
+    run(tmp, "train", "--config", cfg)
+    v2 = json.loads((tmp / "runs" / "train" / "checkpoint.json").read_text())
+    cfg_v1 = write_config(tmp, "config_v1.json",
+                          model={**TINY_MODEL, "n_channels": 2},
+                          data={"source": "synthetic",
+                                "params": {"length": 400, "period": 24,
+                                           "channels": 2}})
+    v1 = json.loads((DATA / "v1_heads2.json").read_text())
+    return {2: (cfg, v2), 1: (cfg_v1, v1)}
+
+
+CHECKPOINT_DEFECTS = ["truncated", "version", "config", "params", "entry",
+                      "shape", "data", "data_value", "version_swap"]
+
+
+def other_kinds(*legal):
+    """A JSON value of any kind but the legal ones."""
+    return st.one_of([JSON_VALUES[k] for k in sorted(JSON_VALUES.keys()
+                                                     - set(legal))])
+
+
+def break_checkpoint(data, defect, blob) -> str:
+    """The checkpoint's JSON text with exactly one defect."""
+    blob = json.loads(json.dumps(blob))
+    name = data.draw(st.sampled_from(sorted(blob["params"])))
+    entry = blob["params"][name]
+    if defect == "truncated":
+        text = json.dumps(blob)
+        return text[:data.draw(st.integers(0, len(text) - 1))]
+    if defect == "version":
+        blob["version"] = data.draw(other_kinds("int"))
+    elif defect in ("config", "params"):
+        blob[defect] = data.draw(other_kinds("object"))
+    elif defect == "entry":
+        blob["params"][name] = data.draw(other_kinds("object"))
+    elif defect == "shape":
+        shape = entry["shape"]
+        bad = data.draw(other_kinds("int") | st.integers(-3, -1))
+        entry["shape"] = data.draw(st.sampled_from([
+            data.draw(other_kinds("list")), shape[:-1] + [bad]]))
+    elif defect == "data":
+        entry["data"] = data.draw(other_kinds("list"))
+    elif defect == "data_value":
+        k = data.draw(st.integers(0, len(entry["data"]) - 1))
+        entry["data"][k] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf, 10**400])
+            | other_kinds("int", "float"))
+    elif defect == "version_swap":
+        blob["version"] = 3 - blob["version"]
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize("defect", CHECKPOINT_DEFECTS)
+@settings(max_examples=12)
+@given(data=st.data())
+def test_broken_checkpoint_exits_data_with_one_error_line(checkpoints, defect,
+                                                          data):
+    # truncated JSON, a wrong JSON kind anywhere, non-finite, bool or nested
+    # data, a version swap: exit 3, never a traceback, a result or exit 4
+    cfg, blob = checkpoints[data.draw(st.sampled_from([1, 2]))]
+    text = break_checkpoint(data, defect, blob)
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        path = Path(tmp) / "checkpoint.json"
+        path.write_text(text)
+        code = main(["eval", "--config", cfg, "--checkpoint", str(path),
+                     "--output-dir", str(Path(tmp) / "runs"), "--force"])
+    lines = err.getvalue().splitlines()
+    assert code == EXIT_DATA, (defect, lines)
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
 
 
 # -- probe ------------------------------------------------------------------

@@ -242,3 +242,59 @@ def test_every_gate_mode_blocks_a_tail(mode):
     check_blocked(case)
     if not mode.stabilized:
         check_blocked(case, forget_bias=150.0)
+
+
+# -- no state shared across calls ---------------------------------------------
+
+def tape_bytes(h, tape):
+    return [a.tobytes() for a in (h, tape.gates, tape.c, tape.n, tape.h,
+                                  tape.dlog_i, tape.dlog_f) if a is not None]
+
+
+def grad_bytes(grads, grad_x):
+    return [grads[k].tobytes() for k in sorted(grads)] + [grad_x.tobytes()]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=mode_id)
+def test_interleaved_calls_share_no_scratch(mode):
+    # A forward, B forward, B backward, A backward gives the bytes of the two
+    # calls run one after the other; 7 rows run in blocks of 3
+    calls = []
+    for seed in (31, 32):
+        case = dict(batch=7, steps=5, d_in=3, d=4, n_heads=2, seed=seed,
+                    init="state_with_m" if mode.stabilized else "state",
+                    mode=mode)
+        params, x, init, _ = build(case)
+        grad = Rng(seed).spawn(3).normal((7, 5, 4), 0.0, 1.0)
+        calls.append((params, x, init, grad))
+    with mock.patch.object(tensorops, "_CHUNK", 3 * 4 * 4):
+        alone = []
+        for params, x, init, grad in calls:
+            h, tape = slstm_forward(params, x, init, mode)
+            out = tape_bytes(h, tape)
+            alone.append(out + grad_bytes(*slstm_backward(params, tape, grad,
+                                                          mode)))
+        (pa, xa, ia, ga), (pb, xb, ib, gb) = calls
+        ha, tape_a = slstm_forward(pa, xa, ia, mode)
+        hb, tape_b = slstm_forward(pb, xb, ib, mode)
+        out_b = tape_bytes(hb, tape_b)
+        out_b += grad_bytes(*slstm_backward(pb, tape_b, gb, mode))
+        out_a = tape_bytes(ha, tape_a)
+        out_a += grad_bytes(*slstm_backward(pa, tape_a, ga, mode))
+    assert out_a == alone[0]
+    assert out_b == alone[1]
+
+
+@pytest.mark.parametrize("mode", [m for m in ALL_MODES if m.stabilized],
+                         ids=mode_id)
+def test_non_finite_state_in_the_last_block_raises(mode):
+    # the finiteness check covers every block and every step: a NaN input
+    # in the last row at the last step, with 7 rows in blocks of 3
+    case = dict(batch=7, steps=5, d_in=3, d=4, n_heads=2, seed=11,
+                init="none", mode=mode)
+    params, x, init, _ = build(case)
+    with mock.patch.object(tensorops, "_CHUNK", 3 * 4 * 4):
+        slstm_forward(params, x, init, mode)
+        x[-1, -1, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            slstm_forward(params, x, init, mode)
