@@ -48,6 +48,13 @@ once (forward adds the recurrent product on the way), runs the gate
 arithmetic in place on the contiguous (b, d) gates and copies the
 activations (or their gradients) back once. slstm_step runs the same loop
 (_forward_rows) for one step.
+
+slstm_predict is the evaluation path through the same loop and the same
+row blocks, bit for bit slstm_forward's h. Per block it allocates one
+(b, S, 4d) input-GEMM buffer (reused by every block of the call), the gate
+scratch and a few (b, d) arrays: c, n and any sigmoid dlog are each one
+(b, d) buffer rewritten at every step. It writes only h, batch-major: no
+(S, B, 4d) gate buffer, no c or n tape and no copy of W or R.
 """
 
 from __future__ import annotations
@@ -345,6 +352,24 @@ def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
     return SLSTMState(h=h, c=c, n=prev.n if n is None else n, m=m), pre
 
 
+def _sequence(caller: str, params: SLSTMParams,
+              x_seq: np.ndarray) -> tuple[np.ndarray, bool]:
+    """x_seq as a float64 (B, S, d_input) array, and whether it came as
+    (S, d_input); ShapeError for any other shape."""
+    x_seq = np.asarray(x_seq, dtype=np.float64)
+    squeeze = x_seq.ndim == 2
+    if squeeze:
+        x_seq = x_seq[None]
+    if x_seq.ndim != 3:
+        raise ShapeError(f"{caller}: expected (B, S, d), got {x_seq.shape}")
+    if x_seq.shape[1] < 1:
+        raise ShapeError(f"{caller}: empty sequence")
+    if x_seq.shape[2] != params.d_input:
+        raise ShapeError(f"{caller}: input width {x_seq.shape[2]} vs "
+                         f"d_input {params.d_input}")
+    return x_seq, squeeze
+
+
 def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
                   init: SLSTMState | None = None,
                   mode: GateMode = GateMode()) -> tuple[np.ndarray, SequenceTape]:
@@ -353,19 +378,9 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     Returns h_seq with a matching leading layout (a view of the tape's h)
     and the tape for backward.
     """
-    x_seq = np.asarray(x_seq, dtype=np.float64)
-    squeeze = x_seq.ndim == 2
-    if squeeze:
-        x_seq = x_seq[None]
-    if x_seq.ndim != 3:
-        raise ShapeError(f"slstm_forward: expected (B, S, d), got {x_seq.shape}")
+    x_seq, squeeze = _sequence("slstm_forward", params, x_seq)
     B, S, d_in = x_seq.shape
     d, H = params.d_hidden, params.n_heads
-    if S < 1:
-        raise ShapeError("slstm_forward: empty sequence")
-    if d_in != params.d_input:
-        raise ShapeError(f"slstm_forward: input width {d_in} vs "
-                         f"d_input {params.d_input}")
     init = init if init is not None else SLSTMState.zeros(B, d)
     if init.h.shape != (B, d):
         raise ShapeError(f"slstm_forward: state {init.h.shape} vs "
@@ -391,6 +406,46 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     if squeeze:
         h_seq = h_seq[0]
     return h_seq, tape
+
+
+def slstm_predict(params: SLSTMParams, x_seq: np.ndarray,
+                  mode: GateMode = GateMode()) -> np.ndarray:
+    """slstm_forward(params, x_seq, None, mode)[0] bit for bit, without a
+    tape: the evaluation path. x_seq: (B, S, d_input) or (S, d_input);
+    h_seq is a new batch-major array.
+
+    Runs slstm_forward's row blocks through the same time loop. One
+    (b, S, 4d) buffer, b the rows of a full block, takes each block's input
+    GEMM over its contiguous (b*S, d_input) rows, and the loop overwrites
+    its time-major view. c, n and the sigmoid dlog arrays are one (b, d)
+    buffer each, rewritten every step, so only h is written out.
+    """
+    x_seq, squeeze = _sequence("slstm_predict", params, x_seq)
+    B, S, d_in = x_seq.shape
+    d = params.d_hidden
+    h_seq = np.empty((B, S, d))
+    blocks = row_slices((B, 4 * d))
+    rows = blocks[0].stop
+    pre = np.empty((rows, S, 4 * d))
+    for blk in blocks:
+        # Every GEMM has a full block's shape, the last one reaching back
+        # into the block before it: BLAS may run a smaller product with
+        # another kernel (OpenBLAS's small-matrix one), which rounds unlike
+        # slstm_forward's one GEMM. (A one-row, one-step block, at d > 4096,
+        # runs as a GEMV and may still differ in the last bit.)
+        lo = max(blk.stop - rows, 0)
+        np.matmul(x_seq[lo:blk.stop].reshape(rows * S, d_in), params.W.T,
+                  out=pre.reshape(rows * S, 4 * d))
+        gates = pre[blk.start - lo:]
+        gates += params.b
+        b = blk.stop - blk.start
+        out = [None if a is None else np.lib.stride_tricks.as_strided(
+                   a[0], (S, b, d), (0,) + a.strides[1:])
+               for a in _tape_arrays(1, b, d, mode)]
+        out[2] = h_seq[blk].transpose(1, 0, 2)
+        _forward_rows(gates.transpose(1, 0, 2), SLSTMState.zeros(b, d),
+                      params.R, params.n_heads, mode, out)
+    return h_seq[0] if squeeze else h_seq
 
 
 def slstm_backward(params: SLSTMParams, tape: SequenceTape,

@@ -13,6 +13,9 @@ Pipeline for a batch x of shape (B, L, M):
 Under channel independence every channel shares the same backbone, so the
 parameter count is independent of M. Channel mixing concatenates the M
 patches at each time index instead; the backbone width becomes E*M.
+
+Forecaster.forward keeps a tape for backward; Forecaster.predict, the
+evaluation path, runs the same pipeline to the same bytes and keeps none.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Literal
 import numpy as np
 
 from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
-                    slstm_forward)
+                    slstm_forward, slstm_predict)
 from .tensorops import (DataError, Rng, ShapeError, check_fields, from_dict,
                         row_slices)
 
@@ -179,31 +182,43 @@ class Forecaster:
             a *= keep
             a *= 1.0 / (1.0 - self.config.dropout_rate)
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                dropout_rng: Rng | None = None) -> tuple[np.ndarray, ModelTape]:
+    def _embed(self, x: np.ndarray):
+        """Check x, instance-normalize it, arrange its patches and embed
+        them: returns (mu, sigma, patches, u), u of shape (rows, N, width)."""
         c = self.config
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != c.lookback or x.shape[2] != c.n_channels:
             raise ShapeError(f"forward: expected (B, {c.lookback}, "
                              f"{c.n_channels}), got {x.shape}")
-        B = x.shape[0]
-        drop = c.dropout_rate if training else 0.0
-        if drop > 0 and dropout_rng is None:
-            raise ValueError("training forward with dropout needs a dropout_rng")
-
         if c.instance_norm:
             mu = x.mean(axis=1, keepdims=True)
             sigma = x.std(axis=1, keepdims=True) + _INORM_EPS
             xn = (x - mu) / sigma
         else:
-            mu = np.zeros((B, 1, c.n_channels))
-            sigma = np.ones((B, 1, c.n_channels))
+            mu = np.zeros((x.shape[0], 1, c.n_channels))
+            sigma = np.ones((x.shape[0], 1, c.n_channels))
             xn = x
-
         patches = self._arrange(xn)
         u = (patches.reshape(-1, self.in_width) @ self.params["embed.W"].T) \
             .reshape(patches.shape[:2] + (self.width,))
         u += self.params["embed.b"]
+        return mu, sigma, patches, u
+
+    def _head(self, flat: np.ndarray, mu: np.ndarray,
+              sigma: np.ndarray) -> np.ndarray:
+        """The forecast (B, T, M) from the flattened last block output."""
+        c = self.config
+        out_rows = flat @ self.params["head.W"].T + self.params["head.b"]
+        yhat_n = _unpatch_rows(mu.shape[0], c.n_channels, c.horizon, out_rows)
+        return yhat_n * sigma + mu
+
+    def forward(self, x: np.ndarray, training: bool = False,
+                dropout_rng: Rng | None = None) -> tuple[np.ndarray, ModelTape]:
+        c = self.config
+        mu, sigma, patches, u = self._embed(x)
+        drop = c.dropout_rate if training else 0.0
+        if drop > 0 and dropout_rng is None:
+            raise ValueError("training forward with dropout needs a dropout_rng")
         rng = dropout_rng if drop > 0 else None
         masks = [self._keep_mask(u.shape, rng)]
         self._apply_keep(u, masks[0])
@@ -217,36 +232,49 @@ class Forecaster:
             ln_caches.append((xhat, std))
 
         flat = u.reshape(u.shape[0], -1)
-        out_rows = flat @ self.params["head.W"].T + self.params["head.b"]
-        yhat_n = _unpatch_rows(B, c.n_channels, c.horizon, out_rows)
-        yhat = yhat_n * sigma + mu
         tape = ModelTape(mu=mu, sigma=sigma, patches=patches,
                          cell_tapes=cell_tapes, ln_caches=ln_caches,
                          dropout_masks=masks, flat=flat)
-        return yhat, tape
+        return self._head(flat, mu, sigma), tape
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """forward(x)[0] bit for bit, without a tape: the evaluation path.
+
+        Each block runs slstm_predict, which keeps only h, and the layer
+        norm then writes the residual sum and its output over that h, one
+        row block at a time, keeping no cache.
+        """
+        mu, sigma, _, u = self._embed(x)
+        for k, cell in enumerate(self.blocks):
+            h_seq = slstm_predict(cell, u, self.config.gate_mode)
+            u = self._layer_norm(k, u, h_seq, cache=False)
+        return self._head(u.reshape(u.shape[0], -1), mu, sigma)
 
     def _layer_norm(self, k: int, u: np.ndarray, h_seq: np.ndarray,
-                    keep: np.ndarray | None):
+                    keep: np.ndarray | None = None, cache: bool = True):
         """Block k's layer norm of the residual sum u + h_seq over the width,
         its gain and bias, then the dropout keep-mask. Rows are independent,
-        so this runs one row block at a time, writing into whole arrays.
-        Returns (xhat, std, output); the sum of squares over the width
-        repeats np.var's arithmetic bit for bit."""
+        so this runs one row block at a time. With cache it writes into new
+        arrays and returns (xhat, std, output) for the backward; without
+        (evaluation) it writes the sum and then the output over h_seq and
+        returns only that. The sum of squares over the width repeats
+        np.var's arithmetic bit for bit."""
         gain = self.params[f"block{k}.ln_gain"]
         bias = self.params[f"block{k}.ln_bias"]
-        xhat, out = np.empty_like(u), np.empty_like(u)
-        std = np.empty(u.shape[:-1] + (1,))
+        xhat = out = h_seq
+        std = None
+        if cache:
+            xhat, out = np.empty_like(u), np.empty_like(u)
+            std = np.empty(u.shape[:-1] + (1,))
         for blk in row_slices(u.shape):
             x = np.add(u[blk], h_seq[blk], out=xhat[blk])
             x -= x.mean(axis=-1, keepdims=True)
-            sd = std[blk]
-            np.sqrt(np.sum(x * x, axis=-1, keepdims=True) / self.width
-                    + _LN_EPS, out=sd)
-            x /= sd
+            x /= np.sqrt(np.sum(x * x, axis=-1, keepdims=True) / self.width
+                         + _LN_EPS, out=None if std is None else std[blk])
             y = np.multiply(x, gain, out=out[blk])
             y += bias
             self._apply_keep(y, None if keep is None else keep[blk])
-        return xhat, std, out
+        return (xhat, std, out) if cache else out
 
     def _layer_norm_backward(self, k: int, g_u: np.ndarray, xhat: np.ndarray,
                              std: np.ndarray, keep: np.ndarray | None):

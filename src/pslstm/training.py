@@ -253,8 +253,14 @@ def _score(dataset: WindowedDataset, split: str, batch_size: int,
 
 def evaluate(model: Forecaster, dataset: WindowedDataset,
              split: str = "test", batch_size: int = 64) -> Metrics:
-    """MSE/MAE over every window of the split, on the standardized scale."""
-    return _score(dataset, split, batch_size, lambda x: model.forward(x)[0])
+    """MSE/MAE over every window of the split, on the standardized scale.
+
+    Scores model.predict, the tape-free path: per batch it allocates the
+    embedding, one h array per block (the layer norm's output overwrites
+    it) and, per row block of the cell, an input-GEMM buffer and a few
+    (b, d) states. It writes no gate, c or n tape and no layer-norm cache,
+    and predicts the bytes of model.forward(x)[0]."""
+    return _score(dataset, split, batch_size, model.predict)
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

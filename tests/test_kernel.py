@@ -9,7 +9,8 @@ exactly the same places.
 
 The kernel runs its time loops one block of rows at a time; the unblocked
 reference is the same kernel with the row-block budget patched to hold
-every row.
+every row. The tape-free slstm_predict must give slstm_forward's h byte
+for byte.
 """
 
 import contextlib
@@ -21,9 +22,10 @@ import pytest
 from hypothesis import given, seed, strategies as st
 
 from pslstm.cells import (GateMode, SLSTMParams, SLSTMState, grad_check,
-                          slstm_backward, slstm_forward, slstm_step)
+                          slstm_backward, slstm_forward, slstm_predict,
+                          slstm_step)
 from pslstm import tensorops
-from pslstm.tensorops import Rng
+from pslstm.tensorops import Rng, ShapeError
 
 ACTIVATIONS = ("exponential", "sigmoid")
 ALL_MODES = [
@@ -298,3 +300,106 @@ def test_non_finite_state_in_the_last_block_raises(mode):
         x[-1, -1, 0] = np.nan
         with pytest.raises(FloatingPointError):
             slstm_forward(params, x, init, mode)
+
+
+# -- the tape-free evaluation path ------------------------------------------
+
+def predict_and_forward(params, x, mode, rows_per_block):
+    """(slstm_predict, slstm_forward's h) with the given rows per row
+    block; FloatingPointError in place of a call that raised it."""
+    out = []
+    budget = rows_per_block * 4 * params.d_hidden
+    with mock.patch.object(tensorops, "_CHUNK", budget):
+        for run in (lambda: slstm_predict(params, x, mode),
+                    lambda: slstm_forward(params, x, None, mode)[0]):
+            try:
+                out.append(run())
+            except FloatingPointError:
+                out.append(FloatingPointError)
+    return out
+
+
+def check_predict(case, forget_bias=None):
+    params, x, _, mode = build(case, forget_bias)
+    predicted, forward = predict_and_forward(params, x, mode, case["block"])
+    if predicted is FloatingPointError or forward is FloatingPointError:
+        assert predicted is forward
+        return
+    assert predicted.shape == forward.shape
+    # bytes: inf and NaN in the same places, every finite value to the bit
+    assert predicted.tobytes() == np.ascontiguousarray(forward).tobytes()
+
+
+@given(blocked_cases())
+def test_predict_is_bitwise_the_forward_h(case):
+    check_predict(case)
+
+
+@given(blocked_cases(overflow=True))
+def test_predict_keeps_raw_overflow_bitwise(case):
+    check_predict(case, forget_bias=150.0)
+
+
+# ALL_MODES holds every GateMode, LSTM_MODE among them
+@pytest.mark.parametrize("mode", ALL_MODES, ids=mode_id)
+@pytest.mark.parametrize("batch, steps, block", [
+    (7, 8, 3),      # a tail block of one row; raw mode overflows
+    (8, 4, 3),      # a tail block of two rows
+    (1, 5, 3),      # one row
+    (7, 1, 3),      # one step: a one-row tail GEMM would round differently
+    (6, 3, 100),    # one block
+])
+def test_predict_in_every_gate_mode(mode, batch, steps, block):
+    case = dict(batch=batch, steps=steps, d_in=3, d=4, n_heads=2, seed=11,
+                init="none", mode=mode, block=block)
+    check_predict(case)
+    if not mode.stabilized:
+        check_predict(case, forget_bias=150.0)
+
+
+def test_predict_tail_gemm_has_a_full_block_shape():
+    # d_input 48, 4d = 64, blocks of 5 rows: the two-row tail's own
+    # (8, 48) x (48, 64) GEMM would take OpenBLAS's small-matrix kernel and
+    # round unlike slstm_forward's one GEMM
+    case = dict(batch=7, steps=4, d_in=48, d=16, n_heads=2, seed=13,
+                init="none", mode=GateMode(), block=5)
+    check_predict(case)
+
+
+def test_predict_overflow_regime_is_reached():
+    # the raw overflow checks above would be vacuous if h stayed finite
+    case = dict(batch=7, steps=8, d_in=3, d=4, n_heads=2, seed=11,
+                init="none", mode=GateMode(stabilized=False))
+    params, x, _, mode = build(case, forget_bias=150.0)
+    h = slstm_predict(params, x, mode)
+    assert not np.isfinite(h).all() and np.isfinite(h).any()
+
+
+def test_predict_squeezes_a_single_sequence():
+    params, x, _, mode = build(dict(batch=1, steps=4, d_in=3, d=4, n_heads=2,
+                                    seed=5, init="none", mode=GateMode()))
+    h = slstm_predict(params, x[0], mode)
+    assert h.shape == (4, 4)
+    assert h.tobytes() == slstm_forward(params, x[0], None, mode)[0].tobytes()
+
+
+@pytest.mark.parametrize("bad", [(2, 0, 3), (2, 4, 2), (2, 3, 4, 3), (3,)])
+def test_predict_rejects_what_forward_rejects(bad):
+    params, _, _, mode = build(dict(batch=2, steps=4, d_in=3, d=4, n_heads=2,
+                                    seed=5, init="none", mode=GateMode()))
+    for run in (slstm_predict, lambda p, x, m: slstm_forward(p, x, None, m)):
+        with pytest.raises(ShapeError):
+            run(params, np.zeros(bad), mode)
+
+
+@pytest.mark.parametrize("mode", [m for m in ALL_MODES if m.stabilized],
+                         ids=mode_id)
+def test_predict_raises_on_a_non_finite_state_in_the_last_block(mode):
+    case = dict(batch=7, steps=5, d_in=3, d=4, n_heads=2, seed=11,
+                init="none", mode=mode)
+    params, x, _, _ = build(case)
+    with mock.patch.object(tensorops, "_CHUNK", 3 * 4 * 4):
+        slstm_predict(params, x, mode)
+        x[-1, -1, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            slstm_predict(params, x, mode)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pslstm import tensorops
-from pslstm.cells import GateMode, grad_check
+from pslstm.cells import LSTM_MODE, GateMode, grad_check
 from pslstm.model import (Forecaster, ModelConfig, load_checkpoint, patchify,
                           save_checkpoint)
 from pslstm.tensorops import DataError, Rng, ShapeError, from_dict
@@ -162,6 +162,79 @@ def test_dropout_off_at_evaluation_time():
     assert np.array_equal(a, b)
 
 
+# -- the tape-free evaluation path ------------------------------------------
+
+PREDICT_CASES = {
+    "independent": {},
+    "mixed": dict(channel_strategy="mixed"),
+    "two_blocks": dict(n_blocks=2),
+    "no_instance_norm": dict(instance_norm=False),
+    "lstm_two_blocks_mixed": dict(n_blocks=2, channel_strategy="mixed",
+                                  gate_mode=LSTM_MODE),
+    "no_memory_mixing": dict(gate_mode=GateMode(memory_mixing=False)),
+}
+
+
+@pytest.mark.parametrize("rows_per_block", [2, 10**6])
+@pytest.mark.parametrize("name", sorted(PREDICT_CASES))
+def test_predict_is_bitwise_forward(name, rows_per_block):
+    # 5 windows x 3 channels = 15 rows: blocks of 2 leave a tail of 1
+    cfg = tiny_config(n_channels=3, embed_dim=16, n_heads=4, dropout_rate=0.2,
+                      **PREDICT_CASES[name])
+    model = Forecaster(cfg, seed=3)
+    x = Rng(4).normal((5, cfg.lookback, 3), 0.0, 2.0)
+    with mock.patch.object(tensorops, "_CHUNK",
+                           rows_per_block * cfg.n_patches * model.width):
+        yhat = model.predict(x)
+        assert yhat.tobytes() == model.forward(x)[0].tobytes()
+    assert yhat.shape == (5, cfg.horizon, 3)
+
+
+def test_predict_rejects_what_forward_rejects():
+    model = Forecaster(tiny_config(), seed=0)
+    for bad in [(2, 15, 2), (2, 16, 3), (16, 2)]:
+        for run in (model.predict, model.forward):
+            with pytest.raises(ShapeError, match=r"expected \(B, 16, 2\)"):
+                run(np.zeros(bad))
+
+
+def test_predict_raises_on_a_non_finite_stabilized_state():
+    model = Forecaster(tiny_config(instance_norm=False), seed=0)
+    x = Rng(1).normal((3, 16, 2))
+    model.predict(x)
+    x[-1, -1, -1] = np.nan
+    for run in (model.predict, model.forward):
+        with pytest.raises(FloatingPointError):
+            run(x)
+
+
+def test_predict_calls_share_nothing():
+    # predict on two models and two batch sizes, interleaved with a
+    # training step, gives the bytes of each call made on its own
+    cfgs = [tiny_config(n_channels=3, embed_dim=16, n_heads=4,
+                        dropout_rate=0.2),
+            tiny_config(n_channels=3, n_blocks=2, channel_strategy="mixed")]
+    xs = [Rng(7).normal((n, 16, 3)) for n in (5, 2)]
+    calls = [(cfg, x) for cfg in cfgs for x in xs]
+
+    def fresh(cfg, x):
+        return Forecaster(cfg, seed=1).predict(x).tobytes()
+
+    models = [Forecaster(cfg, seed=1) for cfg in cfgs]
+    trained = Forecaster(cfgs[0], seed=2)
+    got = []
+    with mock.patch.object(tensorops, "_CHUNK", 2 * 3 * 16):
+        alone = [fresh(cfg, x) for cfg, x in calls]
+        for i, (cfg, x) in enumerate(calls):
+            got.append(models[cfgs.index(cfg)].predict(x).tobytes())
+            yhat, tape = trained.forward(xs[i % 2], training=True,
+                                         dropout_rng=Rng(i))
+            trained.backward(tape, np.ones_like(yhat))
+        got.append(models[0].predict(xs[0]).tobytes())
+    assert got[:4] == alone
+    assert got[4] == alone[0]
+
+
 # -- backward ---------------------------------------------------------------
 
 def _model_gradcheck(cfg, seed=0, eps=1e-5, training=False):
@@ -279,6 +352,11 @@ def test_blocked_layer_norm_is_bitwise_the_whole_array_version(
         for a, b in zip(got, ref):
             assert a.tobytes() == b.tobytes()
         grads, g_r = model._layer_norm_backward(0, g_u.copy(), *got[:2], keep)
+        if keep is None:
+            # evaluation: the output overwrites a copy of h_seq, no cache
+            h_copy = h_seq.copy()
+            assert model._layer_norm(0, u, h_copy, cache=False) is h_copy
+            assert h_copy.tobytes() == ref[2].tobytes()
     assert grads["block0.ln_gain"].tobytes() == ref_grads[0].tobytes()
     assert grads["block0.ln_bias"].tobytes() == ref_grads[1].tobytes()
     assert g_r.tobytes() == ref_grads[2].tobytes()

@@ -302,14 +302,13 @@ def test_history_val_mse_is_evaluate_at_train_batch_size():
 def test_train_scores_only_the_val_split_in_eval_mode(monkeypatch):
     ds = small_dataset()
     eval_calls = []
-    forward = Forecaster.forward
+    predict = Forecaster.predict
 
-    def counting_forward(self, x, training=False, dropout_rng=None):
-        if not training:
-            eval_calls.append(x.shape[0])
-        return forward(self, x, training, dropout_rng)
+    def counting_predict(self, x):
+        eval_calls.append(x.shape[0])
+        return predict(self, x)
 
-    monkeypatch.setattr(Forecaster, "forward", counting_forward)
+    monkeypatch.setattr(Forecaster, "predict", counting_predict)
     cfg = TrainConfig(max_epochs=3, patience=3, batch_size=24)
     _, history = train(Forecaster(ModelConfig(**TINY), seed=0), ds, cfg)
     n_val = ds.n_windows("val")
@@ -382,12 +381,12 @@ class _ConstantOffsetModel:
         self.dataset, self.split, self.offset = dataset, split, offset
         self._cursor = 0
 
-    def forward(self, x):
+    def predict(self, x):
         n = x.shape[0]
         ys = [self.dataset.window(self.split, self._cursor + i)[1]
               for i in range(n)]
         self._cursor += n
-        return np.stack(ys) + self.offset, None
+        return np.stack(ys) + self.offset
 
 
 def test_evaluate_perfect_predictor():
