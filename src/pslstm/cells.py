@@ -45,16 +45,15 @@ its steps.
 Each block owns one gate-major (4, b, d) scratch and a few (b, d) work
 buffers, made per call. A step copies its (b, 4d) slab into the scratch
 once (forward adds the recurrent product on the way), runs the gate
-arithmetic in place on the contiguous (b, d) gates and copies the
-activations (or their gradients) back once. slstm_step runs the same loop
-(_forward_rows) for one step.
+arithmetic in place on the contiguous (b, d) gates and, when a tape keeps
+them, copies the activations (or their gradients) back once.
 
-slstm_predict is the evaluation path through the same loop and the same
-row blocks, bit for bit slstm_forward's h. Per block it allocates one
-(b, S, 4d) input-GEMM buffer (reused by every block of the call), the gate
-scratch and a few (b, d) arrays: c, n and any sigmoid dlog are each one
-(b, d) buffer rewritten at every step. It writes only h, batch-major: no
-(S, B, 4d) gate buffer, no c or n tape and no copy of W or R.
+One driver, _run_sequence, runs the input GEMM and the row blocks of both
+slstm_forward and slstm_predict; only the tape differs. slstm_predict
+allocates the (S, B, 4d) gate buffer per call and writes h in forward's
+layout, but keeps c, n and any sigmoid dlog in one (B, d) buffer each: no
+c or n tape, no copy of W or R, no activation copy-back. slstm_step runs
+the time loop (_forward_rows) for one step.
 """
 
 from __future__ import annotations
@@ -267,12 +266,14 @@ def _tape_arrays(S: int, B: int, d: int, mode: GateMode) -> list:
 
 
 def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
-                  n_heads: int, mode: GateMode, out: list) -> np.ndarray | None:
+                  n_heads: int, mode: GateMode, out: list,
+                  keep: bool) -> np.ndarray | None:
     """The time loop of one block of b rows, in every GateMode: pre
-    (S, b, 4d) is overwritten with the activations z, i_eff, d_eff and o,
-    out holds the (S, b, d) arrays of _tape_arrays. Returns the stabilizer
-    m after the last step (None outside stabilized mode); a stabilized h
-    that is not finite raises FloatingPointError."""
+    (S, b, 4d) holds the input pre-activations, overwritten with the
+    activations z, i_eff, d_eff and o if keep; out holds the (S, b, d)
+    arrays of _tape_arrays. Returns the stabilizer m after the last step
+    (None outside stabilized mode); a stabilized h that is not finite
+    raises FloatingPointError."""
     S, b, _ = pre.shape
     c_out, n_out, h_out, dlog_i, dlog_f = out
     g = np.empty((4, b, h_out.shape[2]))
@@ -321,7 +322,8 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
             else:
                 h = np.tanh(c, out=h_out[t])
             h *= o
-            slab[...] = packed
+            if keep:
+                slab[...] = packed
     if mode.stabilized and not np.isfinite(h_out).all():
         raise FloatingPointError("stabilized sLSTM step produced a "
                                  "non-finite hidden state")
@@ -334,10 +336,10 @@ def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
-               mode: GateMode = GateMode()) -> tuple[SLSTMState, np.ndarray]:
-    """One recurrent step. x: (B, d_input); returns the new state and the
-    step's gate activations (B, 4d), one time slice of a SequenceTape's
-    gate buffer."""
+               mode: GateMode = GateMode()) -> SLSTMState:
+    """One recurrent step. x: (B, d_input); returns the new state. The
+    step runs the sequence time loop (_forward_rows) once over all B rows
+    and keeps no gate activations."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.d_input:
         raise ShapeError(f"slstm_step: input {x.shape} vs d_input {params.d_input}")
@@ -347,9 +349,10 @@ def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
     pre = x @ params.W.T
     pre += params.b
     out = _tape_arrays(1, x.shape[0], params.d_hidden, mode)
-    m = _forward_rows(pre[None], prev, params.R, params.n_heads, mode, out)
+    m = _forward_rows(pre[None], prev, params.R, params.n_heads, mode, out,
+                      keep=False)
     c, n, h = (None if a is None else a[0] for a in out[:3])
-    return SLSTMState(h=h, c=c, n=prev.n if n is None else n, m=m), pre
+    return SLSTMState(h=h, c=c, n=prev.n if n is None else n, m=m)
 
 
 def _sequence(caller: str, params: SLSTMParams,
@@ -370,6 +373,28 @@ def _sequence(caller: str, params: SLSTMParams,
     return x_seq, squeeze
 
 
+def _run_sequence(params: SLSTMParams, x_seq: np.ndarray, init: SLSTMState,
+                  mode: GateMode, out: list, keep: bool) -> np.ndarray:
+    """slstm_forward's and slstm_predict's driver: one GEMM writes every
+    step's input pre-activations into a new time-major (S, B, 4d) gate
+    buffer, which is returned, then the time loop runs per row block into
+    the (S, B, d) arrays out (c, n, h, dlog_i, dlog_f; see _tape_arrays).
+    With keep the gate buffer ends up holding the activations."""
+    B, S, d_in = x_seq.shape
+    d = params.d_hidden
+    gates = np.empty((S, B, 4 * d))
+    x_rows = x_seq.transpose(1, 0, 2).reshape(S * B, d_in)
+    np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, 4 * d))
+    del x_rows
+    gates += params.b
+    for blk in row_slices(gates.shape[1:]):
+        rows = SLSTMState(*(None if a is None else a[blk]
+                            for a in (init.h, init.c, init.n, init.m)))
+        _forward_rows(gates[:, blk], rows, params.R, params.n_heads, mode,
+                      [None if a is None else a[:, blk] for a in out], keep)
+    return gates
+
+
 def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
                   init: SLSTMState | None = None,
                   mode: GateMode = GateMode()) -> tuple[np.ndarray, SequenceTape]:
@@ -379,33 +404,18 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     and the tape for backward.
     """
     x_seq, squeeze = _sequence("slstm_forward", params, x_seq)
-    B, S, d_in = x_seq.shape
-    d, H = params.d_hidden, params.n_heads
+    B, S, _ = x_seq.shape
+    d = params.d_hidden
     init = init if init is not None else SLSTMState.zeros(B, d)
     if init.h.shape != (B, d):
         raise ShapeError(f"slstm_forward: state {init.h.shape} vs "
                          f"expected {(B, d)}")
-    R = None if params.R is None else params.R.copy()
-
-    # input projection of every step and gate: one GEMM, time-major rows
-    gates = np.empty((S, B, 4 * d))
-    x_rows = x_seq.transpose(1, 0, 2).reshape(S * B, d_in)
-    np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, 4 * d))
-    del x_rows
-    gates += params.b
     out = _tape_arrays(S, B, d, mode)
-    tape = SequenceTape(x_seq, init, gates, *out, W=params.W.copy(), R=R)
-    # the time loop runs once per block of rows: rows are independent, and a
-    # block's gate slice, state and scratch stay in cache across steps
-    for blk in row_slices(gates.shape[1:]):
-        rows = SLSTMState(*(None if a is None else a[blk]
-                            for a in (init.h, init.c, init.n, init.m)))
-        _forward_rows(gates[:, blk], rows, R, H, mode,
-                      [None if a is None else a[:, blk] for a in out])
+    gates = _run_sequence(params, x_seq, init, mode, out, keep=True)
+    tape = SequenceTape(x_seq, init, gates, *out, W=params.W.copy(),
+                        R=None if params.R is None else params.R.copy())
     h_seq = tape.h.transpose(1, 0, 2)
-    if squeeze:
-        h_seq = h_seq[0]
-    return h_seq, tape
+    return (h_seq[0] if squeeze else h_seq), tape
 
 
 def slstm_predict(params: SLSTMParams, x_seq: np.ndarray,
@@ -414,37 +424,23 @@ def slstm_predict(params: SLSTMParams, x_seq: np.ndarray,
     tape: the evaluation path. x_seq: (B, S, d_input) or (S, d_input);
     h_seq is a new batch-major array.
 
-    Runs slstm_forward's row blocks through the same time loop. One
-    (b, S, 4d) buffer, b the rows of a full block, takes each block's input
-    GEMM over its contiguous (b*S, d_input) rows, and the loop overwrites
-    its time-major view. c, n and the sigmoid dlog arrays are one (b, d)
-    buffer each, rewritten every step, so only h is written out.
+    Runs slstm_forward's driver into the same layouts: one (S, B, 4d) gate
+    buffer per call and a time-major h, copied once at the end (a strided
+    batch-major h can take another NaN sign from numpy's h *= o in raw
+    overflow). c, n and the sigmoid dlog arrays are zero-stride views of
+    one (B, d) buffer each: no c or n tape, no W or R copy, no activation
+    copy-back.
     """
     x_seq, squeeze = _sequence("slstm_predict", params, x_seq)
-    B, S, d_in = x_seq.shape
+    B, S, _ = x_seq.shape
     d = params.d_hidden
-    h_seq = np.empty((B, S, d))
-    blocks = row_slices((B, 4 * d))
-    rows = blocks[0].stop
-    pre = np.empty((rows, S, 4 * d))
-    for blk in blocks:
-        # Every GEMM has a full block's shape, the last one reaching back
-        # into the block before it: BLAS may run a smaller product with
-        # another kernel (OpenBLAS's small-matrix one), which rounds unlike
-        # slstm_forward's one GEMM. (A one-row, one-step block, at d > 4096,
-        # runs as a GEMV and may still differ in the last bit.)
-        lo = max(blk.stop - rows, 0)
-        np.matmul(x_seq[lo:blk.stop].reshape(rows * S, d_in), params.W.T,
-                  out=pre.reshape(rows * S, 4 * d))
-        gates = pre[blk.start - lo:]
-        gates += params.b
-        b = blk.stop - blk.start
-        out = [None if a is None else np.lib.stride_tricks.as_strided(
-                   a[0], (S, b, d), (0,) + a.strides[1:])
-               for a in _tape_arrays(1, b, d, mode)]
-        out[2] = h_seq[blk].transpose(1, 0, 2)
-        _forward_rows(gates.transpose(1, 0, 2), SLSTMState.zeros(b, d),
-                      params.R, params.n_heads, mode, out)
+    out = [None if a is None else np.lib.stride_tricks.as_strided(
+               a, (S, B, d), (0,) + a.strides[1:])
+           for a in _tape_arrays(1, B, d, mode)]
+    out[2] = np.empty((S, B, d))
+    _run_sequence(params, x_seq, SLSTMState.zeros(B, d), mode, out, keep=False)
+    # contiguous rows for the layer norm and head that read h_seq next
+    h_seq = np.ascontiguousarray(out[2].transpose(1, 0, 2))
     return h_seq[0] if squeeze else h_seq
 
 

@@ -62,7 +62,8 @@ class DataConfig:
     has_date_column: bool = True
     delimiter: str = ","
     has_header: bool = True
-    kind: str = "sinusoid"
+    kind: Literal["constant", "sinusoid", "ar1",
+                  "long_memory_arfima_like"] = "sinusoid"
     params: dict = field(default_factory=lambda: dict(length=4000, period=24,
                                                       noise_std=0.1))
     seed: int = 0

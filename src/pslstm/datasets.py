@@ -210,13 +210,28 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
                            norm_mean=mean, norm_std=std, name=raw.name)
 
 
+#: synthetic kind -> the params keys it reads besides length and channels
+SYNTHETIC_PARAMS = {
+    "constant": {"value"},
+    "sinusoid": {"period", "amplitude", "noise_std"},
+    "ar1": {"phi", "allow_nonstationary", "noise_std"},
+    "long_memory_arfima_like": {"n_components", "noise_std"},
+}
+
+
 def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
     """Deterministic synthetic series for property tests and demos.
 
     kinds: constant, sinusoid, ar1, long_memory_arfima_like (a superposition
     of AR(1) processes with coefficients crowding 1, which mimics slowly
-    decaying autocorrelation).
+    decaying autocorrelation). An unknown kind is a DataError; a params key
+    the kind does not read is a ValueError.
     """
+    if kind not in SYNTHETIC_PARAMS:
+        raise DataError(f"unknown synthetic kind {kind!r}")
+    unknown = params.keys() - {"length", "channels"} - SYNTHETIC_PARAMS[kind]
+    if unknown:
+        raise ValueError(f"unknown {kind} params: {sorted(unknown)}")
     rng = Rng(seed)
     length = int(params.get("length", 1000))
     channels = int(params.get("channels", 1))
@@ -242,7 +257,7 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
         for t in range(length):
             prev = phi * prev + eps[t]
             values[t] = prev
-    elif kind == "long_memory_arfima_like":
+    else:  # long_memory_arfima_like
         n_comp = int(params.get("n_components", 20))
         noise = float(params.get("noise_std", 1.0))
         phis = 1.0 - np.logspace(-0.3, -2.5, n_comp)
@@ -255,6 +270,4 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
                 prev = phi * prev + eps[t]
                 comp[t] = prev
             values += comp * (1.0 - phi)
-    else:
-        raise DataError(f"unknown synthetic kind {kind!r}")
     return RawSeries(name=f"synthetic:{kind}", values=values)

@@ -240,9 +240,12 @@ class Forecaster:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """forward(x)[0] bit for bit, without a tape: the evaluation path.
 
-        Each block runs slstm_predict, which keeps only h, and the layer
-        norm then writes the residual sum and its output over that h, one
-        row block at a time, keeping no cache.
+        Each block runs slstm_predict, slstm_forward's sequence driver
+        without the tape: one (S, B, 4d) gate buffer per call, no c or n
+        tape, no W or R copy and no activation copy-back; it returns a
+        batch-major copy of h. The layer norm then writes the residual sum
+        and its output over that copy, one row block at a time, keeping no
+        cache.
         """
         mu, sigma, _, u = self._embed(x)
         for k, cell in enumerate(self.blocks):

@@ -138,7 +138,7 @@ def _run_chain(params: SLSTMParams, W_out: np.ndarray, b_out: np.ndarray,
     y, t0 = np.zeros((1, p)), 0
     np.concatenate((y[0], state.c[0], state.n[0], state.h[0]), out=rows[0])
     for t in range(H):
-        state, _ = slstm_step(params, y, state, mode)
+        state = slstm_step(params, y, state, mode)
         with np.errstate(invalid="ignore", over="ignore"):
             y = np.tanh(state.h @ W_out.T + b_out) + noise[t]
         k = t - t0 + 1

@@ -255,11 +255,12 @@ def evaluate(model: Forecaster, dataset: WindowedDataset,
              split: str = "test", batch_size: int = 64) -> Metrics:
     """MSE/MAE over every window of the split, on the standardized scale.
 
-    Scores model.predict, the tape-free path: per batch it allocates the
-    embedding, one h array per block (the layer norm's output overwrites
-    it) and, per row block of the cell, an input-GEMM buffer and a few
-    (b, d) states. It writes no gate, c or n tape and no layer-norm cache,
-    and predicts the bytes of model.forward(x)[0]."""
+    Scores model.predict, the tape-free path: per batch and block it
+    allocates the cell's (S, B, 4d) gate buffer, one (B, d) buffer each for
+    c and n, and a time-major h with its batch-major copy (the layer norm's
+    output overwrites the copy). It writes no c or n tape and no layer-norm
+    cache, copies no W or R, and predicts the bytes of
+    model.forward(x)[0]."""
     return _score(dataset, split, batch_size, model.predict)
 
 

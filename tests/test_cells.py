@@ -81,7 +81,7 @@ def test_step_zero_params_zero_state():
     # all pre-activations are 0: f = exp(0) = 1, i = 1, z = tanh(0) = 0,
     # o = sigmoid(0) = 0.5, so c1 = 0, n1 = 1, h1 = 0
     params = scalar_params()
-    state, _ = slstm_step(params, np.zeros((1, 1)), SLSTMState.zeros(1, 1))
+    state = slstm_step(params, np.zeros((1, 1)), SLSTMState.zeros(1, 1))
     assert state.c[0, 0] == 0.0
     assert state.n[0, 0] == 1.0
     assert state.h[0, 0] == 0.0
@@ -92,7 +92,7 @@ def test_step_saturated_forget_erases_cell_state():
     params = scalar_params(b_f=-30.0, b_z=np.arctanh(0.5), b_i=0.0)
     prev = SLSTMState(h=np.zeros((1, 1)), c=np.full((1, 1), 7.0),
                       n=np.ones((1, 1)), m=np.zeros((1, 1)))
-    state, _ = slstm_step(params, np.zeros((1, 1)), prev)
+    state = slstm_step(params, np.zeros((1, 1)), prev)
     # c1 ~ i * z = 1 * 0.5 up to the e^-30 leak
     assert abs(state.c[0, 0] / state.n[0, 0] - 0.5) < 1e-9
 
@@ -104,7 +104,7 @@ def test_step_scalar_hand_oracle():
     params = scalar_params(b_z=np.arctanh(0.5), b_o=30.0)
     prev = SLSTMState(h=np.zeros((1, 1)), c=np.full((1, 1), 2.0),
                       n=np.full((1, 1), 2.0), m=np.zeros((1, 1)))
-    state, _ = slstm_step(params, np.zeros((1, 1)), prev)
+    state = slstm_step(params, np.zeros((1, 1)), prev)
     # stabilized mode stores c' = c * exp(-m), n' = n * exp(-m)
     assert np.isclose(state.c[0, 0] * np.exp(state.m[0, 0]), 2.5)
     assert np.isclose(state.n[0, 0] * np.exp(state.m[0, 0]), 3.0)
@@ -170,7 +170,7 @@ def test_lstm_zero_params_oracle():
     params = scalar_params()
     prev = SLSTMState(h=np.zeros((1, 1)), c=np.full((1, 1), 0.8),
                       n=np.ones((1, 1)))
-    state, _ = slstm_step(params, np.zeros((1, 1)), prev, LSTM_MODE)
+    state = slstm_step(params, np.zeros((1, 1)), prev, LSTM_MODE)
     assert np.isclose(state.c[0, 0], 0.4)
     assert np.isclose(state.h[0, 0], 0.5 * np.tanh(0.4))
 
@@ -181,7 +181,7 @@ def test_forward_single_step_equals_step():
     params = random_params(11, 3, 4)
     x = Rng(12).normal((2, 1, 3), 0.0, 1.0)
     h_seq, _ = slstm_forward(params, x)
-    state, _ = slstm_step(params, x[:, 0, :], SLSTMState.zeros(2, 4))
+    state = slstm_step(params, x[:, 0, :], SLSTMState.zeros(2, 4))
     assert np.array_equal(h_seq[:, 0, :], state.h)
 
 

@@ -18,6 +18,7 @@ from pslstm.cells import GateMode
 from pslstm.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, DataConfig,
                         load_run_config, main, make_model_config,
                         make_train_config)
+from pslstm.datasets import SYNTHETIC_PARAMS
 from pslstm.model import Forecaster, ModelConfig
 from pslstm.probe import ChainConfig
 from pslstm.tensorops import ShapeError, from_dict
@@ -114,6 +115,10 @@ SYNTHETIC = {"source": "synthetic",
     ("train", {"model": TINY_MODEL, "train": {"learning_rate": 10**400},
                "data": SYNTHETIC}),
     ("probe", {"probe": {"weight_scale": 10**400}}),
+    ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC,
+                                             "kind": "sinusiod"}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"lenght": 400, "perod": 7}}}),
 ], ids=["top_level_number", "section_number", "data_list", "stride_word",
         "stride_zero", "data_seed_word", "train_seed_word", "params_number",
         "length_word", "memory_mixing_string", "stabilized_string",
@@ -125,7 +130,7 @@ SYNTHETIC = {"source": "synthetic",
         "probe_negative_gate_bound", "train_seed_negative",
         "data_seed_negative", "probe_seed_negative",
         "probe_param_seed_negative", "learning_rate_huge_int",
-        "probe_scale_huge_int"])
+        "probe_scale_huge_int", "data_kind_typo", "data_params_key_typo"])
 def test_malformed_config_value_exits_config(tmp_path, capsys, command,
                                              payload):
     path = tmp_path / "bad.json"
@@ -190,17 +195,25 @@ WRONG_KINDS = [(section, name, kind)
                for kind in sorted(JSON_VALUES.keys() - json_kinds(hint))]
 
 
-@given(st.data())
-def test_wrong_json_kind_in_any_field_exits_config(data):
-    section, name, kind = data.draw(st.sampled_from(WRONG_KINDS))
-    value = data.draw(JSON_VALUES[kind])
-    cfg = {"model": dict(TINY_MODEL), "train": {"max_epochs": 1},
-           "data": dict(SYNTHETIC), "probe": {}}
-    if section == "model.gate_mode":
-        cfg["model"]["gate_mode"] = {name: value}
-    else:
-        cfg[section][name] = value
-    command = "probe" if section == "probe" else "train"
+def base_config() -> dict:
+    return {"model": dict(TINY_MODEL), "train": {"max_epochs": 1},
+            "data": {**SYNTHETIC, "params": dict(SYNTHETIC["params"])},
+            "probe": {}}
+
+
+def put(cfg: dict, section: str, name: str, value) -> None:
+    """cfg[section][name] = value; a dotted section names a nested object."""
+    outer, _, inner = section.partition(".")
+    target = cfg[outer]
+    if inner:
+        target = target.setdefault(inner, {})
+    target[name] = value
+
+
+def assert_config_error(cfg: dict, section: str, context) -> None:
+    """The command that reads section exits 2 on cfg with one `config
+    error:` line on stderr and makes no run directory."""
+    command = "probe" if section.startswith("probe") else "train"
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stderr(io.StringIO()) as err:
         path = Path(tmp) / "bad.json"
@@ -208,9 +221,53 @@ def test_wrong_json_kind_in_any_field_exits_config(data):
         code = main([command, "--config", str(path), "--output-dir",
                      str(Path(tmp) / "runs"), "--force"])
         assert not (Path(tmp) / "runs").exists()
-    assert code == EXIT_CONFIG, (section, name, value)
+    assert code == EXIT_CONFIG, context
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert len(lines) == 1 and lines[0].startswith("config error: "), context
+
+
+@given(st.data())
+def test_wrong_json_kind_in_any_field_exits_config(data):
+    section, name, kind = data.draw(st.sampled_from(WRONG_KINDS))
+    value = data.draw(JSON_VALUES[kind])
+    cfg = base_config()
+    put(cfg, section, name, value)
+    assert_config_error(cfg, section, (section, name, value))
+
+
+#: config section -> the keys it accepts (data.params: a sinusoid's)
+KNOWN_KEYS = {**{section: set(typing.get_type_hints(cls))
+                 for section, cls in SECTIONS.items()},
+              "data.params": {"length", "channels",
+                              *SYNTHETIC_PARAMS["sinusoid"]}}
+
+#: (section, field, lowest accepted value) of every documented lower bound
+LOWER_BOUNDS = [
+    *[("model", name, 1) for name in ("lookback", "horizon", "n_channels",
+                                      "patch_size", "embed_dim", "n_blocks",
+                                      "n_heads")],
+    ("model", "patch_stride", 0), ("train", "batch_size", 1),
+    ("train", "patience", 1), ("train", "max_epochs", 0), ("train", "seed", 0),
+    ("data", "window_stride", 1), ("data", "max_rows", 1), ("data", "seed", 0),
+    ("probe", "p", 1), ("probe", "q", 1), ("probe", "horizon", 2),
+    ("probe", "seed", 0), ("probe", "param_seed", 0),
+]
+
+
+@given(st.data())
+def test_unknown_key_or_out_of_range_value_exits_config(data):
+    if data.draw(st.booleans(), label="unknown key"):
+        section = data.draw(st.sampled_from(sorted(KNOWN_KEYS)))
+        name = data.draw(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1,
+                                 max_size=12).filter(
+            lambda key: key not in KNOWN_KEYS[section]))
+        value = data.draw(st.one_of(*JSON_VALUES.values()))
+    else:
+        section, name, lowest = data.draw(st.sampled_from(LOWER_BOUNDS))
+        value = data.draw(st.integers(lowest - 3, lowest - 1))
+    cfg = base_config()
+    put(cfg, section, name, value)
+    assert_config_error(cfg, section, (section, name, value))
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),

@@ -2,12 +2,15 @@
 series generators."""
 
 import json
+import typing
 
 import numpy as np
 import pytest
 
-from pslstm.datasets import (CsvSchema, DATASET_PRESETS, RawSeries, load_csv,
-                             make_synthetic, split_and_standardize)
+from pslstm.cli import DataConfig
+from pslstm.datasets import (CsvSchema, DATASET_PRESETS, SYNTHETIC_PARAMS,
+                             RawSeries, load_csv, make_synthetic,
+                             split_and_standardize)
 
 
 def write_csv(path, text):
@@ -239,3 +242,20 @@ def test_synthetic_long_memory_decays_slower_than_ar1():
 def test_synthetic_unknown_kind():
     with pytest.raises(ValueError):
         make_synthetic("brownian", {})
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sinusoid", {"length": 100, "lenght": 400}),
+    ("sinusoid", {"phi": 0.5}),
+    ("ar1", {"period": 24}),
+    ("constant", {"noise_std": 0.1}),
+    ("long_memory_arfima_like", {"value": 1.0}),
+])
+def test_synthetic_rejects_params_its_kind_does_not_read(kind, params):
+    with pytest.raises(ValueError, match="unknown"):
+        make_synthetic(kind, params)
+
+
+def test_config_kinds_are_the_synthetic_kinds():
+    kinds = typing.get_args(typing.get_type_hints(DataConfig)["kind"])
+    assert set(kinds) == set(SYNTHETIC_PARAMS)

@@ -9,8 +9,10 @@ exactly the same places.
 
 The kernel runs its time loops one block of rows at a time; the unblocked
 reference is the same kernel with the row-block budget patched to hold
-every row. The tape-free slstm_predict must give slstm_forward's h byte
-for byte.
+every row. slstm_forward and the tape-free slstm_predict share one
+sequence driver, so predict must give forward's h byte for byte; both are
+also checked byte for byte against a driver rebuilt in this file (one
+whole-batch input GEMM, then the time loop per row block).
 """
 
 import contextlib
@@ -21,9 +23,9 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, strategies as st
 
-from pslstm.cells import (GateMode, SLSTMParams, SLSTMState, grad_check,
-                          slstm_backward, slstm_forward, slstm_predict,
-                          slstm_step)
+from pslstm.cells import (GateMode, SLSTMParams, SLSTMState, _forward_rows,
+                          _tape_arrays, grad_check, slstm_backward,
+                          slstm_forward, slstm_predict, slstm_step)
 from pslstm import tensorops
 from pslstm.tensorops import Rng, ShapeError
 
@@ -81,7 +83,7 @@ def step_loop(params, x, init, mode):
     c = np.empty_like(h)
     n = np.empty_like(h)
     for t in range(S):
-        state, _ = slstm_step(params, x[:, t], state, mode)
+        state = slstm_step(params, x[:, t], state, mode)
         h[:, t], c[:, t], n[:, t] = state.h, state.c, state.n
     return h, c, n
 
@@ -328,6 +330,7 @@ def check_predict(case, forget_bias=None):
     assert predicted.shape == forward.shape
     # bytes: inf and NaN in the same places, every finite value to the bit
     assert predicted.tobytes() == np.ascontiguousarray(forward).tobytes()
+    check_reference(case, forget_bias)
 
 
 @given(blocked_cases())
@@ -346,7 +349,7 @@ def test_predict_keeps_raw_overflow_bitwise(case):
     (7, 8, 3),      # a tail block of one row; raw mode overflows
     (8, 4, 3),      # a tail block of two rows
     (1, 5, 3),      # one row
-    (7, 1, 3),      # one step: a one-row tail GEMM would round differently
+    (7, 1, 3),      # one step, a one-row tail block
     (6, 3, 100),    # one block
 ])
 def test_predict_in_every_gate_mode(mode, batch, steps, block):
@@ -357,10 +360,10 @@ def test_predict_in_every_gate_mode(mode, batch, steps, block):
         check_predict(case, forget_bias=150.0)
 
 
-def test_predict_tail_gemm_has_a_full_block_shape():
-    # d_input 48, 4d = 64, blocks of 5 rows: the two-row tail's own
+def test_predict_matches_forward_at_a_small_gemm_kernel_shape():
+    # d_input 48, 4d = 64, blocks of 5 rows: a two-row tail block's own
     # (8, 48) x (48, 64) GEMM would take OpenBLAS's small-matrix kernel and
-    # round unlike slstm_forward's one GEMM
+    # round unlike the one whole-batch GEMM that both paths run
     case = dict(batch=7, steps=4, d_in=48, d=16, n_heads=2, seed=13,
                 init="none", mode=GateMode(), block=5)
     check_predict(case)
@@ -373,6 +376,15 @@ def test_predict_overflow_regime_is_reached():
     params, x, _, mode = build(case, forget_bias=150.0)
     h = slstm_predict(params, x, mode)
     assert not np.isfinite(h).all() and np.isfinite(h).any()
+
+
+def test_predict_keeps_forward_nan_signs():
+    # raw overflow where h and o are both NaN at a row's last unit: written
+    # into a batch-major array instead of forward's time-major h, numpy's
+    # strided h *= o keeps o's NaN sign there, the contiguous one h's
+    case = dict(batch=3, steps=7, d_in=1, d=9, n_heads=3, seed=0,
+                init="none", mode=GateMode(stabilized=False), block=2)
+    check_predict(case, forget_bias=150.0)
 
 
 def test_predict_squeezes_a_single_sequence():
@@ -403,3 +415,54 @@ def test_predict_raises_on_a_non_finite_state_in_the_last_block(mode):
         x[-1, -1, 0] = np.nan
         with pytest.raises(FloatingPointError):
             slstm_predict(params, x, mode)
+
+
+# -- an independent reference for the shared driver --------------------------
+
+def reference_forward(params, x, init, mode):
+    """The sequence driver rebuilt: one whole-batch input GEMM, then the time
+    loop per row block, keeping the activations. [h (B, S, d), gates, c, n,
+    h tape, dlog_i, dlog_f], as slstm_forward returns them."""
+    B, S, d_in = x.shape
+    d = params.d_hidden
+    init = init if init is not None else SLSTMState.zeros(B, d)
+    gates = (x.transpose(1, 0, 2).reshape(S * B, d_in) @ params.W.T).reshape(
+        S, B, 4 * d)
+    gates += params.b
+    out = _tape_arrays(S, B, d, mode)
+    for blk in tensorops.row_slices((B, 4 * d)):
+        rows = SLSTMState(*(None if a is None else a[blk]
+                            for a in (init.h, init.c, init.n, init.m)))
+        _forward_rows(gates[:, blk], rows, params.R, params.n_heads, mode,
+                      [None if a is None else a[:, blk] for a in out],
+                      keep=True)
+    return [out[2].transpose(1, 0, 2), gates] + out
+
+
+def check_reference(case, forget_bias=None):
+    """slstm_forward's h and tape and slstm_predict's h against
+    reference_forward, byte for byte; check_predict runs it too."""
+    params, x, init, mode = build(case, forget_bias)
+    with mock.patch.object(tensorops, "_CHUNK", case["block"] * 4 * case["d"]):
+        expected = reference_forward(params, x, init, mode)
+        h, tape = slstm_forward(params, x, init, mode)
+        expected_h = reference_forward(params, x, None, mode)[0]
+        predicted = slstm_predict(params, x, mode)
+    got = [h, tape.gates, tape.c, tape.n, tape.h, tape.dlog_i, tape.dlog_f]
+    for a, b in zip(got, expected):
+        if b is None:
+            assert a is None
+        else:
+            assert a.tobytes() == b.tobytes()
+    assert predicted.tobytes() == np.ascontiguousarray(expected_h).tobytes()
+
+
+@pytest.mark.parametrize("mode", ALL_MODES, ids=mode_id)
+def test_driver_matches_the_rebuilt_reference_in_every_gate_mode(mode):
+    # 7 rows in blocks of 3 (a one-row tail), from each initial state
+    for init in ("none", "state", "state_with_m"):
+        case = dict(batch=7, steps=6, d_in=3, d=4, n_heads=2, seed=17,
+                    init=init, mode=mode, block=3)
+        check_reference(case)
+        if not mode.stabilized:
+            check_reference(case, forget_bias=150.0)

@@ -164,7 +164,7 @@ def _reference_simulate_chain(config):
         with np.errstate(over="ignore"):
             f = np.exp(y @ gates["W_f"].T + state.h @ gates["R_f"].T
                        + gates["b_f"])
-        state, _ = slstm_step(params, y, state, mode)
+        state = slstm_step(params, y, state, mode)
         with np.errstate(invalid="ignore", over="ignore"):
             y = np.tanh(state.h @ W_out.T + b_out) + noise[t][None, :]
             ratio = state.c / state.n
@@ -202,8 +202,8 @@ def _reference_coupling_gaps(config, horizon, tol=1e-6, init_scale=1.0):
     step_below = None
     with np.errstate(invalid="ignore", over="ignore"):
         for t in range(horizon):
-            state_a, _ = slstm_step(params, y_a, state_a, mode)
-            state_b, _ = slstm_step(params, y_b, state_b, mode)
+            state_a = slstm_step(params, y_a, state_a, mode)
+            state_b = slstm_step(params, y_b, state_b, mode)
             y_a = np.tanh(state_a.h @ W_out.T + b_out) + noise[t][None, :]
             y_b = np.tanh(state_b.h @ W_out.T + b_out) + noise[t][None, :]
             gap = max(np.max(np.abs(y_a - y_b)),
