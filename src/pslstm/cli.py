@@ -20,7 +20,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
 
@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .cells import grad_check
-from .datasets import (CsvSchema, DATASET_PRESETS, load_csv, make_synthetic,
+from .datasets import (CsvSchema, DATASET_PRESETS, SYNTHETIC_PARAMS,
+                       SyntheticKind, load_csv, make_synthetic,
                        split_and_standardize)
 from .model import (Forecaster, ModelConfig, load_checkpoint,
                     save_checkpoint)
@@ -62,14 +63,17 @@ class DataConfig:
     has_date_column: bool = True
     delimiter: str = ","
     has_header: bool = True
-    kind: Literal["constant", "sinusoid", "ar1",
-                  "long_memory_arfima_like"] = "sinusoid"
-    params: dict = field(default_factory=lambda: dict(length=4000, period=24,
-                                                      noise_std=0.1))
+    kind: SyntheticKind = "sinusoid"
+    # None: those of length=4000, period=24, noise_std=0.1 that kind reads
+    params: dict | None = None
     seed: int = 0
 
     def __post_init__(self):
         check_fields(self)
+        if self.params is None:
+            self.params = {k: v for k, v in dict(length=4000, period=24,
+                                                 noise_std=0.1).items()
+                           if k in SYNTHETIC_PARAMS[self.kind]}
         if self.window_stride < 1:
             raise ValueError(f"window_stride must be >= 1, got {self.window_stride}")
         if self.max_rows is not None and self.max_rows < 1:

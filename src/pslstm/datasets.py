@@ -14,6 +14,7 @@ import hashlib
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -210,13 +211,16 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
                            norm_mean=mean, norm_std=std, name=raw.name)
 
 
-#: synthetic kind -> the params keys it reads besides length and channels
+#: synthetic kind -> {params key: default} of every key the kind reads
 SYNTHETIC_PARAMS = {
-    "constant": {"value"},
-    "sinusoid": {"period", "amplitude", "noise_std"},
-    "ar1": {"phi", "allow_nonstationary", "noise_std"},
-    "long_memory_arfima_like": {"n_components", "noise_std"},
-}
+    kind: {"length": 1000, "channels": 1, **keys} for kind, keys in {
+        "constant": {"value": 0.0},
+        "sinusoid": {"period": 24, "amplitude": 1.0, "noise_std": 0.0},
+        "ar1": {"phi": 0.8, "allow_nonstationary": False, "noise_std": 1.0},
+        "long_memory_arfima_like": {"n_components": 20, "noise_std": 1.0},
+    }.items()}
+
+SyntheticKind = Literal[tuple(SYNTHETIC_PARAMS)]
 
 
 def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
@@ -225,32 +229,32 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
     kinds: constant, sinusoid, ar1, long_memory_arfima_like (a superposition
     of AR(1) processes with coefficients crowding 1, which mimics slowly
     decaying autocorrelation). An unknown kind is a DataError; a params key
-    the kind does not read is a ValueError.
+    the kind does not read (SYNTHETIC_PARAMS) is a ValueError.
     """
     if kind not in SYNTHETIC_PARAMS:
         raise DataError(f"unknown synthetic kind {kind!r}")
-    unknown = params.keys() - {"length", "channels"} - SYNTHETIC_PARAMS[kind]
-    if unknown:
+    if unknown := params.keys() - SYNTHETIC_PARAMS[kind]:
         raise ValueError(f"unknown {kind} params: {sorted(unknown)}")
+    p = {**SYNTHETIC_PARAMS[kind], **params}
     rng = Rng(seed)
-    length = int(params.get("length", 1000))
-    channels = int(params.get("channels", 1))
+    length = int(p["length"])
+    channels = int(p["channels"])
     if kind == "constant":
-        values = np.full((length, channels), float(params.get("value", 0.0)))
+        values = np.full((length, channels), float(p["value"]))
     elif kind == "sinusoid":
-        period = float(params.get("period", 24))
-        amp = float(params.get("amplitude", 1.0))
-        noise = float(params.get("noise_std", 0.0))
+        period = float(p["period"])
+        amp = float(p["amplitude"])
+        noise = float(p["noise_std"])
         phases = np.arange(channels) * 2.0 * np.pi / max(channels, 1)
         t = np.arange(length)[:, None]
         values = amp * np.sin(2.0 * np.pi * t / period + phases[None, :])
         if noise > 0:
             values = values + rng.normal(values.shape, 0.0, noise)
     elif kind == "ar1":
-        phi = float(params.get("phi", 0.8))
-        if abs(phi) >= 1.0 and not params.get("allow_nonstationary", False):
+        phi = float(p["phi"])
+        if abs(phi) >= 1.0 and not p["allow_nonstationary"]:
             raise DataError(f"ar1 with |phi|={abs(phi)} >= 1 is non-stationary")
-        noise = float(params.get("noise_std", 1.0))
+        noise = float(p["noise_std"])
         eps = rng.normal((length, channels), 0.0, noise)
         values = np.empty((length, channels))
         prev = np.zeros(channels)
@@ -258,8 +262,8 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
             prev = phi * prev + eps[t]
             values[t] = prev
     else:  # long_memory_arfima_like
-        n_comp = int(params.get("n_components", 20))
-        noise = float(params.get("noise_std", 1.0))
+        n_comp = int(p["n_components"])
+        noise = float(p["noise_std"])
         phis = 1.0 - np.logspace(-0.3, -2.5, n_comp)
         values = np.zeros((length, channels))
         for phi in phis:

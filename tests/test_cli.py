@@ -238,8 +238,7 @@ def test_wrong_json_kind_in_any_field_exits_config(data):
 #: config section -> the keys it accepts (data.params: a sinusoid's)
 KNOWN_KEYS = {**{section: set(typing.get_type_hints(cls))
                  for section, cls in SECTIONS.items()},
-              "data.params": {"length", "channels",
-                              *SYNTHETIC_PARAMS["sinusoid"]}}
+              "data.params": set(SYNTHETIC_PARAMS["sinusoid"])}
 
 #: (section, field, lowest accepted value) of every documented lower bound
 LOWER_BOUNDS = [
@@ -303,6 +302,17 @@ def test_train_writes_artifacts(tmp_path):
     info = json.loads((run_dir / "run_info.json").read_text())
     assert info["seed"] == 0
     assert "wall_clock_seconds" in info
+
+
+@pytest.mark.parametrize("kind", sorted(SYNTHETIC_PARAMS))
+def test_each_kind_trains_without_params(tmp_path, kind):
+    # left out, params are those of the documented defaults the kind reads
+    defaults = {"length": 4000, "period": 24, "noise_std": 0.1}
+    params = from_dict(DataConfig, {"kind": kind}).params
+    assert params == {k: v for k, v in defaults.items()
+                      if k in SYNTHETIC_PARAMS[kind]}
+    cfg = write_config(tmp_path, data={"source": "synthetic", "kind": kind})
+    assert run(tmp_path, "train", "--config", cfg) == EXIT_OK
 
 
 def test_train_missing_dataset_exits_data(tmp_path, capsys):

@@ -2,15 +2,12 @@
 series generators."""
 
 import json
-import typing
 
 import numpy as np
 import pytest
 
-from pslstm.cli import DataConfig
-from pslstm.datasets import (CsvSchema, DATASET_PRESETS, SYNTHETIC_PARAMS,
-                             RawSeries, load_csv, make_synthetic,
-                             split_and_standardize)
+from pslstm.datasets import (CsvSchema, DATASET_PRESETS, RawSeries, load_csv,
+                             make_synthetic, split_and_standardize)
 
 
 def write_csv(path, text):
@@ -254,8 +251,3 @@ def test_synthetic_unknown_kind():
 def test_synthetic_rejects_params_its_kind_does_not_read(kind, params):
     with pytest.raises(ValueError, match="unknown"):
         make_synthetic(kind, params)
-
-
-def test_config_kinds_are_the_synthetic_kinds():
-    kinds = typing.get_args(typing.get_type_hints(DataConfig)["kind"])
-    assert set(kinds) == set(SYNTHETIC_PARAMS)
