@@ -43,17 +43,20 @@ each block: a block's gate slice, state and scratch stay in cache across
 its steps.
 
 Each block owns one gate-major (4, b, d) scratch and a few (b, d) work
-buffers, made per call. A step copies its (b, 4d) slab into the scratch
-once (forward adds the recurrent product on the way), runs the gate
-arithmetic in place on the contiguous (b, d) gates and, when a tape keeps
-them, copies the activations (or their gradients) back once.
+buffers, made per call (forward makes them and its stabilizer m as one
+(6, b, d) array). A step copies its (b, 4d) slab into the scratch once
+(forward adds the recurrent product on the way), runs the gate arithmetic
+in place on the contiguous (b, d) gates and, when a tape keeps them,
+copies the activations (or their gradients) back once.
 
 One driver, _run_sequence, runs the input GEMM and the row blocks of both
 slstm_forward and slstm_predict; only the tape differs. slstm_predict
 allocates the (S, B, 4d) gate buffer per call and writes h in forward's
 layout, but keeps c, n and any sigmoid dlog in one (B, d) buffer each: no
 c or n tape, no copy of W or R, no activation copy-back. slstm_step runs
-the time loop (_forward_rows) for one step.
+the time loop (_forward_rows) for one step; with out= it writes the new c,
+n and h into the caller's (B, d) arrays, so a chain stepping it (the
+probe) keeps its state in buffers that stay put and allocates no state.
 """
 
 from __future__ import annotations
@@ -239,7 +242,8 @@ class SequenceTape:
 def _gate_in_place(x: np.ndarray, activation: str, log: bool,
                    dlog: np.ndarray | None) -> None:
     """Overwrite the pre-activations x with the gate, or with log(gate) if
-    log; a sigmoid gate also writes d log(gate) / d x into dlog."""
+    log; a sigmoid gate also writes d log(gate) / d x into dlog (into a
+    temporary if dlog is None)."""
     if activation == "exponential":
         if not log:
             np.exp(x, out=x)
@@ -271,16 +275,16 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
     """The time loop of one block of b rows, in every GateMode: pre
     (S, b, 4d) holds the input pre-activations, overwritten with the
     activations z, i_eff, d_eff and o if keep; out holds the (S, b, d)
-    arrays of _tape_arrays. Returns the stabilizer m after the last step
-    (None outside stabilized mode); a stabilized h that is not finite
-    raises FloatingPointError."""
-    S, b, _ = pre.shape
+    arrays of _tape_arrays, where a dlog array may be None. Returns the
+    stabilizer m after the last step (None outside stabilized mode); a
+    stabilized h that is not finite raises FloatingPointError."""
+    S, b, d4 = pre.shape
     c_out, n_out, h_out, dlog_i, dlog_f = out
-    g = np.empty((4, b, h_out.shape[2]))
+    # one scratch: the four gates, a work buffer and the stabilizer m
+    scratch = np.empty((6, b, d4 // 4))
+    z, i_eff, d_eff, o, work, m = scratch
+    g, scaled = scratch[:4], scratch[1:3]
     packed = _head_major(g, n_heads)
-    z, i_eff, d_eff, o = g
-    work = np.empty_like(z)
-    m = np.empty_like(z) if mode.stabilized else None
     h, c, n, m_prev = init.h, init.c, init.n, init.m
     # raw arithmetic may overflow (the probe relies on it); stabilized may not
     errors = contextlib.nullcontext() if mode.stabilized else \
@@ -311,8 +315,8 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
                     d_eff += m_prev
                     np.maximum(d_eff, i_eff, out=m)
                 m_prev = m
-                np.subtract(g[1:3], m, out=g[1:3])
-                np.exp(g[1:3], out=g[1:3])
+                np.subtract(scaled, m, out=scaled)
+                np.exp(scaled, out=scaled)
             c = np.multiply(d_eff, c, out=c_out[t])
             c += np.multiply(i_eff, z, out=work)
             if n_out is not None:
@@ -327,7 +331,7 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
     if mode.stabilized and not np.isfinite(h_out).all():
         raise FloatingPointError("stabilized sLSTM step produced a "
                                  "non-finite hidden state")
-    return m
+    return m if mode.stabilized else None
 
 
 def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
@@ -336,23 +340,38 @@ def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
-               mode: GateMode = GateMode()) -> SLSTMState:
+               mode: GateMode = GateMode(),
+               out: SLSTMState | None = None) -> SLSTMState:
     """One recurrent step. x: (B, d_input); returns the new state. The
     step runs the sequence time loop (_forward_rows) once over all B rows
-    and keeps no gate activations."""
+    and keeps no gate activations.
+
+    With out, an SLSTMState of (B, d) arrays h, c and n, the new state is
+    written into those arrays (they may be prev's own) and out, with its
+    m set, is returned: a caller stepping a chain keeps its state in
+    buffers that stay put. Without the normalizer, n is prev.n copied.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    B, d = x.shape[0], params.d_hidden
     if x.shape[1] != params.d_input:
         raise ShapeError(f"slstm_step: input {x.shape} vs d_input {params.d_input}")
-    if prev.h.shape != (x.shape[0], params.d_hidden):
+    if prev.h.shape != (B, d):
         raise ShapeError(f"slstm_step: state {prev.h.shape} vs "
-                         f"expected {(x.shape[0], params.d_hidden)}")
+                         f"expected {(B, d)}")
+    if out is None:
+        out = SLSTMState(*np.empty((3, B, d)))
+    elif not out.h.shape == out.c.shape == out.n.shape == (B, d):
+        raise ShapeError(f"slstm_step: out h, c, n {out.h.shape}, "
+                         f"{out.c.shape}, {out.n.shape} vs expected {(B, d)}")
     pre = x @ params.W.T
     pre += params.b
-    out = _tape_arrays(1, x.shape[0], params.d_hidden, mode)
-    m = _forward_rows(pre[None], prev, params.R, params.n_heads, mode, out,
-                      keep=False)
-    c, n, h = (None if a is None else a[0] for a in out[:3])
-    return SLSTMState(h=h, c=c, n=prev.n if n is None else n, m=m)
+    if not mode.normalizer:
+        np.copyto(out.n, prev.n)
+    n_out = out.n[None] if mode.normalizer else None
+    out.m = _forward_rows(pre[None], prev, params.R, params.n_heads, mode,
+                          (out.c[None], n_out, out.h[None], None, None),
+                          keep=False)
+    return out
 
 
 def _sequence(caller: str, params: SLSTMParams,

@@ -14,9 +14,12 @@ overflows, even while their ratio stays bounded.
 
 One generator, _run_chain, steps every chain: it calls slstm_step once
 per step and records y, c, n and the h that fed the step, in blocks of
-rows. simulate_chain reduces the trace statistics from each block, the
-forget gate from the recorded inputs; two_trajectory_coupling runs it once
-per trajectory and takes the gaps from the two records.
+rows. slstm_step writes c, n and h straight into the step's record row
+(out=), and one vectorised finiteness test per block finds the step where
+a raw chain overflows. simulate_chain reduces the trace statistics from
+each block, the forget gate from the recorded inputs;
+two_trajectory_coupling runs it once per trajectory and takes the gaps
+from the two records.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ class ChainConfig:
             raise ValueError("horizon must be >= 2")
         if self.noise_std < 0:
             raise ValueError("noise_std must be >= 0")
+        if self.weight_scale < 0 or self.out_scale < 0:
+            raise ValueError("weight_scale and out_scale must be >= 0")
         if self.seed < 0 or (self.param_seed or 0) < 0:
             raise ValueError("seed and param_seed must be >= 0")
 
@@ -131,25 +136,37 @@ def _run_chain(params: SLSTMParams, W_out: np.ndarray, b_out: np.ndarray,
     and yield its record in blocks (t0, y, c, n, h, overflow_step): row 0 of
     each array is the row before step t0, row k + 1 what step t0 + k made.
     The views are overwritten by the next block. The chain stops after
-    overflow_step, the first step whose c, n or y is not finite."""
-    (H, p), q = noise.shape, params.d_hidden
+    overflow_step, the first step whose c, n or y is not finite.
+
+    Each slstm_step writes c, n and h into its record row (out=), y
+    follows; one vectorised test per block finds the first non-finite row,
+    so a raw chain steps on to the end of the block it overflows in. The
+    caller holds np.errstate; a stabilized step still raises
+    FloatingPointError on a non-finite h."""
+    (H, p), q, W_t = noise.shape, params.d_hidden, W_out.T
     block = 512                 # rows per block: bounds the record's memory
     rows = np.empty((block + 1, p + 3 * q))             # y | c | n | h
-    y, t0 = np.zeros((1, p)), 0
-    np.concatenate((y[0], state.c[0], state.n[0], state.h[0]), out=rows[0])
+    y, c, n, h = np.split(rows[:, None], [p, p + q, p + 2 * q], axis=2)
+    y[0], c[0], n[0], h[0] = 0.0, state.c, state.n, state.h
+    prev = SLSTMState(h[0], c[0], n[0], state.m)
+    out = SLSTMState(h[1], c[1], n[1])
+    t0 = 0
     for t in range(H):
-        state = slstm_step(params, y, state, mode)
-        with np.errstate(invalid="ignore", over="ignore"):
-            y = np.tanh(state.h @ W_out.T + b_out) + noise[t]
         k = t - t0 + 1
-        np.concatenate((y[0], state.c[0], state.n[0], state.h[0]), out=rows[k])
-        stop = not np.isfinite(rows[k, :p + 2 * q]).all()
-        if stop or k == block or t == H - 1:
+        out.h, out.c, out.n = h[k], c[k], n[k]
+        slstm_step(params, y[k - 1], prev, mode, out=out)
+        np.add(np.tanh(out.h @ W_t + b_out), noise[t], out=y[k])
+        prev, out = out, prev
+        if k == block or t == H - 1:
+            finite = np.isfinite(rows[1:k + 1, :p + 2 * q]).all(axis=1)
+            stop = not finite.all()
+            if stop:
+                k = int(finite.argmin()) + 1
             yield (t0, *np.split(rows[:k + 1], [p, p + q, p + 2 * q], axis=1),
-                   t if stop else None)
+                   t0 + k - 1 if stop else None)
             if stop:
                 return
-            rows[0], t0 = rows[k], t + 1
+            rows[0], t0 = rows[k], t + 1    # prev still views row k
 
 
 def simulate_chain(config: ChainConfig) -> ChainTrace:

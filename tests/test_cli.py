@@ -119,6 +119,8 @@ SYNTHETIC = {"source": "synthetic",
                                              "kind": "sinusiod"}}),
     ("train", {"model": TINY_MODEL, "data": {
         **SYNTHETIC, "params": {"lenght": 400, "perod": 7}}}),
+    ("probe", {"probe": {"weight_scale": -1.0}}),
+    ("probe", {"probe": {"out_scale": -0.5}}),
 ], ids=["top_level_number", "section_number", "data_list", "stride_word",
         "stride_zero", "data_seed_word", "train_seed_word", "params_number",
         "length_word", "memory_mixing_string", "stabilized_string",
@@ -130,7 +132,8 @@ SYNTHETIC = {"source": "synthetic",
         "probe_negative_gate_bound", "train_seed_negative",
         "data_seed_negative", "probe_seed_negative",
         "probe_param_seed_negative", "learning_rate_huge_int",
-        "probe_scale_huge_int", "data_kind_typo", "data_params_key_typo"])
+        "probe_scale_huge_int", "data_kind_typo", "data_params_key_typo",
+        "probe_weight_scale_negative", "probe_out_scale_negative"])
 def test_malformed_config_value_exits_config(tmp_path, capsys, command,
                                              payload):
     path = tmp_path / "bad.json"
@@ -252,6 +255,24 @@ LOWER_BOUNDS = [
     ("probe", "seed", 0), ("probe", "param_seed", 0),
 ]
 
+NEGATIVE = st.floats(-1.0, -5e-324)     # below 0, down to the least float
+NOT_POSITIVE = st.floats(-1.0, 0.0)     # 0.0 and -0.0 included
+
+#: (section, field, floats just outside its documented range); the other
+#: Adam coefficient keeps its default, beta1 0.9 or beta2 0.999
+FLOAT_BOUNDS = [
+    ("model", "dropout_rate", NEGATIVE), ("model", "dropout_rate",
+                                          st.floats(1.0, 2.0)),
+    ("train", "learning_rate", NOT_POSITIVE),
+    ("train", "clip_norm", NOT_POSITIVE),
+    ("train", "beta1", NOT_POSITIVE), ("train", "beta1", st.floats(0.999, 2.0)),
+    ("train", "beta2", st.floats(-1.0, 0.9)), ("train", "beta2",
+                                               st.floats(1.0, 2.0)),
+    ("probe", "noise_std", NEGATIVE),
+    ("probe", "target_gate_bound", NOT_POSITIVE),
+    ("probe", "weight_scale", NEGATIVE), ("probe", "out_scale", NEGATIVE),
+]
+
 
 @given(st.data())
 def test_unknown_key_or_out_of_range_value_exits_config(data):
@@ -264,9 +285,14 @@ def test_unknown_key_or_out_of_range_value_exits_config(data):
     else:
         section, name, lowest = data.draw(st.sampled_from(LOWER_BOUNDS))
         value = data.draw(st.integers(lowest - 3, lowest - 1))
-    cfg = base_config()
-    put(cfg, section, name, value)
-    assert_config_error(cfg, section, (section, name, value))
+    bad = [(section, name, value)]
+    # every float range in every example
+    bad += [(section, name, data.draw(values, label=f"{section}.{name}"))
+            for section, name, values in FLOAT_BOUNDS]
+    for section, name, value in bad:
+        cfg = base_config()
+        put(cfg, section, name, value)
+        assert_config_error(cfg, section, (section, name, value))
 
 
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")),

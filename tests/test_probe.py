@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pslstm.cells import GateMode, SLSTMParams, SLSTMState, slstm_step
-from pslstm.probe import (ChainConfig, ChainTrace, autocorrelation,
+from pslstm.probe import (ChainConfig, ChainTrace, _run_chain, autocorrelation,
                           chain_params, check_contraction,
                           memory_report, ratio_stability_report,
                           simulate_chain, two_trajectory_coupling,
@@ -58,6 +58,11 @@ def test_chain_config_validation():
         ChainConfig(q="8")
     with pytest.raises(TypeError):
         ChainConfig(horizon=2.5)
+    with pytest.raises(ValueError):
+        ChainConfig(weight_scale=-1.0)
+    with pytest.raises(ValueError):
+        ChainConfig(out_scale=-1e-9)
+    ChainConfig(weight_scale=0.0, out_scale=0.0)
     with pytest.raises(TypeError):
         ChainConfig(seed=True)
 
@@ -261,6 +266,89 @@ def test_coupling_gaps_are_nan_past_an_overflow():
     assert first_nan <= overflow + 1
     assert np.array_equal(rep.gaps[:first_nan - 1], gaps[:first_nan - 1])
     assert np.all(np.isnan(rep.gaps[first_nan:]))
+
+
+def _reference_run_chain(params, W_out, b_out, mode, noise, state):
+    """_run_chain as a per-step loop: a new state from each slstm_step, one
+    concatenate into the record and one finiteness test per step."""
+    (H, p), q = noise.shape, params.d_hidden
+    block = 512
+    rows = np.empty((block + 1, p + 3 * q))
+    y, t0 = np.zeros((1, p)), 0
+    np.concatenate((y[0], state.c[0], state.n[0], state.h[0]), out=rows[0])
+    for t in range(H):
+        state = slstm_step(params, y, state, mode)
+        y = np.tanh(state.h @ W_out.T + b_out) + noise[t]
+        k = t - t0 + 1
+        np.concatenate((y[0], state.c[0], state.n[0], state.h[0]), out=rows[k])
+        stop = not np.isfinite(rows[k, :p + 2 * q]).all()
+        if stop or k == block or t == H - 1:
+            yield (t0, *np.split(rows[:k + 1], [p, p + q, p + 2 * q], axis=1),
+                   t if stop else None)
+            if stop:
+                return
+            rows[0], t0 = rows[k], t + 1
+
+
+def _chain_blocks(run, config, start=None):
+    """Every block a chain generator yields: (t0, rows, the bytes of y, c, n
+    and h, overflow_step), read before the next block overwrites them."""
+    params, W_out, b_out = chain_params(config)
+    mode = GateMode(stabilized=config.mode == "stabilized")
+    noise = _reference_noise(config, config.horizon)
+    state = start or SLSTMState.zeros(1, config.q)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return [(t0, len(arrays[0]), *[a.tobytes() for a in arrays],
+                 overflow_step)
+                for t0, *arrays, overflow_step in run(params, W_out, b_out,
+                                                      mode, noise, state)]
+
+
+#: amplification chains (q=4) whose raw overflow lands on a chosen row
+OVERFLOWS = {"mid_block": (3.0, 355), "last_row": (2.39, 511),
+             "first_row": (2.386, 512), "first_row_last_step": (1.693, 1024)}
+
+
+@pytest.mark.parametrize("horizon", [511, 512, 513, 1025])
+@pytest.mark.parametrize("chain", [
+    "contraction", "stabilized", "coupled_start", *OVERFLOWS])
+def test_run_chain_matches_the_per_step_record(chain, horizon):
+    start = None
+    if chain in OVERFLOWS:
+        offset, overflow_step = OVERFLOWS[chain]
+        config = _shipped_chain("amplification", forget_bias_offset=offset,
+                                horizon=horizon)
+    elif chain == "stabilized":
+        config = _shipped_chain("amplification", mode="stabilized",
+                                horizon=horizon)
+    else:
+        config = _shipped_chain("contraction", horizon=horizon)
+        if chain == "coupled_start":
+            rng = Rng(5)
+            start = SLSTMState(h=rng.normal((1, 8), 0.0, 1.0),
+                               c=rng.normal((1, 8), 0.0, 1.0),
+                               n=np.ones((1, 8)))
+    got = _chain_blocks(_run_chain, config, start)
+    assert got == _chain_blocks(_reference_run_chain, config, start)
+    # full blocks of 512 steps, then the rest up to the last step made
+    (*full, (t0, rows, *_, overflow)) = got
+    assert [(b[0], b[1]) for b in full] == [(512 * i, 513)
+                                           for i in range(len(full))]
+    assert t0 == 512 * len(full)
+    if chain in OVERFLOWS and overflow_step < horizon:
+        assert overflow == overflow_step == t0 + rows - 2
+    else:
+        assert overflow is None and t0 + rows - 1 == horizon
+
+
+@pytest.mark.parametrize("run", [_run_chain, _reference_run_chain],
+                         ids=["run_chain", "reference"])
+def test_stabilized_chain_raises_on_a_non_finite_h(run):
+    config = _shipped_chain("amplification", mode="stabilized")
+    start = SLSTMState.zeros(1, config.q)
+    start.c[0, 1] = np.inf
+    with pytest.raises(FloatingPointError):
+        _chain_blocks(run, config, start)
 
 
 # -- autocorrelation / memory_report ----------------------------------------
