@@ -50,13 +50,15 @@ in place on the contiguous (b, d) gates and, when a tape keeps them,
 copies the activations (or their gradients) back once.
 
 One driver, _run_sequence, runs the input GEMM and the row blocks of both
-slstm_forward and slstm_predict; only the tape differs. slstm_predict
-allocates the (S, B, 4d) gate buffer per call and writes h in forward's
-layout, but keeps c, n and any sigmoid dlog in one (B, d) buffer each: no
-c or n tape, no copy of W or R, no activation copy-back. slstm_step runs
-the time loop (_forward_rows) for one step; with out= it writes the new c,
-n and h into the caller's (B, d) arrays, so a chain stepping it (the
-probe) keeps its state in buffers that stay put and allocates no state.
+slstm_forward and slstm_predict; only the tape differs. Both return h as
+the batch-major view of the time-major h buffer, and neither copies W, R
+or h. slstm_predict allocates the (S, B, 4d) gate buffer per call and
+writes h in forward's layout, but keeps c, n and any sigmoid dlog in one
+(B, d) buffer each: no c or n tape, no activation copy-back. slstm_step
+runs the time loop (_forward_rows) for one step; with out= it writes the
+new c, n and h into the caller's (B, d) arrays, so a chain stepping it
+(the probe) keeps its state in buffers that stay put and allocates no
+state.
 """
 
 from __future__ import annotations
@@ -222,9 +224,9 @@ class SequenceTape:
     algebra is the same in both modes because h depends only on ratios.
     Previous states are the arrays one step back; c / n is recomputed. A
     sigmoid gate also keeps d log(gate) / d pre, which its rescaled value
-    does not determine. W and R are copies of the weights the forward ran
-    with. slstm_backward overwrites ``gates``, so a tape is consumed by one
-    backward pass.
+    does not determine. The tape keeps no weights: slstm_backward reads
+    them from its params. slstm_backward overwrites ``gates``, so a tape is
+    consumed by one backward pass.
     """
 
     x: np.ndarray                 # (B, S, d_input), the input as given
@@ -235,8 +237,6 @@ class SequenceTape:
     h: np.ndarray                 # (S, B, d)
     dlog_i: np.ndarray | None     # (S, B, d) for a sigmoid input gate
     dlog_f: np.ndarray | None     # (S, B, d) for a sigmoid forget gate
-    W: np.ndarray                 # (4d, d_input), head-major rows
-    R: np.ndarray | None          # (H, s, 4s); None without memory mixing
 
 
 def _gate_in_place(x: np.ndarray, activation: str, log: bool,
@@ -261,12 +261,19 @@ def _head_major(g: np.ndarray, n_heads: int) -> np.ndarray:
     return g.reshape(4, b, n_heads, d // n_heads).transpose(1, 2, 0, 3)
 
 
-def _tape_arrays(S: int, B: int, d: int, mode: GateMode) -> list:
+def _tape_arrays(S: int, B: int, d: int, mode: GateMode,
+                 tape: bool = True) -> list:
     """Empty (S, B, d) arrays c, n, h, dlog_i, dlog_f; None where the mode
-    has none."""
-    return [np.empty((S, B, d)) if keep else None for keep in (
+    has none. Without tape all but h are zero-stride views of one (B, d)
+    buffer each, so every step overwrites the last."""
+    def steps(every: bool) -> np.ndarray:
+        if every:
+            return np.empty((S, B, d))
+        a = np.empty((B, d))
+        return np.lib.stride_tricks.as_strided(a, (S, B, d), (0,) + a.strides)
+    return [steps(tape or k == 2) if keep else None for k, keep in enumerate((
         True, mode.normalizer, True, mode.input_activation == "sigmoid",
-        mode.forget_activation == "sigmoid")]
+        mode.forget_activation == "sigmoid"))]
 
 
 def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
@@ -375,13 +382,10 @@ def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
 
 
 def _sequence(caller: str, params: SLSTMParams,
-              x_seq: np.ndarray) -> tuple[np.ndarray, bool]:
-    """x_seq as a float64 (B, S, d_input) array, and whether it came as
-    (S, d_input); ShapeError for any other shape."""
+              x_seq: np.ndarray) -> np.ndarray:
+    """x_seq as a float64 (B, S, d_input) array; ShapeError for any other
+    shape."""
     x_seq = np.asarray(x_seq, dtype=np.float64)
-    squeeze = x_seq.ndim == 2
-    if squeeze:
-        x_seq = x_seq[None]
     if x_seq.ndim != 3:
         raise ShapeError(f"{caller}: expected (B, S, d), got {x_seq.shape}")
     if x_seq.shape[1] < 1:
@@ -389,7 +393,7 @@ def _sequence(caller: str, params: SLSTMParams,
     if x_seq.shape[2] != params.d_input:
         raise ShapeError(f"{caller}: input width {x_seq.shape[2]} vs "
                          f"d_input {params.d_input}")
-    return x_seq, squeeze
+    return x_seq
 
 
 def _run_sequence(params: SLSTMParams, x_seq: np.ndarray, init: SLSTMState,
@@ -417,12 +421,12 @@ def _run_sequence(params: SLSTMParams, x_seq: np.ndarray, init: SLSTMState,
 def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
                   init: SLSTMState | None = None,
                   mode: GateMode = GateMode()) -> tuple[np.ndarray, SequenceTape]:
-    """Run the cell over a sequence. x_seq: (B, S, d_input) or (S, d_input).
+    """Run the cell over a sequence. x_seq: (B, S, d_input).
 
-    Returns h_seq with a matching leading layout (a view of the tape's h)
-    and the tape for backward.
+    Returns h_seq (B, S, d), the batch-major view of the tape's time-major
+    h, and the tape for backward.
     """
-    x_seq, squeeze = _sequence("slstm_forward", params, x_seq)
+    x_seq = _sequence("slstm_forward", params, x_seq)
     B, S, _ = x_seq.shape
     d = params.d_hidden
     init = init if init is not None else SLSTMState.zeros(B, d)
@@ -431,36 +435,27 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
                          f"expected {(B, d)}")
     out = _tape_arrays(S, B, d, mode)
     gates = _run_sequence(params, x_seq, init, mode, out, keep=True)
-    tape = SequenceTape(x_seq, init, gates, *out, W=params.W.copy(),
-                        R=None if params.R is None else params.R.copy())
-    h_seq = tape.h.transpose(1, 0, 2)
-    return (h_seq[0] if squeeze else h_seq), tape
+    tape = SequenceTape(x_seq, init, gates, *out)
+    return tape.h.transpose(1, 0, 2), tape
 
 
 def slstm_predict(params: SLSTMParams, x_seq: np.ndarray,
                   mode: GateMode = GateMode()) -> np.ndarray:
     """slstm_forward(params, x_seq, None, mode)[0] bit for bit, without a
-    tape: the evaluation path. x_seq: (B, S, d_input) or (S, d_input);
-    h_seq is a new batch-major array.
+    tape: the evaluation path. x_seq: (B, S, d_input); h_seq (B, S, d) is,
+    as in slstm_forward, the batch-major view of a time-major h.
 
     Runs slstm_forward's driver into the same layouts: one (S, B, 4d) gate
-    buffer per call and a time-major h, copied once at the end (a strided
-    batch-major h can take another NaN sign from numpy's h *= o in raw
-    overflow). c, n and the sigmoid dlog arrays are zero-stride views of
-    one (B, d) buffer each: no c or n tape, no W or R copy, no activation
-    copy-back.
+    buffer per call and a time-major h. c, n and the sigmoid dlog arrays
+    are zero-stride views of one (B, d) buffer each: no c or n tape, no
+    activation copy-back.
     """
-    x_seq, squeeze = _sequence("slstm_predict", params, x_seq)
+    x_seq = _sequence("slstm_predict", params, x_seq)
     B, S, _ = x_seq.shape
     d = params.d_hidden
-    out = [None if a is None else np.lib.stride_tricks.as_strided(
-               a, (S, B, d), (0,) + a.strides[1:])
-           for a in _tape_arrays(1, B, d, mode)]
-    out[2] = np.empty((S, B, d))
+    out = _tape_arrays(S, B, d, mode, tape=False)
     _run_sequence(params, x_seq, SLSTMState.zeros(B, d), mode, out, keep=False)
-    # contiguous rows for the layer norm and head that read h_seq next
-    h_seq = np.ascontiguousarray(out[2].transpose(1, 0, 2))
-    return h_seq[0] if squeeze else h_seq
+    return out[2].transpose(1, 0, 2)
 
 
 def slstm_backward(params: SLSTMParams, tape: SequenceTape,
@@ -469,13 +464,11 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     """Exact BPTT for sum_t <grad_h_seq[t], h_t>; consumes the tape.
 
     Returns (param grads keyed like params.as_dict(), in the kernel
-    layout; grad wrt the inputs). The weights come from the tape, as the
-    forward ran with them; of params only n_heads is read.
+    layout; grad wrt the inputs (B, S, d_input)). grad_h_seq: (B, S, d).
+    params must hold the weights the forward ran with: the tape keeps no
+    copy, so run backward before anything updates them.
     """
     grad_h_seq = np.asarray(grad_h_seq, dtype=np.float64)
-    squeeze = grad_h_seq.ndim == 2
-    if squeeze:
-        grad_h_seq = grad_h_seq[None]
     S, B, d = tape.h.shape
     if grad_h_seq.shape != (B, S, d):
         raise ShapeError(f"slstm_backward: grad {grad_h_seq.shape} vs "
@@ -484,7 +477,7 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
         raise ValueError("slstm_backward: the tape was already consumed")
     H = params.n_heads
     s = d // H
-    R_t = None if tape.R is None else tape.R.transpose(0, 2, 1)
+    R_t = None if params.R is None else params.R.transpose(0, 2, 1)
     # the gate buffer becomes the pre-activation gradient buffer
     grad_pre, tape.gates = tape.gates, None
     init = tape.init
@@ -550,8 +543,8 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     x_rows = tape.x.transpose(1, 0, 2).reshape(S * B, -1)
     grads = {"W": rows.T @ x_rows, "b": rows.sum(axis=0)}
     del x_rows
-    grad_x = (rows @ tape.W).reshape(S, B, -1).transpose(1, 0, 2)
-    if tape.R is not None:
+    grad_x = (rows @ params.W).reshape(S, B, -1).transpose(1, 0, 2)
+    if params.R is not None:
         # per head: steps 1..S-1, then step 0 from the initial state
         h_prev = tape.h[:-1].reshape(-1, d)
         grads["R"] = np.empty((H, s, 4 * s))
@@ -559,8 +552,6 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
             cols, units = slice(4 * s * k, 4 * s * (k + 1)), slice(s * k, s * (k + 1))
             grads["R"][k] = h_prev[:, units].T @ rows[B:, cols]
             grads["R"][k] += init.h[:, units].T @ rows[:B, cols]
-    if squeeze:
-        grad_x = grad_x[0]
     return grads, grad_x
 
 

@@ -141,7 +141,7 @@ def load_dataset(data_cfg: dict, model_cfg: ModelConfig):
             raw = make_synthetic(cfg.kind, cfg.params, seed=cfg.seed)
         except DataError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad synthetic data params: {exc}") from exc
     if raw.n_channels != model_cfg.n_channels:
         raise DataError(f"dataset has {raw.n_channels} channels, the model "
@@ -307,10 +307,6 @@ def cmd_sweep_patch(args) -> int:
             print(f"warning: duplicate patch size {s} ignored", file=sys.stderr)
         else:
             sizes.append(s)
-    model_cfg = make_model_config(cfg["model"])
-    bad = [s for s in sizes if s > model_cfg.lookback]
-    if bad:
-        raise ConfigError(f"patch sizes {bad} exceed lookback {model_cfg.lookback}")
     variants = [(s, {"patch_size": s, "patch_stride": s}) for s in sorted(sizes)]
     return _run_grid(args, cfg, "sweep-patch", "sweep_patch.csv",
                      ["patch_size", "test_mse", "test_mae"], variants,

@@ -10,7 +10,6 @@ split, but its target y always lies fully inside its own split.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -145,20 +144,6 @@ class WindowedDataset:
         hi = rows[-1] + self.lookback + self.horizon if len(rows) else 0
         return self.values[:hi].mean(axis=0)
 
-    def digest(self) -> dict:
-        """Reproducibility fingerprint: identical inputs => identical digest."""
-        h = hashlib.sha256(np.ascontiguousarray(self.values).tobytes())
-        return {
-            "name": self.name,
-            "lookback": self.lookback,
-            "horizon": self.horizon,
-            "n_channels": int(self.values.shape[1]),
-            "windows": {k: int(len(v)) for k, v in self.starts.items()},
-            "norm_mean": [repr(float(v)) for v in self.norm_mean],
-            "norm_std": [repr(float(v)) for v in self.norm_std],
-            "values_sha256": h.hexdigest(),
-        }
-
 
 def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
                           ratios: tuple[float, float, float] = DEFAULT_RATIOS,
@@ -223,55 +208,66 @@ SYNTHETIC_PARAMS = {
 SyntheticKind = Literal[tuple(SYNTHETIC_PARAMS)]
 
 
+def _ar1(phi: float, eps: np.ndarray) -> np.ndarray:
+    """The AR(1) recursion x_t = phi x_{t-1} + eps_t from x_{-1} = 0, run
+    down the rows of eps and written over them."""
+    prev = np.zeros(eps.shape[1])
+    for row in eps:
+        row += phi * prev
+        prev = row
+    return eps
+
+
 def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
     """Deterministic synthetic series for property tests and demos.
 
     kinds: constant, sinusoid, ar1, long_memory_arfima_like (a superposition
     of AR(1) processes with coefficients crowding 1, which mimics slowly
     decaying autocorrelation). An unknown kind is a DataError; a params key
-    the kind does not read (SYNTHETIC_PARAMS) is a ValueError.
+    the kind does not read (SYNTHETIC_PARAMS), a length, channels or
+    n_components that is not a positive integer, a real param that is not
+    finite, a period <= 0 and a noise_std < 0 are ValueErrors.
     """
     if kind not in SYNTHETIC_PARAMS:
         raise DataError(f"unknown synthetic kind {kind!r}")
     if unknown := params.keys() - SYNTHETIC_PARAMS[kind]:
         raise ValueError(f"unknown {kind} params: {sorted(unknown)}")
     p = {**SYNTHETIC_PARAMS[kind], **params}
+    for key in ("length", "channels", "n_components"):
+        count = p.get(key, 1)
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
+                or count < 1:
+            raise ValueError(f"{key} must be a positive integer, got {count!r}")
+    real = {key: float(p[key]) for key in
+            ("value", "period", "amplitude", "phi", "noise_std") if key in p}
+    if bad := sorted(key for key, v in real.items() if not math.isfinite(v)):
+        raise ValueError(f"{', '.join(bad)} must be finite")
+    if real.get("period", 1.0) <= 0.0:
+        raise ValueError(f"period must be > 0, got {real['period']!r}")
+    noise = real.get("noise_std", 0.0)
+    if noise < 0.0:
+        raise ValueError(f"noise_std must be >= 0, got {noise!r}")
     rng = Rng(seed)
     length = int(p["length"])
     channels = int(p["channels"])
     if kind == "constant":
-        values = np.full((length, channels), float(p["value"]))
+        values = np.full((length, channels), real["value"])
     elif kind == "sinusoid":
-        period = float(p["period"])
-        amp = float(p["amplitude"])
-        noise = float(p["noise_std"])
-        phases = np.arange(channels) * 2.0 * np.pi / max(channels, 1)
+        period, amp = real["period"], real["amplitude"]
+        phases = np.arange(channels) * 2.0 * np.pi / channels
         t = np.arange(length)[:, None]
         values = amp * np.sin(2.0 * np.pi * t / period + phases[None, :])
         if noise > 0:
             values = values + rng.normal(values.shape, 0.0, noise)
     elif kind == "ar1":
-        phi = float(p["phi"])
+        phi = real["phi"]
         if abs(phi) >= 1.0 and not p["allow_nonstationary"]:
             raise DataError(f"ar1 with |phi|={abs(phi)} >= 1 is non-stationary")
-        noise = float(p["noise_std"])
-        eps = rng.normal((length, channels), 0.0, noise)
-        values = np.empty((length, channels))
-        prev = np.zeros(channels)
-        for t in range(length):
-            prev = phi * prev + eps[t]
-            values[t] = prev
+        values = _ar1(phi, rng.normal((length, channels), 0.0, noise))
     else:  # long_memory_arfima_like
-        n_comp = int(p["n_components"])
-        noise = float(p["noise_std"])
-        phis = 1.0 - np.logspace(-0.3, -2.5, n_comp)
+        phis = 1.0 - np.logspace(-0.3, -2.5, int(p["n_components"]))
         values = np.zeros((length, channels))
         for phi in phis:
-            eps = rng.normal((length, channels), 0.0, noise)
-            prev = np.zeros(channels)
-            comp = np.empty((length, channels))
-            for t in range(length):
-                prev = phi * prev + eps[t]
-                comp[t] = prev
-            values += comp * (1.0 - phi)
+            values += _ar1(phi, rng.normal((length, channels), 0.0, noise)) \
+                * (1.0 - phi)
     return RawSeries(name=f"synthetic:{kind}", values=values)

@@ -105,7 +105,6 @@ def _unpatch_rows(B: int, M: int, horizon: int, rows: np.ndarray) -> np.ndarray:
 @dataclass
 class ModelTape:
     """Intermediate values of one forward pass, consumed by backward()."""
-    mu: np.ndarray
     sigma: np.ndarray
     patches: np.ndarray
     cell_tapes: list               # SequenceTape per block
@@ -232,7 +231,7 @@ class Forecaster:
             ln_caches.append((xhat, std))
 
         flat = u.reshape(u.shape[0], -1)
-        tape = ModelTape(mu=mu, sigma=sigma, patches=patches,
+        tape = ModelTape(sigma=sigma, patches=patches,
                          cell_tapes=cell_tapes, ln_caches=ln_caches,
                          dropout_masks=masks, flat=flat)
         return self._head(flat, mu, sigma), tape
@@ -242,10 +241,10 @@ class Forecaster:
 
         Each block runs slstm_predict, slstm_forward's sequence driver
         without the tape: one (S, B, 4d) gate buffer per call, no c or n
-        tape, no W or R copy and no activation copy-back; it returns a
-        batch-major copy of h. The layer norm then writes the residual sum
-        and its output over that copy, one row block at a time, keeping no
-        cache.
+        tape and no activation copy-back; like slstm_forward it returns the
+        batch-major view of a time-major h. The layer norm then writes the
+        residual sum and its output over the block input u, which nothing
+        reads afterwards, one row block at a time, keeping no cache.
         """
         mu, sigma, _, u = self._embed(x)
         for k, cell in enumerate(self.blocks):
@@ -259,12 +258,12 @@ class Forecaster:
         its gain and bias, then the dropout keep-mask. Rows are independent,
         so this runs one row block at a time. With cache it writes into new
         arrays and returns (xhat, std, output) for the backward; without
-        (evaluation) it writes the sum and then the output over h_seq and
+        (evaluation) it writes the sum and then the output over u and
         returns only that. The sum of squares over the width repeats
         np.var's arithmetic bit for bit."""
         gain = self.params[f"block{k}.ln_gain"]
         bias = self.params[f"block{k}.ln_bias"]
-        xhat = out = h_seq
+        xhat = out = u
         std = None
         if cache:
             xhat, out = np.empty_like(u), np.empty_like(u)

@@ -257,10 +257,9 @@ def evaluate(model: Forecaster, dataset: WindowedDataset,
 
     Scores model.predict, the tape-free path: per batch and block it
     allocates the cell's (S, B, 4d) gate buffer, one (B, d) buffer each for
-    c and n, and a time-major h with its batch-major copy (the layer norm's
-    output overwrites the copy). It writes no c or n tape and no layer-norm
-    cache, copies no W or R, and predicts the bytes of
-    model.forward(x)[0]."""
+    c and n, and a time-major h (the layer norm's output overwrites the
+    block input). It writes no c or n tape and no layer-norm cache, copies
+    no W, R or h, and predicts the bytes of model.forward(x)[0]."""
     return _score(dataset, split, batch_size, model.predict)
 
 

@@ -121,6 +121,22 @@ SYNTHETIC = {"source": "synthetic",
         **SYNTHETIC, "params": {"lenght": 400, "perod": 7}}}),
     ("probe", {"probe": {"weight_scale": -1.0}}),
     ("probe", {"probe": {"out_scale": -0.5}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"length": 400, "noise_std": -0.5}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"length": 400, "period": 0}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"length": 400.7}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"length": 400, "channels": 1.5}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        "source": "synthetic", "kind": "long_memory_arfima_like",
+        "params": {"length": 400, "n_components": 2.5}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        "source": "synthetic", "kind": "ar1",
+        "params": {"length": 400, "phi": float("nan")}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"length": 400, "period": 10**400}}}),
 ], ids=["top_level_number", "section_number", "data_list", "stride_word",
         "stride_zero", "data_seed_word", "train_seed_word", "params_number",
         "length_word", "memory_mixing_string", "stabilized_string",
@@ -133,7 +149,10 @@ SYNTHETIC = {"source": "synthetic",
         "data_seed_negative", "probe_seed_negative",
         "probe_param_seed_negative", "learning_rate_huge_int",
         "probe_scale_huge_int", "data_kind_typo", "data_params_key_typo",
-        "probe_weight_scale_negative", "probe_out_scale_negative"])
+        "probe_weight_scale_negative", "probe_out_scale_negative",
+        "sinusoid_noise_negative", "sinusoid_period_zero", "length_float",
+        "channels_float", "n_components_float", "ar1_phi_nan",
+        "period_huge_int"])
 def test_malformed_config_value_exits_config(tmp_path, capsys, command,
                                              payload):
     path = tmp_path / "bad.json"
@@ -151,8 +170,9 @@ def test_malformed_config_value_exits_config(tmp_path, capsys, command,
     ["sweep-patch", "--sizes", "4", "--seed", "-1"],
     ["sweep-patch", "--sizes", "4", "8", "--config", "BAD"],
     ["ablate", "--axes", "memory_mixing", "--config", "BAD"],
+    ["sweep-patch", "--sizes", "32"],
 ], ids=["train_flag", "gradcheck_flag", "sweep_flag", "sweep_config",
-        "ablate_config"])
+        "ablate_config", "sweep_patch_over_lookback"])
 def test_grid_and_flag_errors_exit_config_without_a_run_dir(tmp_path, capsys,
                                                             argv):
     bad = write_config(tmp_path, "bad.json",

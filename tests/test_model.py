@@ -353,10 +353,10 @@ def test_blocked_layer_norm_is_bitwise_the_whole_array_version(
             assert a.tobytes() == b.tobytes()
         grads, g_r = model._layer_norm_backward(0, g_u.copy(), *got[:2], keep)
         if keep is None:
-            # evaluation: the output overwrites a copy of h_seq, no cache
-            h_copy = h_seq.copy()
-            assert model._layer_norm(0, u, h_copy, cache=False) is h_copy
-            assert h_copy.tobytes() == ref[2].tobytes()
+            # evaluation: the output overwrites a copy of u, no cache
+            u_copy = u.copy()
+            assert model._layer_norm(0, u_copy, h_seq, cache=False) is u_copy
+            assert u_copy.tobytes() == ref[2].tobytes()
     assert grads["block0.ln_gain"].tobytes() == ref_grads[0].tobytes()
     assert grads["block0.ln_bias"].tobytes() == ref_grads[1].tobytes()
     assert g_r.tobytes() == ref_grads[2].tobytes()
