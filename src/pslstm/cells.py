@@ -55,10 +55,9 @@ the batch-major view of the time-major h buffer, and neither copies W, R
 or h. slstm_predict allocates the (S, B, 4d) gate buffer per call and
 writes h in forward's layout, but keeps c, n and any sigmoid dlog in one
 (B, d) buffer each: no c or n tape, no activation copy-back. slstm_step
-runs the time loop (_forward_rows) for one step; with out= it writes the
-new c, n and h into the caller's (B, d) arrays, so a chain stepping it
-(the probe) keeps its state in buffers that stay put and allocates no
-state.
+runs the time loop (_forward_rows) for one step. A chain fed by its own
+output (the probe) runs a whole block of steps as one time loop: its feed
+callback writes the next step's input pre-activations from each new h.
 """
 
 from __future__ import annotations
@@ -277,14 +276,16 @@ def _tape_arrays(S: int, B: int, d: int, mode: GateMode,
 
 
 def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
-                  n_heads: int, mode: GateMode, out: list,
-                  keep: bool) -> np.ndarray | None:
+                  n_heads: int, mode: GateMode, out: list, keep: bool,
+                  feed: Callable | None = None) -> np.ndarray | None:
     """The time loop of one block of b rows, in every GateMode: pre
     (S, b, 4d) holds the input pre-activations, overwritten with the
     activations z, i_eff, d_eff and o if keep; out holds the (S, b, d)
-    arrays of _tape_arrays, where a dlog array may be None. Returns the
-    stabilizer m after the last step (None outside stabilized mode); a
-    stabilized h that is not finite raises FloatingPointError."""
+    arrays of _tape_arrays, where a dlog array may be None. feed(t, h), if
+    given, runs after step t and its copy-back and may write pre[t + 1].
+    Returns the stabilizer m after the last step (None outside stabilized
+    mode); a stabilized h that is not finite raises FloatingPointError
+    once the loop ends."""
     S, b, d4 = pre.shape
     c_out, n_out, h_out, dlog_i, dlog_f = out
     # one scratch: the four gates, a work buffer and the stabilizer m
@@ -335,6 +336,8 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
             h *= o
             if keep:
                 slab[...] = packed
+            if feed is not None:
+                feed(t, h)
     if mode.stabilized and not np.isfinite(h_out).all():
         raise FloatingPointError("stabilized sLSTM step produced a "
                                  "non-finite hidden state")
@@ -347,38 +350,23 @@ def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
-               mode: GateMode = GateMode(),
-               out: SLSTMState | None = None) -> SLSTMState:
+               mode: GateMode = GateMode()) -> SLSTMState:
     """One recurrent step. x: (B, d_input); returns the new state. The
     step runs the sequence time loop (_forward_rows) once over all B rows
-    and keeps no gate activations.
-
-    With out, an SLSTMState of (B, d) arrays h, c and n, the new state is
-    written into those arrays (they may be prev's own) and out, with its
-    m set, is returned: a caller stepping a chain keeps its state in
-    buffers that stay put. Without the normalizer, n is prev.n copied.
-    """
+    and keeps no gate activations: the reference step of the tests."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    B, d = x.shape[0], params.d_hidden
     if x.shape[1] != params.d_input:
         raise ShapeError(f"slstm_step: input {x.shape} vs d_input {params.d_input}")
-    if prev.h.shape != (B, d):
+    if prev.h.shape != (x.shape[0], params.d_hidden):
         raise ShapeError(f"slstm_step: state {prev.h.shape} vs "
-                         f"expected {(B, d)}")
-    if out is None:
-        out = SLSTMState(*np.empty((3, B, d)))
-    elif not out.h.shape == out.c.shape == out.n.shape == (B, d):
-        raise ShapeError(f"slstm_step: out h, c, n {out.h.shape}, "
-                         f"{out.c.shape}, {out.n.shape} vs expected {(B, d)}")
+                         f"expected {(x.shape[0], params.d_hidden)}")
     pre = x @ params.W.T
     pre += params.b
-    if not mode.normalizer:
-        np.copyto(out.n, prev.n)
-    n_out = out.n[None] if mode.normalizer else None
-    out.m = _forward_rows(pre[None], prev, params.R, params.n_heads, mode,
-                          (out.c[None], n_out, out.h[None], None, None),
-                          keep=False)
-    return out
+    out = _tape_arrays(1, x.shape[0], params.d_hidden, mode)
+    m = _forward_rows(pre[None], prev, params.R, params.n_heads, mode, out,
+                      keep=False)
+    c, n, h = (None if a is None else a[0] for a in out[:3])
+    return SLSTMState(h=h, c=c, n=prev.n if n is None else n, m=m)
 
 
 def _sequence(caller: str, params: SLSTMParams,

@@ -12,14 +12,14 @@ decays like rho^k - or, with positive forget pre-activations, amplifies
 the cell and normalizer states exponentially until raw arithmetic
 overflows, even while their ratio stays bounded.
 
-One generator, _run_chain, steps every chain: it calls slstm_step once
-per step and records y, c, n and the h that fed the step, in blocks of
-rows. slstm_step writes c, n and h straight into the step's record row
-(out=), and one vectorised finiteness test per block finds the step where
-a raw chain overflows. simulate_chain reduces the trace statistics from
-each block, the forget gate from the recorded inputs;
-two_trajectory_coupling runs it once per trajectory and takes the gaps
-from the two records.
+One generator, _run_chain, steps every chain and records y, c, n and the h
+that fed each step, in blocks of 512 rows. Each block is one time loop of
+the cell into the record rows, fed its next input from each new h; one
+finiteness test per block finds the step where a raw chain overflows, and a
+stabilized chain raises at the end of the block where h first goes
+non-finite. simulate_chain reduces the trace statistics from each block,
+the forget gate from the recorded inputs; two_trajectory_coupling runs it
+once per trajectory and takes the gaps from the two records.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from typing import Literal
 
 import numpy as np
 
-from .cells import GateMode, SLSTMParams, SLSTMState, slstm_step
+from .cells import (GateMode, SLSTMParams, SLSTMState, _forward_rows,
+                    slstm_step)  # unused: kept because perfbench wraps it
 from .tensorops import DataError, Rng, check_fields
 
 
@@ -138,35 +139,42 @@ def _run_chain(params: SLSTMParams, W_out: np.ndarray, b_out: np.ndarray,
     The views are overwritten by the next block. The chain stops after
     overflow_step, the first step whose c, n or y is not finite.
 
-    Each slstm_step writes c, n and h into its record row (out=), y
-    follows; one vectorised test per block finds the first non-finite row,
-    so a raw chain steps on to the end of the block it overflows in. The
-    caller holds np.errstate; a stabilized step still raises
-    FloatingPointError on a non-finite h."""
-    (H, p), q, W_t = noise.shape, params.d_hidden, W_out.T
+    A block of up to 512 steps is one time loop of the cell (_forward_rows)
+    into the record rows; its feed writes y and the next step's input with
+    slstm_step's ops, and m carries across blocks. One vectorised test per
+    block finds the first non-finite row, so a raw chain steps on to the end
+    of the block it overflows in. The caller holds np.errstate; a stabilized
+    chain raises FloatingPointError at the end of the block where h first
+    goes non-finite, before that block is yielded."""
+    (H, p), q, W_t, W_in = noise.shape, params.d_hidden, W_out.T, params.W.T
     block = 512                 # rows per block: bounds the record's memory
     rows = np.empty((block + 1, p + 3 * q))             # y | c | n | h
     y, c, n, h = np.split(rows[:, None], [p, p + q, p + 2 * q], axis=2)
     y[0], c[0], n[0], h[0] = 0.0, state.c, state.n, state.h
-    prev = SLSTMState(h[0], c[0], n[0], state.m)
-    out = SLSTMState(h[1], c[1], n[1])
-    t0 = 0
-    for t in range(H):
-        k = t - t0 + 1
-        out.h, out.c, out.n = h[k], c[k], n[k]
-        slstm_step(params, y[k - 1], prev, mode, out=out)
-        np.add(np.tanh(out.h @ W_t + b_out), noise[t], out=y[k])
-        prev, out = out, prev
-        if k == block or t == H - 1:
-            finite = np.isfinite(rows[1:k + 1, :p + 2 * q]).all(axis=1)
-            stop = not finite.all()
-            if stop:
-                k = int(finite.argmin()) + 1
-            yield (t0, *np.split(rows[:k + 1], [p, p + q, p + 2 * q], axis=1),
-                   t0 + k - 1 if stop else None)
-            if stop:
-                return
-            rows[0], t0 = rows[k], t + 1    # prev still views row k
+    pre, m = np.empty((block + 1, 1, 4 * q)), state.m    # row k feeds step k
+    np.matmul(y[0], W_in, out=pre[0])
+    pre[0] += params.b
+
+    def feed(t: int, h_t: np.ndarray) -> None:
+        np.add(np.tanh(h_t @ W_t + b_out), noise[t0 + t], out=y[t + 1])
+        np.matmul(y[t + 1], W_in, out=pre[t + 1])
+        pre[t + 1] += params.b
+
+    for t0 in range(0, H, block):
+        k = min(block, H - t0)
+        m = _forward_rows(pre[:k], SLSTMState(h[0], c[0], n[0], m), params.R,
+                          params.n_heads, mode,
+                          (c[1:k + 1], n[1:k + 1], h[1:k + 1], None, None),
+                          keep=False, feed=feed)
+        finite = np.isfinite(rows[1:k + 1, :p + 2 * q]).all(axis=1)
+        stop = not finite.all()
+        if stop:
+            k = int(finite.argmin()) + 1
+        yield (t0, *np.split(rows[:k + 1], [p, p + q, p + 2 * q], axis=1),
+               t0 + k - 1 if stop else None)
+        if stop:
+            return
+        rows[0], pre[0] = rows[k], pre[k]
 
 
 def simulate_chain(config: ChainConfig) -> ChainTrace:
@@ -293,10 +301,14 @@ def two_trajectory_coupling(config: ChainConfig, horizon: int | None = None,
     are NaN: only an amplifying chain gets there, and the CLI couples
     contractive chains only. decay_rate fits the positive gaps through
     step_below_tol (all of them if the gap never gets below tol), so the
-    round-off tail below tol does not move it."""
+    round-off tail below tol does not move it. horizon (None: the
+    config's) must be >= 2, ChainConfig's own bound."""
+    horizon = config.horizon if horizon is None else horizon
+    if horizon < 2:
+        raise ValueError(f"coupling horizon must be >= 2, got {horizon}")
     params, W_out, b_out = chain_params(config)
     mode = GateMode(stabilized=config.mode == "stabilized")
-    noise, q = _chain_noise(config, horizon or config.horizon), config.q
+    noise, q = _chain_noise(config, horizon), config.q
     start_b = SLSTMState.zeros(1, q)
     if init_scale != 0.0:
         rng = Rng(config.seed).spawn(4242)

@@ -12,8 +12,8 @@ reference is the same kernel with the row-block budget patched to hold
 every row. slstm_forward and the tape-free slstm_predict share one
 sequence driver, so predict must give forward's h byte for byte; both are
 also checked byte for byte against a driver rebuilt in this file (one
-whole-batch input GEMM, then the time loop per row block). slstm_step with
-out= must write the bytes of the state it would otherwise return.
+whole-batch input GEMM, then the time loop per row block). A time loop fed
+by its own output (the probe's chain) must give a slstm_step loop's bytes.
 """
 
 import contextlib
@@ -463,50 +463,37 @@ def test_driver_matches_the_rebuilt_reference_in_every_gate_mode(mode):
             check_reference(case, forget_bias=150.0)
 
 
-# -- slstm_step into caller-owned buffers ------------------------------------
-
-def state_bytes(state):
-    return [None if a is None else a.tobytes()
-            for a in (state.h, state.c, state.n, state.m)]
-
-
-def copied(state):
-    return SLSTMState(*(None if a is None else a.copy()
-                        for a in (state.h, state.c, state.n, state.m)))
-
+# -- a time loop fed by its own output --------------------------------------
 
 @pytest.mark.parametrize("forget_bias", [None, 150.0], ids=["plain", "overflow"])
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("mode", ALL_MODES, ids=mode_id)
-def test_step_into_out_matches_the_returned_state(mode, batch, forget_bias):
-    # six steps from a state without m (the -inf sentinel, then m): out
-    # alternating between two buffers, and out given as prev itself, write
-    # the bytes of the state slstm_step returns without out
+def test_fed_time_loop_matches_the_step_loop(mode, batch, forget_bias):
+    # each step's input is tanh(h V) of the step before: one _forward_rows
+    # call whose feed writes pre[t + 1] gives the bytes of a slstm_step loop
     assert LSTM_MODE in ALL_MODES
     case = dict(batch=batch, steps=6, d_in=3, d=4, n_heads=2, seed=23,
                 init="state", mode=mode)
     params, x, init, _ = build(case, forget_bias)
-    new, inplace = init, copied(init)
-    buffers = [SLSTMState(*np.full((3, batch, 4), np.nan)) for _ in range(2)]
-    prev = init
-    for t in range(case["steps"]):
-        new = slstm_step(params, x[:, t], new, mode)
-        out = buffers[t % 2]
-        assert slstm_step(params, x[:, t], prev, mode, out=out) is out
-        assert slstm_step(params, x[:, t], inplace, mode,
-                          out=inplace) is inplace
-        assert state_bytes(out) == state_bytes(new)
-        assert state_bytes(inplace) == state_bytes(new)
-        prev = out
+    S, W_in, V = case["steps"], params.W.T, Rng(5).normal((4, 3), 0.0, 1.0)
+    pre = np.empty((S + 1, batch, 16))
+    pre[0] = x[:, 0] @ W_in
+    pre[0] += params.b
+
+    def feed(t, h):
+        np.matmul(np.tanh(h @ V), W_in, out=pre[t + 1])
+        pre[t + 1] += params.b
+
+    out = _tape_arrays(S, batch, 4, mode)
+    state, x_t = init, x[:, 0]
+    with np.errstate(all="ignore"):
+        m = _forward_rows(pre[:S], init, params.R, params.n_heads,
+                          mode, out, keep=False, feed=feed)
+        for t in range(S):
+            state = slstm_step(params, x_t, state, mode)
+            x_t = np.tanh(state.h @ V)
+            for a, b in zip(out, (state.c, state.n, state.h)):
+                assert a is None or a[t].tobytes() == b.tobytes()
+    assert state.m is m is None or state.m.tobytes() == m.tobytes()
     if forget_bias is not None and mode == GateMode(stabilized=False):
-        assert not np.isfinite(new.c).all()     # the overflow was reached
-
-
-@pytest.mark.parametrize("shape", [(2, 5), (1, 4), (4,)])
-@pytest.mark.parametrize("field", ["h", "c", "n"])
-def test_step_rejects_a_mis_shaped_out(field, shape):
-    params = SLSTMParams.init(Rng(0), 3, 4)
-    out = SLSTMState.zeros(2, 4)
-    setattr(out, field, np.zeros(shape))
-    with pytest.raises(ShapeError):
-        slstm_step(params, np.zeros((2, 3)), SLSTMState.zeros(2, 4), out=out)
+        assert not np.isfinite(state.c).all()   # the overflow was reached

@@ -341,6 +341,42 @@ def test_run_chain_matches_the_per_step_record(chain, horizon):
         assert overflow is None and t0 + rows - 1 == horizon
 
 
+@pytest.mark.parametrize("mode, offset", [
+    ("raw", 0.0), ("stabilized", 0.0), ("raw", 3.0), ("stabilized", 3.0)],
+    ids=["raw", "stabilized", "raw_overflow", "stabilized_amplifying"])
+def test_run_chain_with_a_wide_output_matches_the_per_step_record(mode,
+                                                                 offset):
+    # p=2, q=3: the feed's (1, 2) x (2, 12) input GEMM and a y row of two
+    config = ChainConfig(p=2, q=3, horizon=1100, seed=3, mode=mode,
+                         forget_bias_offset=offset)
+    got = _chain_blocks(_run_chain, config)
+    assert got == _chain_blocks(_reference_run_chain, config)
+    assert len(got[0][2]) == got[0][1] * 2 * 8     # the bytes of y
+    overflows = mode == "raw" and offset > 0
+    assert (got[-1][-1] is not None) == overflows
+
+
+def test_stabilized_chain_raises_after_the_last_finite_block():
+    # output noise of 1e308 from step 600 drives the stabilizer m to +inf
+    # and h to NaN a few steps later, in the second block: the first block
+    # is yielded with the reference's bytes, then FloatingPointError
+    config = _shipped_chain("amplification", mode="stabilized", horizon=1100)
+    params, W_out, b_out = chain_params(config)
+    noise = _reference_noise(config, config.horizon)
+    noise[600:] = 1e308
+    records = []
+    for run in (_run_chain, _reference_run_chain):
+        blocks = run(params, W_out, b_out, GateMode(stabilized=True), noise,
+                     SLSTMState.zeros(1, config.q))
+        with np.errstate(invalid="ignore", over="ignore"):
+            t0, *arrays, overflow_step = next(blocks)
+            records.append((t0, [a.tobytes() for a in arrays], overflow_step))
+            with pytest.raises(FloatingPointError):
+                next(blocks)
+    assert records[0] == records[1]
+    assert records[0][0] == 0 and records[0][2] is None
+
+
 @pytest.mark.parametrize("run", [_run_chain, _reference_run_chain],
                          ids=["run_chain", "reference"])
 def test_stabilized_chain_raises_on_a_non_finite_h(run):
@@ -475,6 +511,21 @@ def test_coupling_decay_fit_stops_at_the_tolerance():
     slope = np.polyfit(k, np.log(rep.gaps[k]), 1)[0]
     assert rep.decay_rate == pytest.approx(np.exp(slope), rel=1e-12)
     assert np.all(rep.gaps[k] > 0)
+
+
+def test_coupling_horizon_defaults_to_the_config_only_for_none():
+    config = ChainConfig(q=4, horizon=40, target_gate_bound=0.9)
+    assert len(two_trajectory_coupling(config).gaps) == 40
+    assert len(two_trajectory_coupling(config, horizon=2).gaps) == 2
+
+
+@pytest.mark.parametrize("horizon", [0, 1, -3])
+def test_coupling_rejects_a_horizon_below_two(horizon):
+    # 0 used to run config.horizon steps, 1 to fit a decay rate of 0.0 from
+    # one gap, and a negative horizon to die on numpy's negative dimensions
+    config = ChainConfig(q=4, horizon=40, target_gate_bound=0.9)
+    with pytest.raises(ValueError, match="horizon must be >= 2"):
+        two_trajectory_coupling(config, horizon=horizon)
 
 # -- ratio stability --------------------------------------------------------
 
