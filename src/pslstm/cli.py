@@ -2,9 +2,11 @@
 
 Subcommands: train, eval, probe, sweep-patch, sweep-lookback, ablate,
 gradcheck. Runs read a JSON config file ({"model": ..., "train": ...,
-"data": ..., "probe": ...}; unknown keys are rejected), CLI flags override
-file values, and every run writes a resolved-config snapshot into its own
-timestamp-suffixed artifact directory.
+"data": ..., "probe": ...}; unknown keys are rejected), and every run
+writes a resolved-config snapshot into its own timestamp-suffixed artifact
+directory. --seed sets probe.seed for probe and train.seed for the rest
+(eval draws nothing at random and has none); the grid commands (the sweeps
+and ablate) drop a repeated grid value with a warning.
 
 Exit codes: 0 success, 2 config error (ConfigError), 3 data error
 (DataError or OSError), 4 numerical divergence (FloatingPointError), 5
@@ -20,7 +22,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Literal
 
@@ -120,6 +122,16 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
+def load_seeded_config(args, section: str) -> dict:
+    """The run config of args.config with --seed, if given, as the seed the
+    command draws from, cfg[section]["seed"]. That seed (default 0) is
+    written into the section, so resolved_config.json records it."""
+    overrides = {} if args.seed is None else {f"{section}.seed": args.seed}
+    cfg = load_run_config(args.config, overrides)
+    cfg[section].setdefault("seed", 0)
+    return cfg
+
+
 def make_model_config(payload: dict) -> ModelConfig:
     return _build(ModelConfig, payload)
 
@@ -166,7 +178,8 @@ def prepare_run_dir(output_dir: str, command: str, force: bool) -> Path:
     return run
 
 
-def write_run_info(run_dir: Path, cfg: dict, seed: int, seconds: float) -> None:
+def write_run_info(run_dir: Path, cfg: dict, seed: int | None,
+                   seconds: float) -> None:
     info = {"version": __version__, "seed": seed,
             "wall_clock_seconds": round(seconds, 3)}
     with open(run_dir / "run_info.json", "w") as fh:
@@ -175,17 +188,12 @@ def write_run_info(run_dir: Path, cfg: dict, seed: int, seconds: float) -> None:
         json.dump(cfg, fh, sort_keys=True, indent=2, default=str)
 
 
-def _metrics_dict(metrics) -> dict:
-    return {"mse": metrics.mse, "mae": metrics.mae,
-            "n_samples": metrics.n_samples}
-
-
-def _prepare_run(cfg: dict, seed: int, datasets: dict | None = None):
+def _prepare_run(cfg: dict, datasets: dict | None = None):
     """The model config, train config and dataset of one training run, so a
     bad config or dataset stops the run before anything is written. Runs
     that share a datasets dict share the dataset of each window shape."""
     model_cfg = make_model_config(cfg["model"])
-    train_cfg = make_train_config({**cfg["train"], "seed": seed})
+    train_cfg = make_train_config(cfg["train"])
     datasets = {} if datasets is None else datasets
     shape = (model_cfg.lookback, model_cfg.horizon, model_cfg.n_channels)
     if shape not in datasets:
@@ -193,31 +201,21 @@ def _prepare_run(cfg: dict, seed: int, datasets: dict | None = None):
     return model_cfg, train_cfg, datasets[shape]
 
 
-def _fit(model_cfg: ModelConfig, train_cfg: TrainConfig, dataset):
-    return train(Forecaster(model_cfg, seed=train_cfg.seed), dataset, train_cfg)
-
-
 def cmd_train(args) -> int:
     t0 = time.perf_counter()
-    overrides = {} if args.seed is None else {"train.seed": args.seed}
-    cfg = load_run_config(args.config, overrides)
-    seed = cfg["train"].setdefault("seed", 0)
-    model_cfg, train_cfg, dataset = _prepare_run(cfg, seed)
+    cfg = load_seeded_config(args, "train")
+    model_cfg, train_cfg, dataset = _prepare_run(cfg)
     run_dir = prepare_run_dir(args.output_dir, "train", args.force)
-    try:
-        model, history = _fit(model_cfg, train_cfg, dataset)
-    except FloatingPointError as exc:
-        print(f"training stage failed: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+    model, history = train(Forecaster(model_cfg, seed=train_cfg.seed), dataset,
+                           train_cfg)
     metrics = evaluate(model, dataset, "test")
     save_checkpoint(model, run_dir / "checkpoint.json")
     write_history_csv(history, run_dir / "history.csv")
     baseline = persistence_metrics(dataset, "test")
     with open(run_dir / "metrics.json", "w") as fh:
-        json.dump({"test": _metrics_dict(metrics),
-                   "persistence": _metrics_dict(baseline),
-                   "seed": seed}, fh, sort_keys=True)
-    write_run_info(run_dir, cfg, seed, time.perf_counter() - t0)
+        json.dump({"test": asdict(metrics), "persistence": asdict(baseline),
+                   "seed": train_cfg.seed}, fh, sort_keys=True)
+    write_run_info(run_dir, cfg, train_cfg.seed, time.perf_counter() - t0)
     print(f"train: test mse={metrics.mse:.6f} mae={metrics.mae:.6f} "
           f"-> {run_dir}")
     return EXIT_OK
@@ -231,15 +229,15 @@ def cmd_eval(args) -> int:
     run_dir = prepare_run_dir(args.output_dir, "eval", args.force)
     metrics = evaluate(model, dataset, args.split)
     with open(run_dir / "metrics.json", "w") as fh:
-        json.dump({args.split: _metrics_dict(metrics)}, fh, sort_keys=True)
-    write_run_info(run_dir, cfg, 0, time.perf_counter() - t0)
+        json.dump({args.split: asdict(metrics)}, fh, sort_keys=True)
+    write_run_info(run_dir, cfg, None, time.perf_counter() - t0)
     print(f"eval: {args.split} mse={metrics.mse:.6f} mae={metrics.mae:.6f}")
     return EXIT_OK
 
 
 def cmd_probe(args) -> int:
     t0 = time.perf_counter()
-    cfg = load_run_config(args.config, {})
+    cfg = load_seeded_config(args, "probe")
     chain = _build(ChainConfig, cfg["probe"])
     run_dir = prepare_run_dir(args.output_dir, "probe", args.force)
     params, _, _ = chain_params(chain)
@@ -267,58 +265,59 @@ def cmd_probe(args) -> int:
     return EXIT_PROBE if failed else EXIT_OK
 
 
-def _run_grid(args, cfg: dict, command: str, filename: str, header: list,
-              variants: list, score) -> int:
+def _run_grid(args, cfg: dict, filename: str, header: list, variants: list,
+              score) -> int:
     """Train once per (label, model overrides) variant and write one CSV row
-    per variant: the label, then score(model, dataset)'s floats as repr.
-    Every variant's configs and dataset are checked before training starts."""
+    per variant: the label, then score(model, dataset)'s floats as repr. A
+    repeated label is dropped with one warning line. Every variant's configs
+    and dataset are checked before training starts."""
     t0 = time.perf_counter()
-    runs, datasets = [], {}
+    runs, datasets = {}, {}
     for label, overrides in variants:
+        if label in runs:
+            print(f"warning: duplicate {header[0].replace('_', ' ')} {label} "
+                  f"ignored", file=sys.stderr)
+            continue
         sub = json.loads(json.dumps(cfg))
         sub["model"].update(overrides)
-        runs.append((label, _prepare_run(sub, args.seed or 0, datasets)))
-    run_dir = prepare_run_dir(args.output_dir, command, args.force)
+        runs[label] = _prepare_run(sub, datasets)
+    run_dir = prepare_run_dir(args.output_dir, args.command, args.force)
     rows = []
-    for label, (model_cfg, train_cfg, dataset) in runs:
-        model, _ = _fit(model_cfg, train_cfg, dataset)
+    for label, (model_cfg, train_cfg, dataset) in runs.items():
+        model, _ = train(Forecaster(model_cfg, seed=train_cfg.seed), dataset,
+                         train_cfg)
         values = score(model, dataset)
         rows.append([label] + [repr(v) for v in values])
-        print(f"{command} {label}: " + " ".join(
+        print(f"{args.command} {label}: " + " ".join(
             f"{name}={v:.6f}" for name, v in zip(header[1:], values)))
     with open(run_dir / filename, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    write_run_info(run_dir, cfg, args.seed or 0, time.perf_counter() - t0)
+    write_run_info(run_dir, cfg, cfg["train"]["seed"],
+                   time.perf_counter() - t0)
     return EXIT_OK
 
 
-def _test_scores(model, dataset) -> tuple[float, float]:
-    m = evaluate(model, dataset, "test")
-    return m.mse, m.mae
+#: sweep command -> (help, the model fields each size is written to)
+SWEEPS = {
+    "sweep-patch": ("train once per patch size",
+                    ("patch_size", "patch_stride")),
+    "sweep-lookback": ("train once per look-back length", ("lookback",)),
+}
 
 
-def cmd_sweep_patch(args) -> int:
-    cfg = load_run_config(args.config, {})
-    sizes = []
-    for s in args.sizes:
-        if s in sizes:
-            print(f"warning: duplicate patch size {s} ignored", file=sys.stderr)
-        else:
-            sizes.append(s)
-    variants = [(s, {"patch_size": s, "patch_stride": s}) for s in sorted(sizes)]
-    return _run_grid(args, cfg, "sweep-patch", "sweep_patch.csv",
-                     ["patch_size", "test_mse", "test_mae"], variants,
-                     _test_scores)
+def cmd_sweep(args) -> int:
+    fields = SWEEPS[args.command][1]
+    variants = [(s, dict.fromkeys(fields, s)) for s in sorted(args.sizes)]
 
+    def scores(model, dataset):
+        m = evaluate(model, dataset, "test")
+        return m.mse, m.mae
 
-def cmd_sweep_lookback(args) -> int:
-    cfg = load_run_config(args.config, {})
-    variants = [(L, {"lookback": L}) for L in sorted(set(args.sizes))]
-    return _run_grid(args, cfg, "sweep-lookback", "sweep_lookback.csv",
-                     ["lookback", "test_mse", "test_mae"], variants,
-                     _test_scores)
+    return _run_grid(args, load_seeded_config(args, "train"),
+                     args.command.replace("-", "_") + ".csv",
+                     [fields[0], "test_mse", "test_mae"], variants, scores)
 
 
 ABLATION_AXES = {
@@ -330,7 +329,7 @@ ABLATION_AXES = {
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config, {})
+    cfg = load_seeded_config(args, "train")
     combos = [{}]
     for axis in args.axes:
         combos = [{**c, axis: v} for c in combos for v in ABLATION_AXES[axis]]
@@ -349,19 +348,20 @@ def cmd_ablate(args) -> int:
         return tuple(evaluate(model, dataset, split).mse
                      for split in ("train", "val", "test"))
 
-    return _run_grid(args, cfg, "ablate", "ablation.csv",
+    return _run_grid(args, cfg, "ablation.csv",
                      ["variant", "train_mse", "val_mse", "test_mse"], variants,
                      scores)
 
 
 def cmd_gradcheck(args) -> int:
-    cfg = load_run_config(args.config, {})
+    cfg = load_seeded_config(args, "train")
     model_payload = cfg["model"] or {
         "lookback": 16, "horizon": 4, "n_channels": 2, "patch_size": 4,
         "embed_dim": 8, "n_blocks": 1, "n_heads": 2, "dropout_rate": 0.0}
     model_cfg = make_model_config(model_payload)
-    model = Forecaster(model_cfg, seed=args.seed or 0)
-    rng = Rng(args.seed or 0).spawn(5)
+    seed = make_train_config(cfg["train"]).seed
+    model = Forecaster(model_cfg, seed=seed)
+    rng = Rng(seed).spawn(5)
     x = rng.normal((2, model_cfg.lookback, model_cfg.n_channels))
     y = rng.normal((2, model_cfg.horizon, model_cfg.n_channels))
 
@@ -381,10 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_section: str | None = "train"):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output-dir", default="runs")
-        p.add_argument("--seed", type=int, default=None)
+        if seed_section:
+            p.add_argument("--seed", type=int,
+                           help=f"overrides the config's {seed_section}.seed")
         p.add_argument("--force", action="store_true",
                        help="reuse a fixed run directory instead of timestamping")
 
@@ -393,24 +395,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
+    common(p, seed_section=None)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("probe", help="run the memory-property probe")
-    common(p)
+    common(p, seed_section="probe")
     p.set_defaults(fn=cmd_probe)
 
-    p = sub.add_parser("sweep-patch", help="train once per patch size")
-    common(p)
-    p.add_argument("--sizes", type=int, nargs="+", required=True)
-    p.set_defaults(fn=cmd_sweep_patch)
-
-    p = sub.add_parser("sweep-lookback", help="train once per look-back length")
-    common(p)
-    p.add_argument("--sizes", type=int, nargs="+", required=True)
-    p.set_defaults(fn=cmd_sweep_lookback)
+    for name, (help_text, _) in SWEEPS.items():
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--sizes", type=int, nargs="+", required=True)
+        p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("ablate", help="toggle design axes and compare")
     common(p)
@@ -434,8 +432,6 @@ def main(argv: list[str] | None = None) -> int:
         # one stderr line per warning; an error, if any, is the last line
         warnings.showwarning = _warn_one_line
         try:
-            if args.seed is not None and args.seed < 0:
-                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             return args.fn(args)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Literal
 
 import numpy as np
 
-from .tensorops import DataError, Rng, check_fields
+from .tensorops import DataError, Rng, check_fields, from_dict
 
 #: name -> (train/val/test ratios, expected channel count)
 DATASET_PRESETS = {
@@ -196,16 +196,25 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
                            norm_mean=mean, norm_std=std, name=raw.name)
 
 
-#: synthetic kind -> {params key: default} of every key the kind reads
+#: synthetic kind -> {params key: default} of every key the kind reads; a
+#: key's type is the type of its default
 SYNTHETIC_PARAMS = {
     kind: {"length": 1000, "channels": 1, **keys} for kind, keys in {
         "constant": {"value": 0.0},
-        "sinusoid": {"period": 24, "amplitude": 1.0, "noise_std": 0.0},
+        "sinusoid": {"period": 24.0, "amplitude": 1.0, "noise_std": 0.0},
         "ar1": {"phi": 0.8, "allow_nonstationary": False, "noise_std": 1.0},
         "long_memory_arfima_like": {"n_components": 20, "noise_std": 1.0},
     }.items()}
 
 SyntheticKind = Literal[tuple(SYNTHETIC_PARAMS)]
+
+#: synthetic kind -> the dataclass of its params, so that from_dict and
+#: check_fields check them as they check every config section
+_PARAMS_CLASSES = {
+    kind: make_dataclass(f"{kind} params",
+                         [(key, type(v), v) for key, v in defaults.items()],
+                         namespace={"__post_init__": check_fields})
+    for kind, defaults in SYNTHETIC_PARAMS.items()}
 
 
 def _ar1(phi: float, eps: np.ndarray) -> np.ndarray:
@@ -223,25 +232,20 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
 
     kinds: constant, sinusoid, ar1, long_memory_arfima_like (a superposition
     of AR(1) processes with coefficients crowding 1, which mimics slowly
-    decaying autocorrelation). An unknown kind is a DataError; a params key
-    the kind does not read (SYNTHETIC_PARAMS), a length, channels or
-    n_components that is not a positive integer, a real param that is not
-    finite, a period <= 0 and a noise_std < 0 are ValueErrors.
+    decaying autocorrelation). An unknown kind is a DataError. params go
+    through the config check (tensorops.from_dict): a key the kind does not
+    read, or a value not of its default's type (SYNTHETIC_PARAMS), is a
+    TypeError or ValueError, as are a length, channels or n_components
+    below 1, a period <= 0 and a noise_std < 0.
     """
     if kind not in SYNTHETIC_PARAMS:
         raise DataError(f"unknown synthetic kind {kind!r}")
-    if unknown := params.keys() - SYNTHETIC_PARAMS[kind]:
-        raise ValueError(f"unknown {kind} params: {sorted(unknown)}")
-    p = {**SYNTHETIC_PARAMS[kind], **params}
-    for key in ("length", "channels", "n_components"):
-        count = p.get(key, 1)
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)) \
-                or count < 1:
-            raise ValueError(f"{key} must be a positive integer, got {count!r}")
+    p = vars(from_dict(_PARAMS_CLASSES[kind], params))
+    if bad := sorted(key for key in ("length", "channels", "n_components")
+                     if p.get(key, 1) < 1):
+        raise ValueError(f"{', '.join(bad)} must be >= 1")
     real = {key: float(p[key]) for key in
             ("value", "period", "amplitude", "phi", "noise_std") if key in p}
-    if bad := sorted(key for key, v in real.items() if not math.isfinite(v)):
-        raise ValueError(f"{', '.join(bad)} must be finite")
     if real.get("period", 1.0) <= 0.0:
         raise ValueError(f"period must be > 0, got {real['period']!r}")
     noise = real.get("noise_std", 0.0)

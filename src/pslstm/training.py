@@ -100,11 +100,11 @@ class AdamState:
     layer norm also use: tensorops.row_slices splits each parameter into
     row-slices of at most tensorops._CHUNK elements (a 1-D array into
     element slices; a row wider than that is a chunk of its own). Each
-    chunk keeps its slice, the matching views of m and v, and three scratch
-    views (tmp, step and the masked gradient) into one (3, n) buffer, n the
-    largest chunk. So a step allocates nothing sized to the parameter
-    count. m and v are updated in place through these views; rebinding an
-    entry of m or v detaches it from the plan.
+    chunk keeps its slice, the matching views of m and v, and two scratch
+    views (tmp and step) into one (2, n) buffer, n the largest chunk. So a
+    step allocates nothing sized to the parameter count. m and v are
+    updated in place through these views; rebinding an entry of m or v
+    detaches it from the plan.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
@@ -114,8 +114,8 @@ class AdamState:
         slices = {k: row_slices(v.shape) for k, v in params.items()}
         n = max((params[k][sl].size for k in params for sl in slices[k]),
                 default=1)
-        scratch = np.empty((3, max(n, 1)))
-        # per chunk: (slice, m view, v view, tmp, step, masked gradient)
+        scratch = np.empty((2, max(n, 1)))
+        # per chunk: (slice, m view, v view, tmp, step)
         self._plan = {}
         for name, p in params.items():
             chunks = []
@@ -128,20 +128,21 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig,
-              # no caller in src/ passes masks; kept because perfbench does
-              masks: dict[str, np.ndarray] | None = None) -> None:
+              masks: dict | None = None) -> None:
     """One bias-corrected Adam update, in place.
 
-    A masked parameter's gradient is multiplied by its mask first, so m
-    and v stay exactly +0.0 where the mask is 0 and those entries never
-    move. grads are not written. Every gradient is checked to be finite
-    before anything is written.
+    grads are not written. Every gradient is checked to be finite before
+    anything is written. masks, which perfbench passes as Forecaster.masks,
+    must be None or empty: no entry is frozen.
 
     The update runs chunk by chunk over the plan in `state` (see
     AdamState), each elementwise pass writing into the chunk's scratch
     views. Every operation is elementwise and done in the order of the
     whole-array update, so the results are bit-identical to it.
     """
+    if masks:
+        raise ValueError(f"adam_step freezes no entries, got masks for "
+                         f"{sorted(masks)}")
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in {name}")
@@ -152,11 +153,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     lr, eps = config.learning_rate, config.eps_opt
     for name, p in params.items():
         g = grads[name]
-        mask = None if masks is None else masks.get(name)
-        for sl, m, v, tmp, step, gm in state._plan[name]:
+        for sl, m, v, tmp, step in state._plan[name]:
             gs = g[sl]
-            if mask is not None:
-                gs = np.multiply(gs, mask[sl], out=gm)
             m *= b1
             m += np.multiply(gs, 1.0 - b1, out=tmp)
             v *= b2

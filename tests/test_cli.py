@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pslstm import cli
 from pslstm.cells import GateMode
 from pslstm.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, DataConfig,
                         load_run_config, main, make_model_config,
@@ -137,6 +138,10 @@ SYNTHETIC = {"source": "synthetic",
         "params": {"length": 400, "phi": float("nan")}}}),
     ("train", {"model": TINY_MODEL, "data": {
         **SYNTHETIC, "params": {"length": 400, "period": 10**400}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        "source": "synthetic", "kind": "ar1",
+        "params": {"length": 400, "phi": 1.0,
+                   "allow_nonstationary": "false"}}}),
 ], ids=["top_level_number", "section_number", "data_list", "stride_word",
         "stride_zero", "data_seed_word", "train_seed_word", "params_number",
         "length_word", "memory_mixing_string", "stabilized_string",
@@ -152,7 +157,7 @@ SYNTHETIC = {"source": "synthetic",
         "probe_weight_scale_negative", "probe_out_scale_negative",
         "sinusoid_noise_negative", "sinusoid_period_zero", "length_float",
         "channels_float", "n_components_float", "ar1_phi_nan",
-        "period_huge_int"])
+        "period_huge_int", "ar1_string_bool"])
 def test_malformed_config_value_exits_config(tmp_path, capsys, command,
                                              payload):
     path = tmp_path / "bad.json"
@@ -167,11 +172,13 @@ def test_malformed_config_value_exits_config(tmp_path, capsys, command,
 @pytest.mark.parametrize("argv", [
     ["train", "--seed", "-1"],
     ["gradcheck", "--seed", "-3"],
+    ["probe", "--seed", "-2"],
     ["sweep-patch", "--sizes", "4", "--seed", "-1"],
     ["sweep-patch", "--sizes", "4", "8", "--config", "BAD"],
     ["ablate", "--axes", "memory_mixing", "--config", "BAD"],
     ["sweep-patch", "--sizes", "32"],
-], ids=["train_flag", "gradcheck_flag", "sweep_flag", "sweep_config",
+], ids=["train_flag", "gradcheck_flag", "probe_flag", "sweep_flag",
+        "sweep_config",
         "ablate_config", "sweep_patch_over_lookback"])
 def test_grid_and_flag_errors_exit_config_without_a_run_dir(tmp_path, capsys,
                                                             argv):
@@ -256,6 +263,24 @@ def test_wrong_json_kind_in_any_field_exits_config(data):
     cfg = base_config()
     put(cfg, section, name, value)
     assert_config_error(cfg, section, (section, name, value))
+
+
+#: (synthetic kind, params key, JSON kind) of every wrong kind of every key
+WRONG_PARAM_KINDS = [
+    (kind, key, json_kind)
+    for kind, defaults in SYNTHETIC_PARAMS.items()
+    for key, default in defaults.items()
+    for json_kind in sorted(JSON_VALUES.keys() - json_kinds(type(default)))]
+
+
+@given(st.data())
+def test_wrong_json_kind_in_any_data_param_exits_config(data):
+    # a param's type is the type of its default
+    kind, key, json_kind = data.draw(st.sampled_from(WRONG_PARAM_KINDS))
+    value = data.draw(JSON_VALUES[json_kind])
+    cfg = base_config()
+    cfg["data"] = {"kind": kind, "params": {"length": 400, key: value}}
+    assert_config_error(cfg, "data", (kind, key, value))
 
 
 #: config section -> the keys it accepts (data.params: a sinusoid's)
@@ -359,6 +384,66 @@ def test_each_kind_trains_without_params(tmp_path, kind):
                       if k in SYNTHETIC_PARAMS[kind]}
     cfg = write_config(tmp_path, data={"source": "synthetic", "kind": kind})
     assert run(tmp_path, "train", "--config", cfg) == EXIT_OK
+
+
+#: the flags each training command needs besides --config
+TRAINING_ARGS = {"train": [], "sweep-patch": ["--sizes", "4"],
+                 "sweep-lookback": ["--sizes", "16"],
+                 "ablate": ["--axes", "memory_mixing"], "gradcheck": []}
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+@pytest.mark.parametrize("command", sorted(TRAINING_ARGS))
+def test_train_seed_from_config_or_flag_reaches_the_run(tmp_path, monkeypatch,
+                                                        command, flag):
+    seeds = []
+    forecaster = cli.Forecaster
+    monkeypatch.setattr(cli, "Forecaster", lambda config, seed: (
+        seeds.append(seed) or forecaster(config, seed=seed)))
+    seed = {} if flag else {"seed": 5}
+    cfg = write_config(tmp_path, train={"max_epochs": 1, "batch_size": 32,
+                                        **seed})
+    argv = [command, "--config", cfg, *TRAINING_ARGS[command]]
+    assert run(tmp_path, *argv, *(["--seed", "5"] if flag else [])) == EXIT_OK
+    assert seeds and set(seeds) == {5}
+    if command != "gradcheck":
+        run_dir = tmp_path / "runs" / command
+        info = json.loads((run_dir / "run_info.json").read_text())
+        resolved = json.loads((run_dir / "resolved_config.json").read_text())
+        assert info["seed"] == resolved["train"]["seed"] == 5
+
+
+def test_grid_rows_repeat_train_at_the_config_seed(tmp_path):
+    cfg = write_config(tmp_path, train={"max_epochs": 1, "batch_size": 32,
+                                        "seed": 5})
+    runs = tmp_path / "runs"
+    assert run(tmp_path, "train", "--config", cfg) == EXIT_OK
+    metrics = json.loads((runs / "train" / "metrics.json").read_text())
+    mse = metrics["test"]["mse"]
+    assert run(tmp_path, "sweep-patch", "--config", cfg,
+               "--sizes", "4") == EXIT_OK
+    assert run(tmp_path, "ablate", "--config", cfg,
+               "--axes", "memory_mixing") == EXIT_OK
+    sweep = (runs / "sweep-patch" / "sweep_patch.csv").read_text().splitlines()
+    ablation = (runs / "ablate" / "ablation.csv").read_text().splitlines()
+    assert sweep[1].split(",")[:2] == ["4", repr(mse)]
+    assert ablation[1].startswith("memory_mixing=True,")
+    assert ablation[1].split(",")[3] == repr(mse)
+
+
+def test_divergence_exits_4_with_one_line_from_train_and_grids(tmp_path,
+                                                              monkeypatch):
+    def diverge(*args):
+        raise FloatingPointError("non-finite gradient in embed.W")
+
+    monkeypatch.setattr(cli, "train", diverge)
+    cfg = write_config(tmp_path)
+    for argv in (["train"], ["sweep-lookback", "--sizes", "16"]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(tmp_path, *argv, "--config", cfg) == cli.EXIT_DIVERGED
+        assert err.getvalue() == ("numerical divergence: non-finite gradient "
+                                  "in embed.W\n"), argv
 
 
 def test_train_missing_dataset_exits_data(tmp_path, capsys):
@@ -512,6 +597,16 @@ def test_eval_checkpoint(tmp_path):
     assert "val" in metrics
 
 
+def test_eval_has_no_seed_flag(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "eval", "--config", cfg, "--checkpoint", "missing.json",
+            "--seed", "1")
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_eval_checkpoint_missing_parameter_exits_data(tmp_path, capsys):
     cfg = write_config(tmp_path)
     run(tmp_path, "train", "--config", cfg)
@@ -660,6 +755,28 @@ def test_probe_amplification_regime(tmp_path):
     assert len(trace.splitlines()) == 1 + blob["overflow_step"] + 1
 
 
+def test_probe_seed_from_config_or_flag_reaches_the_run(tmp_path):
+    chain = {"q": 8, "noise_std": 0.01, "horizon": 300, "param_seed": 0,
+             "weight_scale": 0.3, "out_scale": 1.5, "target_gate_bound": 0.9,
+             "positive_feedback": True}
+    runs = {"config": (write_config(tmp_path, "a.json",
+                                    probe={**chain, "seed": 9}), []),
+            "flag": (write_config(tmp_path, "b.json", probe=chain),
+                     ["--seed", "9"]),
+            "unseeded": (write_config(tmp_path, "b.json", probe=chain), [])}
+    traces = {}
+    for name, (cfg, flag) in runs.items():
+        out = tmp_path / name / "probe"
+        assert main(["probe", "--config", cfg, "--force", "--output-dir",
+                     str(tmp_path / name), *flag]) == EXIT_OK
+        info = json.loads((out / "run_info.json").read_text())
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        seed = 0 if name == "unseeded" else 9
+        assert info["seed"] == resolved["probe"]["seed"] == seed, name
+        traces[name] = (out / "trace.csv").read_bytes()
+    assert traces["config"] == traces["flag"] != traces["unseeded"]
+
+
 def test_probe_unknown_key_rejected(tmp_path):
     cfg = write_config(tmp_path, probe={"q": 8, "temperature": 1.0})
     assert run(tmp_path, "probe", "--config", cfg) == EXIT_CONFIG
@@ -686,25 +803,32 @@ def test_sweep_patch_rejects_oversized(tmp_path):
                "--sizes", "32") == EXIT_CONFIG
 
 
-def test_sweep_lookback_table(tmp_path):
+def test_sweep_lookback_table(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert run(tmp_path, "sweep-lookback", "--config", cfg,
-               "--sizes", "8", "16") == EXIT_OK
+               "--sizes", "8", "8", "16") == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: duplicate lookback 8 ignored"]
     lines = (tmp_path / "runs" / "sweep-lookback" / "sweep_lookback.csv") \
         .read_text().strip().splitlines()
     assert lines[0] == "lookback,test_mse,test_mae"
-    assert len(lines) == 3
+    assert [line.split(",")[0] for line in lines[1:]] == ["8", "16"]
 
 
-def test_ablate_memory_mixing(tmp_path):
+@pytest.mark.parametrize("axes", [["memory_mixing"],
+                                  ["memory_mixing", "memory_mixing"]],
+                         ids=["once", "repeated"])
+def test_ablate_memory_mixing(tmp_path, capsys, axes):
     cfg = write_config(tmp_path)
-    assert run(tmp_path, "ablate", "--config", cfg,
-               "--axes", "memory_mixing") == EXIT_OK
+    assert run(tmp_path, "ablate", "--config", cfg, "--axes", *axes) == EXIT_OK
     lines = (tmp_path / "runs" / "ablate" / "ablation.csv") \
         .read_text().strip().splitlines()
     assert lines[0] == "variant,train_mse,val_mse,test_mse"
-    assert len(lines) == 3
-    assert lines[1].startswith("memory_mixing=")
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "memory_mixing=True", "memory_mixing=False"]
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: duplicate variant ")]
+    assert len(warnings) == 2 * (len(axes) - 1)
 
 
 def test_ablate_two_axes_product(tmp_path):

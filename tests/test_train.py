@@ -122,14 +122,17 @@ def test_adam_rejects_non_finite_grads():
         adam_step(params, {"w": np.array([1.0, np.nan])}, state, TrainConfig())
 
 
-def test_adam_masks_keep_frozen_entries_zero():
+def test_adam_takes_no_masks():
     params = {"R": np.zeros((2, 2))}
-    masks = {"R": np.array([[1.0, 0.0], [0.0, 1.0]])}
     state = AdamState(params)
-    for _ in range(5):
+    for masks in (None, {}):
         adam_step(params, {"R": np.ones((2, 2))}, state, TrainConfig(), masks)
-    assert np.all(params["R"][masks["R"] == 0.0] == 0.0)
-    assert np.all(params["R"][masks["R"] == 1.0] != 0.0)
+    assert state.t == 2
+    before = params["R"].copy()
+    with pytest.raises(ValueError, match="masks"):
+        adam_step(params, {"R": np.ones((2, 2))}, state, TrainConfig(),
+                  {"R": np.ones((2, 2))})
+    assert state.t == 2 and np.array_equal(params["R"], before)
 
 
 def test_adam_fits_linear_regression():
@@ -148,7 +151,7 @@ def test_adam_fits_linear_regression():
     assert loss < 1e-3
 
 
-def _reference_adam_step(params, grads, state, config, masks=None):
+def _reference_adam_step(params, grads, state, config):
     """The whole-array Adam update that the chunked adam_step replaced."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -159,8 +162,6 @@ def _reference_adam_step(params, grads, state, config, masks=None):
     corr2 = 1.0 - b2 ** state.t
     for name, p in params.items():
         g = grads[name]
-        if masks is not None and name in masks:
-            g = g * masks[name]
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -169,8 +170,6 @@ def _reference_adam_step(params, grads, state, config, masks=None):
         v += (1.0 - b2) * g * g
         step = config.learning_rate * (m / corr1) / (np.sqrt(v / corr2)
                                                      + config.eps_opt)
-        if masks is not None and name in masks:
-            step = step * masks[name]
         p -= step
 
 
@@ -187,14 +186,11 @@ def test_adam_chunked_matches_whole_array_update():
         "rows_split": (300, 250),            # 131 rows per chunk
         "wide_row": (3, chunk + 7),
         "fortran": (200, 300),
-        "block_diag": (256, 256),
-        "frozen": (64, 64),
+        "square": (256, 256),
         "small": (5,),
     }
     params = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
     params["fortran"] = np.asfortranarray(params["fortran"])
-    masks = {"block_diag": np.kron(np.eye(4), np.ones((64, 64))),
-             "frozen": np.zeros((64, 64))}     # memory_mixing=False
     ref = {k: v.copy(order="K") for k, v in params.items()}
     fortran, start = params["fortran"], {k: _bits(v) for k, v in ref.items()}
     state, ref_state = AdamState(params), AdamState(ref)
@@ -202,8 +198,8 @@ def test_adam_chunked_matches_whole_array_update():
     for step in range(5):
         grads = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
         before = {k: _bits(g) for k, g in grads.items()}
-        adam_step(params, grads, state, cfg, masks)
-        _reference_adam_step(ref, grads, ref_state, cfg, masks)
+        adam_step(params, grads, state, cfg)
+        _reference_adam_step(ref, grads, ref_state, cfg)
         assert all(_bits(g) == before[k] for k, g in grads.items())
     assert state.t == ref_state.t == 5
     for k in shapes:
@@ -213,10 +209,6 @@ def test_adam_chunked_matches_whole_array_update():
     # updated in place, layout kept
     assert params["fortran"] is fortran and fortran.flags.f_contiguous
     assert _bits(fortran) != start["fortran"]
-    # non-zero values under a zero mask never move; m and v stay +0.0
-    assert _bits(params["frozen"]) == start["frozen"]
-    assert _bits(state.m["frozen"]) == _bits(np.zeros((64, 64)))
-    assert _bits(state.v["frozen"]) == _bits(np.zeros((64, 64)))
 
 
 def test_adam_non_finite_last_gradient_changes_nothing():
