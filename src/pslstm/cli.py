@@ -39,7 +39,8 @@ from .probe import (ChainConfig, chain_params, check_contraction,
                     memory_report, ratio_stability_report, simulate_chain,
                     two_trajectory_coupling, write_acf_csv, write_probe_report,
                     write_trace_csv)
-from .tensorops import DataError, Rng, check_fields, from_dict
+from .tensorops import (AtLeast0, AtLeast1, DataError, Rng, check_fields,
+                        from_dict)
 from .training import (TrainConfig, evaluate, mse_loss, persistence_metrics,
                        train, write_history_csv)
 
@@ -58,17 +59,17 @@ class ConfigError(ValueError):
 class DataConfig:
     """The data section: a synthetic series or a CSV file."""
     source: Literal["synthetic", "csv"] = "synthetic"
-    window_stride: int = 1
+    window_stride: AtLeast1 = 1
     path: str | None = None
-    preset: str | None = None
-    max_rows: int | None = None        # keep only the first max_rows rows
+    preset: Literal[tuple(DATASET_PRESETS)] | None = None
+    max_rows: AtLeast1 | None = None   # keep only the first max_rows rows
     has_date_column: bool = True
     delimiter: str = ","
     has_header: bool = True
     kind: SyntheticKind = "sinusoid"
     # None: those of length=4000, period=24, noise_std=0.1 that kind reads
     params: dict | None = None
-    seed: int = 0
+    seed: AtLeast0 = 0
 
     def __post_init__(self):
         check_fields(self)
@@ -76,16 +77,8 @@ class DataConfig:
             self.params = {k: v for k, v in dict(length=4000, period=24,
                                                  noise_std=0.1).items()
                            if k in SYNTHETIC_PARAMS[self.kind]}
-        if self.window_stride < 1:
-            raise ValueError(f"window_stride must be >= 1, got {self.window_stride}")
-        if self.max_rows is not None and self.max_rows < 1:
-            raise ValueError(f"max_rows must be >= 1, got {self.max_rows}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.delimiter) != 1:
             raise ValueError(f"delimiter {self.delimiter!r} is not one character")
-        if self.preset is not None and self.preset not in DATASET_PRESETS:
-            raise ValueError(f"unknown dataset preset {self.preset!r}")
 
 
 def _build(cls, payload):

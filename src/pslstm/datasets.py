@@ -17,7 +17,8 @@ from typing import Literal
 
 import numpy as np
 
-from .tensorops import DataError, Rng, check_fields, from_dict
+from .tensorops import (AtLeast1, DataError, NonNegative, Positive, Rng,
+                        check_fields, from_dict)
 
 #: name -> (train/val/test ratios, expected channel count)
 DATASET_PRESETS = {
@@ -37,8 +38,7 @@ class CsvSchema:
     delimiter: str = ","
     has_header: bool = True
 
-    def __post_init__(self):
-        check_fields(self)
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -197,7 +197,7 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
 
 
 #: synthetic kind -> {params key: default} of every key the kind reads; a
-#: key's type is the type of its default
+#: key's type is the type of its default, with the range of _PARAM_RANGES
 SYNTHETIC_PARAMS = {
     kind: {"length": 1000, "channels": 1, **keys} for kind, keys in {
         "constant": {"value": 0.0},
@@ -208,11 +208,16 @@ SYNTHETIC_PARAMS = {
 
 SyntheticKind = Literal[tuple(SYNTHETIC_PARAMS)]
 
+#: params key -> its type with its range, for the keys that have one
+_PARAM_RANGES = dict(length=AtLeast1, channels=AtLeast1, n_components=AtLeast1,
+                     period=Positive, noise_std=NonNegative)
+
 #: synthetic kind -> the dataclass of its params, so that from_dict and
 #: check_fields check them as they check every config section
 _PARAMS_CLASSES = {
     kind: make_dataclass(f"{kind} params",
-                         [(key, type(v), v) for key, v in defaults.items()],
+                         [(key, _PARAM_RANGES.get(key, type(v)), v)
+                          for key, v in defaults.items()],
                          namespace={"__post_init__": check_fields})
     for kind, defaults in SYNTHETIC_PARAMS.items()}
 
@@ -234,23 +239,16 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
     of AR(1) processes with coefficients crowding 1, which mimics slowly
     decaying autocorrelation). An unknown kind is a DataError. params go
     through the config check (tensorops.from_dict): a key the kind does not
-    read, or a value not of its default's type (SYNTHETIC_PARAMS), is a
-    TypeError or ValueError, as are a length, channels or n_components
-    below 1, a period <= 0 and a noise_std < 0.
+    read, or a value not of its default's type (SYNTHETIC_PARAMS) or outside
+    its range (_PARAM_RANGES: length, channels and n_components at least 1,
+    period above 0, noise_std at least 0), is a TypeError or ValueError.
     """
     if kind not in SYNTHETIC_PARAMS:
         raise DataError(f"unknown synthetic kind {kind!r}")
     p = vars(from_dict(_PARAMS_CLASSES[kind], params))
-    if bad := sorted(key for key in ("length", "channels", "n_components")
-                     if p.get(key, 1) < 1):
-        raise ValueError(f"{', '.join(bad)} must be >= 1")
     real = {key: float(p[key]) for key in
             ("value", "period", "amplitude", "phi", "noise_std") if key in p}
-    if real.get("period", 1.0) <= 0.0:
-        raise ValueError(f"period must be > 0, got {real['period']!r}")
     noise = real.get("noise_std", 0.0)
-    if noise < 0.0:
-        raise ValueError(f"noise_std must be >= 0, got {noise!r}")
     rng = Rng(seed)
     length = int(p["length"])
     channels = int(p["channels"])

@@ -23,14 +23,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
                     slstm_forward, slstm_predict)
-from .tensorops import (DataError, Rng, ShapeError, check_fields, from_dict,
-                        row_slices)
+from .tensorops import (AtLeast0, AtLeast1, DataError, Rng, ShapeError,
+                        check_fields, from_dict, row_slices)
 
 _LN_EPS = 1e-5
 _INORM_EPS = 1e-5
@@ -40,34 +40,27 @@ CHECKPOINT_VERSION = 2
 
 @dataclass(frozen=True)
 class ModelConfig:
-    lookback: int
-    horizon: int
-    n_channels: int
-    patch_size: int
-    patch_stride: int = 0          # 0 means "equal to patch_size"
-    embed_dim: int = 32
-    n_blocks: int = 1
-    n_heads: int = 2
+    lookback: AtLeast1
+    horizon: AtLeast1
+    n_channels: AtLeast1
+    patch_size: AtLeast1
+    patch_stride: AtLeast0 = 0     # 0 means "equal to patch_size"
+    embed_dim: AtLeast1 = 32
+    n_blocks: AtLeast1 = 1
+    n_heads: AtLeast1 = 2
     gate_mode: GateMode = field(default_factory=GateMode)
     channel_strategy: Literal["independent", "mixed"] = "independent"
-    dropout_rate: float = 0.1
+    dropout_rate: Annotated[float, (">=", 0), ("<", 1)] = 0.1
     instance_norm: bool = True
 
     def __post_init__(self):
         check_fields(self)
-        if min(self.lookback, self.horizon, self.n_channels,
-               self.patch_size, self.embed_dim, self.n_blocks, self.n_heads) < 1:
-            raise ValueError("all size fields must be positive")
         if self.patch_size > self.lookback:
             raise ValueError(f"patch_size {self.patch_size} exceeds "
                              f"lookback {self.lookback}")
-        if self.patch_stride < 0:
-            raise ValueError("patch_stride must be >= 1 (or 0 for default)")
         if self.embed_dim % self.n_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"{self.n_heads} heads")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must be in [0, 1)")
 
     @property
     def stride(self) -> int:

@@ -27,44 +27,32 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .cells import (GateMode, SLSTMParams, SLSTMState, _forward_rows,
                     slstm_step)  # unused: kept because perfbench wraps it
-from .tensorops import DataError, Rng, check_fields
+from .tensorops import (AtLeast0, AtLeast1, DataError, NonNegative, Positive,
+                        Rng, check_fields)
 
 
 @dataclass
 class ChainConfig:
-    p: int = 1                     # output dimension
-    q: int = 8                     # hidden dimension
-    noise_std: float = 0.1
-    horizon: int = 2000
-    seed: int = 0
+    p: AtLeast1 = 1                # output dimension
+    q: AtLeast1 = 8                # hidden dimension
+    noise_std: NonNegative = 0.1
+    horizon: Annotated[int, (">=", 2)] = 2000
+    seed: AtLeast0 = 0
     forget_bias_offset: float = 0.0
     mode: Literal["raw", "stabilized"] = "raw"
-    weight_scale: float = 0.3
-    out_scale: float = 1.0
-    target_gate_bound: float | None = None   # sets b_f analytically if given
-    positive_feedback: bool = False          # nonnegative z/output weights
-    param_seed: int | None = None            # weights seed; defaults to seed
+    weight_scale: NonNegative = 0.3
+    out_scale: NonNegative = 1.0
+    target_gate_bound: Positive | None = None  # sets b_f analytically if given
+    positive_feedback: bool = False            # nonnegative z/output weights
+    param_seed: AtLeast0 | None = None         # weights seed; defaults to seed
 
-    def __post_init__(self):
-        check_fields(self)
-        if self.p < 1 or self.q < 1:
-            raise ValueError("p and q must be >= 1")
-        if self.target_gate_bound is not None and self.target_gate_bound <= 0:
-            raise ValueError("target_gate_bound must be > 0")
-        if self.horizon < 2:
-            raise ValueError("horizon must be >= 2")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be >= 0")
-        if self.weight_scale < 0 or self.out_scale < 0:
-            raise ValueError("weight_scale and out_scale must be >= 0")
-        if self.seed < 0 or (self.param_seed or 0) < 0:
-            raise ValueError("seed and param_seed must be >= 0")
+    __post_init__ = check_fields
 
 
 def chain_params(config: ChainConfig) -> tuple[SLSTMParams, np.ndarray, np.ndarray]:
@@ -241,8 +229,11 @@ def memory_report(trace: ChainTrace, max_lag: int = 20) -> MemoryReport:
     """Autocorrelation decay of the chain output.
 
     rho_hat comes from a least-squares fit of log|acf(k)| against k over
-    the lags with |acf| > 0.01 (averaged across output dims first).
+    the lags with |acf| > 0.01 (averaged across output dims first). A
+    max_lag below 2 is a DataError.
     """
+    if max_lag < 2:
+        raise DataError(f"max_lag {max_lag}: the decay fit needs two lags")
     n_finite = int(trace.finite.sum())
     if n_finite < 10 * max_lag:
         raise DataError(f"horizon {n_finite} too short for max_lag {max_lag}")

@@ -3,7 +3,8 @@
 Tensors are plain ``numpy.ndarray`` objects in double precision, row-major.
 The module holds the shape and data errors, the seeded random stream, the
 overflow-free sigmoid and log-sigmoid, the row-block rule shared by the
-cell's time loops, the layer norm and Adam, and the config schema checks.
+cell's time loops, the layer norm and Adam, and the config schema checks,
+which read a field's type, values and range (``AtLeast1``) off its annotation.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 import typing
 
 import numpy as np
@@ -88,22 +90,35 @@ def row_slices(shape: tuple[int, ...]) -> list:
 # -- config schema ---------------------------------------------------------
 
 _KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+_OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}
+
+#: field types that carry a range: Annotated (op, bound) pairs that every
+#: value of the field but the None of an X | None field must satisfy
+AtLeast0 = typing.Annotated[int, (">=", 0)]
+AtLeast1 = typing.Annotated[int, (">=", 1)]
+NonNegative = typing.Annotated[float, (">=", 0)]
+Positive = typing.Annotated[float, (">", 0)]
 
 
 @functools.cache
 def _schema(cls) -> dict:
-    """field name -> (annotation without None, accepted types, Literal values
-    or None), from the resolved annotations of dataclass cls."""
-    hints = typing.get_type_hints(cls)
+    """field name -> (annotation without None or range, accepted types,
+    Literal values or None, (op, bound) pairs), from the resolved
+    annotations of dataclass cls."""
+    hints = typing.get_type_hints(cls, include_extras=True)
     schema = {}
     for f in dataclasses.fields(cls):
         args = typing.get_args(hints[f.name])
         none = (type(None),) if type(None) in args else ()
         hint = args[0] if none else hints[f.name]       # X | None
+        bounds = getattr(hint, "__metadata__", ())      # Annotated[X, ...]
+        hint = typing.get_args(hint)[0] if bounds else hint
         if typing.get_origin(hint) is typing.Literal:
-            schema[f.name] = (hint, (object,), typing.get_args(hint))
+            choices = typing.get_args(hint) + (None,) * len(none)
+            schema[f.name] = (hint, (object,), choices, bounds)
         else:
-            schema[f.name] = (hint, _KINDS.get(hint, (hint,)) + none, None)
+            kinds = _KINDS.get(hint, (hint,)) + none
+            schema[f.name] = (hint, kinds, None, bounds)
     return schema
 
 
@@ -112,8 +127,10 @@ def check_fields(obj) -> None:
     takes a Python or numpy integer, a float field any real that is finite
     as a float (an int too large for a float is a bad value), only a
     bool field a bool; X | None also takes None, Literal[...] only its
-    values. Raises TypeError for a wrong type, ValueError for a bad value."""
-    for name, (hint, kinds, choices) in _schema(type(obj)).items():
+    values. A range declared as Annotated metadata, such as
+    Annotated[float, (">=", 0), ("<", 1)], holds for every value but None.
+    Raises TypeError for a wrong type, ValueError for a bad value."""
+    for name, (hint, kinds, choices, bounds) in _schema(type(obj)).items():
         v = getattr(obj, name)
         if choices is not None and v not in choices:
             raise ValueError(f"{name} must be one of {list(choices)}, got {v!r}")
@@ -127,6 +144,9 @@ def check_fields(obj) -> None:
             except OverflowError:
                 raise ValueError(f"{name} does not fit a finite float, got a "
                                  f"{v.bit_length()}-bit integer") from None
+        for op, bound in () if v is None else bounds:
+            if not _OPS[op](v, bound):
+                raise ValueError(f"{name} must be {op} {bound}, got {v!r}")
 
 
 def from_dict(cls, payload):

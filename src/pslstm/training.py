@@ -17,37 +17,32 @@ import copy
 import csv
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Annotated, Callable
 
 import numpy as np
 
 from .datasets import WindowedDataset
 from .model import Forecaster
-from .tensorops import DataError, Rng, ShapeError, check_fields, row_slices
+from .tensorops import (AtLeast0, AtLeast1, DataError, Positive, Rng,
+                        ShapeError, check_fields, row_slices)
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    max_epochs: int = 30
-    patience: int = 5
-    clip_norm: float = 1.0
-    seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
+    learning_rate: Positive = 1e-3
+    batch_size: AtLeast1 = 32
+    max_epochs: AtLeast0 = 30
+    patience: AtLeast1 = 5
+    clip_norm: Positive = 1.0
+    seed: AtLeast0 = 0
+    beta1: Annotated[float, (">", 0), ("<", 1)] = 0.9
+    beta2: Annotated[float, (">", 0), ("<", 1)] = 0.999
     eps_opt: float = 1e-8
 
     def __post_init__(self):
         check_fields(self)
-        if not (0.0 < self.beta1 < self.beta2 < 1.0):
-            raise ValueError("need 0 < beta1 < beta2 < 1")
-        if self.learning_rate <= 0 or self.clip_norm <= 0:
-            raise ValueError("learning_rate and clip_norm must be positive")
-        if self.batch_size < 1 or self.patience < 1 or self.max_epochs < 0:
-            raise ValueError("need batch_size, patience >= 1, max_epochs >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not self.beta1 < self.beta2:
+            raise ValueError("beta1 must be below beta2")
 
 
 @dataclass

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pslstm import cli
+from pslstm import cli, datasets
 from pslstm.cells import GateMode
 from pslstm.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, DataConfig,
                         load_run_config, main, make_model_config,
@@ -296,27 +296,59 @@ LOWER_BOUNDS = [
     ("model", "patch_stride", 0), ("train", "batch_size", 1),
     ("train", "patience", 1), ("train", "max_epochs", 0), ("train", "seed", 0),
     ("data", "window_stride", 1), ("data", "max_rows", 1), ("data", "seed", 0),
+    ("data.params", "length", 1), ("data.params", "channels", 1),
     ("probe", "p", 1), ("probe", "q", 1), ("probe", "horizon", 2),
     ("probe", "seed", 0), ("probe", "param_seed", 0),
 ]
 
 NEGATIVE = st.floats(-1.0, -5e-324)     # below 0, down to the least float
 NOT_POSITIVE = st.floats(-1.0, 0.0)     # 0.0 and -0.0 included
+AT_LEAST_ONE = st.floats(1.0, 2.0)
 
 #: (section, field, floats just outside its documented range); the other
 #: Adam coefficient keeps its default, beta1 0.9 or beta2 0.999
 FLOAT_BOUNDS = [
     ("model", "dropout_rate", NEGATIVE), ("model", "dropout_rate",
-                                          st.floats(1.0, 2.0)),
+                                          AT_LEAST_ONE),
     ("train", "learning_rate", NOT_POSITIVE),
     ("train", "clip_norm", NOT_POSITIVE),
     ("train", "beta1", NOT_POSITIVE), ("train", "beta1", st.floats(0.999, 2.0)),
-    ("train", "beta2", st.floats(-1.0, 0.9)), ("train", "beta2",
-                                               st.floats(1.0, 2.0)),
+    ("train", "beta1", AT_LEAST_ONE), ("train", "beta2", NOT_POSITIVE),
+    ("train", "beta2", st.floats(-1.0, 0.9)), ("train", "beta2", AT_LEAST_ONE),
+    ("data.params", "period", NOT_POSITIVE),
+    ("data.params", "noise_std", NEGATIVE),
     ("probe", "noise_std", NEGATIVE),
     ("probe", "target_gate_bound", NOT_POSITIVE),
     ("probe", "weight_scale", NEGATIVE), ("probe", "out_scale", NEGATIVE),
 ]
+
+#: declared float range (op, bound) -> the FLOAT_BOUNDS values outside it
+OUTSIDE = {(">=", 0): NEGATIVE, (">", 0): NOT_POSITIVE, ("<", 1): AT_LEAST_ONE}
+
+
+def declared_bounds() -> set:
+    """(section, field, op, bound) of every range declared on a field
+    annotation of the config schemas, the sinusoid params included."""
+    schemas = {**SECTIONS,
+               "data.params": datasets._PARAMS_CLASSES["sinusoid"]}
+    return {(section, name, op, bound)
+            for section, cls in schemas.items()
+            for name, hint in typing.get_type_hints(
+                cls, include_extras=True).items()
+            for arg in (hint, *typing.get_args(hint))      # X | None
+            for op, bound in getattr(arg, "__metadata__", ())}
+
+
+def test_range_tables_cover_every_declared_bound():
+    declared = declared_bounds()
+    rows = {(section, name, ">=", lowest)
+            for section, name, lowest in LOWER_BOUNDS}
+    rows |= {(section, name, *bound) for section, name, values in FLOAT_BOUNDS
+             for bound, outside in OUTSIDE.items() if values is outside}
+    assert declared - rows == set(), "declared bounds without a row"
+    assert rows - declared == set(), "rows without a declared bound"
+    # the rows that test a cross-field rule name a field with a range too
+    assert {row[:2] for row in FLOAT_BOUNDS} <= {d[:2] for d in declared}
 
 
 @given(st.data())
@@ -775,6 +807,18 @@ def test_probe_seed_from_config_or_flag_reaches_the_run(tmp_path):
         assert info["seed"] == resolved["probe"]["seed"] == seed, name
         traces[name] = (out / "trace.csv").read_bytes()
     assert traces["config"] == traces["flag"] != traces["unseeded"]
+
+
+def test_probe_too_short_for_the_decay_fit_exits_data(tmp_path, capsys):
+    # horizon 15 gives max_lag 1: one lag cannot fit a decay rate
+    cfg = load_run_config(str(CONFIGS / "probe_contraction.json"), {})
+    cfg["probe"]["horizon"] = 15
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(cfg))
+    assert run(tmp_path, "probe", "--config", str(path)) == EXIT_DATA
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("data error: "), lines
+    assert not (tmp_path / "runs" / "probe" / "probe.json").exists()
 
 
 def test_probe_unknown_key_rejected(tmp_path):

@@ -16,7 +16,7 @@ from pslstm.probe import (ChainConfig, ChainTrace, _run_chain, autocorrelation,
                           memory_report, ratio_stability_report,
                           simulate_chain, two_trajectory_coupling,
                           write_acf_csv, write_probe_report, write_trace_csv)
-from pslstm.tensorops import Rng
+from pslstm.tensorops import DataError, Rng
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -423,6 +423,14 @@ def test_memory_report_short_horizon_rejected():
     y = Rng(3).normal((50,), 0.0, 1.0)
     with pytest.raises(ValueError):
         memory_report(trace_from_series(y), max_lag=20)
+
+
+@pytest.mark.parametrize("max_lag", [0, 1])
+def test_memory_report_rejects_fewer_than_two_lags(max_lag):
+    # one lag used to report rho_hat 0.0 with an R^2 of 1.0 whatever acf(1)
+    y = Rng(3).normal((5000,), 0.0, 1.0).cumsum()
+    with pytest.raises(DataError, match="needs two lags"):
+        memory_report(trace_from_series(y), max_lag=max_lag)
 
 
 def test_memory_report_acf_magnitude_bound():

@@ -1,14 +1,14 @@
 """Tests for the dense numeric kernel primitives."""
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Annotated, Literal
 
 import numpy as np
 import pytest
 
 from pslstm import tensorops
-from pslstm.tensorops import (Rng, check_fields, from_dict, log_sigmoid,
-                              row_slices, sigmoid)
+from pslstm.tensorops import (AtLeast1, Positive, Rng, check_fields,
+                              from_dict, log_sigmoid, row_slices, sigmoid)
 
 
 def test_rng_reproducible():
@@ -137,6 +137,42 @@ def test_check_fields_bool_takes_only_a_bool():
         Inner(flag=1)
     with pytest.raises(TypeError):
         Inner(flag="false")
+
+
+@dataclass
+class Ranged:
+    n: AtLeast1 = 1
+    rate: Annotated[float, (">=", 0), ("<", 1)] = 0.5
+    scale: Positive | None = None
+    pick: Literal["a", "b"] | None = None
+
+    __post_init__ = check_fields
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n=1), dict(n=np.int64(1)), dict(n=np.uint64(2**64 - 1)),
+    dict(n=np.uint8(7)), dict(rate=0), dict(rate=-0.0), dict(rate=0.999),
+    dict(rate=np.float32(0.5)), dict(scale=5e-324), dict(scale=np.int8(2)),
+    dict(scale=None), dict(pick="b"), dict(pick=None),
+])
+def test_check_fields_takes_a_value_in_the_annotated_range(kwargs):
+    assert Ranged(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=0), "n must be >= 1, got 0"),
+    (dict(n=np.int64(0)), "n must be >= 1"),
+    (dict(n=np.uint8(0)), "n must be >= 1"), (dict(n=-(2**70)), ">= 1"),
+    (dict(rate=-5e-324), "rate must be >= 0"), (dict(rate=1), "rate must be < 1"),
+    (dict(rate=np.float64(1.0)), "rate must be < 1"),
+    (dict(scale=0.0), "scale must be > 0"), (dict(scale=-0.0), "> 0"),
+    (dict(scale=np.float32(-0.0)), "> 0"), (dict(scale=np.int64(0)), "> 0"),
+    (dict(pick="c"), "pick must be one of"),
+])
+def test_check_fields_rejects_a_value_outside_the_annotated_range(kwargs,
+                                                                  message):
+    with pytest.raises(ValueError, match=message):
+        Ranged(**kwargs)
 
 
 def test_from_dict_builds_nested_and_rejects_unknown_keys():
