@@ -52,12 +52,13 @@ copies the activations (or their gradients) back once.
 One driver, _run_sequence, runs the input GEMM and the row blocks of both
 slstm_forward and slstm_predict; only the tape differs. Both return h as
 the batch-major view of the time-major h buffer, and neither copies W, R
-or h. slstm_predict allocates the (S, B, 4d) gate buffer per call and
-writes h in forward's layout, but keeps c, n and any sigmoid dlog in one
-(B, d) buffer each: no c or n tape, no activation copy-back. slstm_step
-runs the time loop (_forward_rows) for one step. A chain fed by its own
-output (the probe) runs a whole block of steps as one time loop: its feed
-callback writes the next step's input pre-activations from each new h.
+or h. slstm_predict allocates the (S, B, 4d) gate buffer and h per call,
+as one block, and writes h in forward's layout, but keeps c, n and any
+sigmoid dlog in one (B, d) buffer each: no c or n tape, no activation
+copy-back. slstm_step runs the time loop (_forward_rows) for one step. A
+chain fed by its own output (the probe) runs a whole block of steps as one
+time loop: its feed callback writes the next step's input pre-activations
+from each new h.
 """
 
 from __future__ import annotations
@@ -261,16 +262,19 @@ def _head_major(g: np.ndarray, n_heads: int) -> np.ndarray:
 
 
 def _tape_arrays(S: int, B: int, d: int, mode: GateMode,
-                 tape: bool = True) -> list:
+                 h: np.ndarray | None = None) -> list:
     """Empty (S, B, d) arrays c, n, h, dlog_i, dlog_f; None where the mode
-    has none. Without tape all but h are zero-stride views of one (B, d)
-    buffer each, so every step overwrites the last."""
-    def steps(every: bool) -> np.ndarray:
-        if every:
+    has none. Given h, the caller's (S, B, d) array, there is no tape: all
+    but h are zero-stride views of one (B, d) buffer each, so every step
+    overwrites the last."""
+    def steps(k: int) -> np.ndarray:
+        if h is None:
             return np.empty((S, B, d))
+        if k == 2:
+            return h
         a = np.empty((B, d))
         return np.lib.stride_tricks.as_strided(a, (S, B, d), (0,) + a.strides)
-    return [steps(tape or k == 2) if keep else None for k, keep in enumerate((
+    return [steps(k) if keep else None for k, keep in enumerate((
         True, mode.normalizer, True, mode.input_activation == "sigmoid",
         mode.forget_activation == "sigmoid"))]
 
@@ -385,15 +389,15 @@ def _sequence(caller: str, params: SLSTMParams,
 
 
 def _run_sequence(params: SLSTMParams, x_seq: np.ndarray, init: SLSTMState,
-                  mode: GateMode, out: list, keep: bool) -> np.ndarray:
+                  mode: GateMode, gates: np.ndarray, out: list,
+                  keep: bool) -> None:
     """slstm_forward's and slstm_predict's driver: one GEMM writes every
-    step's input pre-activations into a new time-major (S, B, 4d) gate
-    buffer, which is returned, then the time loop runs per row block into
-    the (S, B, d) arrays out (c, n, h, dlog_i, dlog_f; see _tape_arrays).
-    With keep the gate buffer ends up holding the activations."""
+    step's input pre-activations into the time-major (S, B, 4d) gates, then
+    the time loop runs per row block into the (S, B, d) arrays out (c, n,
+    h, dlog_i, dlog_f; see _tape_arrays). With keep the gate buffer ends up
+    holding the activations."""
     B, S, d_in = x_seq.shape
     d = params.d_hidden
-    gates = np.empty((S, B, 4 * d))
     x_rows = x_seq.transpose(1, 0, 2).reshape(S * B, d_in)
     np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, 4 * d))
     del x_rows
@@ -403,7 +407,6 @@ def _run_sequence(params: SLSTMParams, x_seq: np.ndarray, init: SLSTMState,
                             for a in (init.h, init.c, init.n, init.m)))
         _forward_rows(gates[:, blk], rows, params.R, params.n_heads, mode,
                       [None if a is None else a[:, blk] for a in out], keep)
-    return gates
 
 
 def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
@@ -422,7 +425,8 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
         raise ShapeError(f"slstm_forward: state {init.h.shape} vs "
                          f"expected {(B, d)}")
     out = _tape_arrays(S, B, d, mode)
-    gates = _run_sequence(params, x_seq, init, mode, out, keep=True)
+    gates = np.empty((S, B, 4 * d))
+    _run_sequence(params, x_seq, init, mode, gates, out, keep=True)
     tape = SequenceTape(x_seq, init, gates, *out)
     return tape.h.transpose(1, 0, 2), tape
 
@@ -434,15 +438,18 @@ def slstm_predict(params: SLSTMParams, x_seq: np.ndarray,
     as in slstm_forward, the batch-major view of a time-major h.
 
     Runs slstm_forward's driver into the same layouts: one (S, B, 4d) gate
-    buffer per call and a time-major h. c, n and the sigmoid dlog arrays
-    are zero-stride views of one (B, d) buffer each: no c or n tape, no
-    activation copy-back.
+    buffer per call and a time-major h, both views of one allocation, so
+    that a call's largest buffers come and go as one heap block. c, n and
+    the sigmoid dlog arrays are zero-stride views of one (B, d) buffer
+    each: no c or n tape, no activation copy-back.
     """
     x_seq = _sequence("slstm_predict", params, x_seq)
     B, S, _ = x_seq.shape
     d = params.d_hidden
-    out = _tape_arrays(S, B, d, mode, tape=False)
-    _run_sequence(params, x_seq, SLSTMState.zeros(B, d), mode, out, keep=False)
+    gates, h = np.split(np.empty(5 * S * B * d), [4 * S * B * d])
+    out = _tape_arrays(S, B, d, mode, h=h.reshape(S, B, d))
+    _run_sequence(params, x_seq, SLSTMState.zeros(B, d), mode,
+                  gates.reshape(S, B, 4 * d), out, keep=False)
     return out[2].transpose(1, 0, 2)
 
 

@@ -241,7 +241,9 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
     through the config check (tensorops.from_dict): a key the kind does not
     read, or a value not of its default's type (SYNTHETIC_PARAMS) or outside
     its range (_PARAM_RANGES: length, channels and n_components at least 1,
-    period above 0, noise_std at least 0), is a TypeError or ValueError.
+    period above 0, noise_std at least 0), is a TypeError or ValueError, and
+    so is a sinusoid period so small that 2*pi*(length - 1)/period is not
+    finite.
     """
     if kind not in SYNTHETIC_PARAMS:
         raise DataError(f"unknown synthetic kind {kind!r}")
@@ -256,6 +258,9 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
         values = np.full((length, channels), real["value"])
     elif kind == "sinusoid":
         period, amp = real["period"], real["amplitude"]
+        if not math.isfinite(2.0 * math.pi * (length - 1) / period):
+            raise ValueError(f"period {period!r} is too small for length "
+                             f"{length}: 2*pi*(length - 1)/period overflows")
         phases = np.arange(channels) * 2.0 * np.pi / channels
         t = np.arange(length)[:, None]
         values = amp * np.sin(2.0 * np.pi * t / period + phases[None, :])

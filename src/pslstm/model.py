@@ -147,6 +147,15 @@ class Forecaster:
                                            0.0, 1.0 / np.sqrt(head_in))
         self.params["head.b"] = np.zeros(self.out_width)
 
+    @property
+    def gate_elements_per_window(self) -> int:
+        """Elements one window adds to predict's (S, B, 4d) gate buffers,
+        summed over blocks: n_patches steps times its cell rows (n_channels
+        under channel independence, else 1) times 4 * width, per block."""
+        c = self.config
+        rows = c.n_channels if c.channel_strategy == "independent" else 1
+        return c.n_patches * rows * 4 * self.width * c.n_blocks
+
     # -- forward / backward ------------------------------------------------
 
     def _arrange(self, xn: np.ndarray) -> np.ndarray:
@@ -233,16 +242,20 @@ class Forecaster:
         """forward(x)[0] bit for bit, without a tape: the evaluation path.
 
         Each block runs slstm_predict, slstm_forward's sequence driver
-        without the tape: one (S, B, 4d) gate buffer per call, no c or n
-        tape and no activation copy-back; like slstm_forward it returns the
-        batch-major view of a time-major h. The layer norm then writes the
-        residual sum and its output over the block input u, which nothing
-        reads afterwards, one row block at a time, keeping no cache.
+        without the tape: one (S, B, 4d) gate buffer per call (h is a view
+        of the same allocation), no c or n tape and no activation
+        copy-back; like slstm_forward it returns the batch-major view of a
+        time-major h. The layer norm then writes the residual sum and its
+        output over the block input u, which nothing reads afterwards, one
+        row block at a time, keeping no cache.
         """
         mu, sigma, _, u = self._embed(x)
         for k, cell in enumerate(self.blocks):
             h_seq = slstm_predict(cell, u, self.config.gate_mode)
             u = self._layer_norm(k, u, h_seq, cache=False)
+            # h_seq holds the cell's whole gate buffer: free it before the
+            # next block allocates its own
+            del h_seq
         return self._head(u.reshape(u.shape[0], -1), mu, sigma)
 
     def _layer_norm(self, k: int, u: np.ndarray, h_seq: np.ndarray,

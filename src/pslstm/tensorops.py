@@ -3,8 +3,9 @@
 Tensors are plain ``numpy.ndarray`` objects in double precision, row-major.
 The module holds the shape and data errors, the seeded random stream, the
 overflow-free sigmoid and log-sigmoid, the row-block rule shared by the
-cell's time loops, the layer norm and Adam, and the config schema checks,
-which read a field's type, values and range (``AtLeast1``) off its annotation.
+cell's time loops, the layer norm and Adam, the element budget of an
+evaluation call, and the config schema checks, which read a field's type,
+values and range (``AtLeast1``) off its annotation.
 """
 
 from __future__ import annotations
@@ -75,6 +76,16 @@ def log_sigmoid(x: np.ndarray) -> np.ndarray:
 #: Elements per row block: 256 KB of float64, so a block and the scratch of
 #: its elementwise passes stay resident in a core's L2 cache.
 _CHUNK = 32768
+
+#: Gate-buffer elements one evaluation predict call may hold (1.25 MiB of
+#: float64): training._score puts k >= 1 batches in a call, the most whose
+#: (S, B, 4d) gate buffers, summed over blocks, fit. From a sweep of
+#: tiny_fit (768 elements a window, batch 64): 2 to 5 batches a call beat
+#: 1 by 20-31% in evaluation windows/s, and 3 kept the peak RSS within 4%
+#: (4 reached +6%, 5 +8%). A criterion-6 mixed batch of 32 (196,608) or
+#: any Weather-shaped batch is over the budget alone, so those keep one
+#: call per batch.
+_EVAL_BUDGET = 163840
 
 
 def row_slices(shape: tuple[int, ...]) -> list:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .datasets import WindowedDataset
 from .model import Forecaster
-from .tensorops import (AtLeast0, AtLeast1, DataError, Positive, Rng,
-                        ShapeError, check_fields, row_slices)
+from .tensorops import (_EVAL_BUDGET, AtLeast0, AtLeast1, DataError,
+                        Positive, Rng, ShapeError, check_fields, row_slices)
 
 
 @dataclass
@@ -225,21 +225,31 @@ def train(model: Forecaster, dataset: WindowedDataset,
 
 
 def _score(dataset: WindowedDataset, split: str, batch_size: int,
-           predict: Callable[[np.ndarray], np.ndarray]) -> Metrics:
+           predict: Callable[[np.ndarray], np.ndarray],
+           window_cost: int = 0) -> Metrics:
     """MSE/MAE of predict(x) against y over every window of the split.
 
-    Errors are summed per batch in float64, so a split scores the same
-    bytes for the same batch size.
+    Each predict call covers k * batch_size windows (the last call may be
+    shorter), k >= 1 the most batches whose gate elements, window_cost a
+    window, fit tensorops._EVAL_BUDGET; a window_cost of 0 means one call
+    per batch. Errors are still summed in float64 per batch_size slice of
+    each call's output, in window order, so the metrics are the bytes of
+    one call per batch wherever the forecasts keep theirs.
     """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     n = dataset.n_windows(split)
     if n == 0:
         raise DataError(f"split {split!r} is empty")
+    k = max(1, _EVAL_BUDGET // (window_cost * batch_size)) if window_cost else 1
     se, ae, count = 0.0, 0.0, 0
-    for lo in range(0, n, batch_size):
-        x, y = dataset.batch(split, range(lo, min(lo + batch_size, n)))
+    for lo in range(0, n, k * batch_size):
+        x, y = dataset.batch(split, range(lo, min(lo + k * batch_size, n)))
         diff = predict(x) - y
-        se += float(np.sum(diff * diff))
-        ae += float(np.sum(np.abs(diff)))
+        for a in range(0, len(diff), batch_size):
+            d = diff[a:a + batch_size]
+            se += float(np.sum(d * d))
+            ae += float(np.sum(np.abs(d)))
         count += y.size
     return Metrics(mse=se / count, mae=ae / count, n_samples=n)
 
@@ -248,12 +258,17 @@ def evaluate(model: Forecaster, dataset: WindowedDataset,
              split: str = "test", batch_size: int = 64) -> Metrics:
     """MSE/MAE over every window of the split, on the standardized scale.
 
-    Scores model.predict, the tape-free path: per batch and block it
-    allocates the cell's (S, B, 4d) gate buffer, one (B, d) buffer each for
-    c and n, and a time-major h (the layer norm's output overwrites the
-    block input). It writes no c or n tape and no layer-norm cache, copies
-    no W, R or h, and predicts the bytes of model.forward(x)[0]."""
-    return _score(dataset, split, batch_size, model.predict)
+    Scores model.predict, the tape-free path, in calls of k * batch_size
+    windows, k from model.gate_elements_per_window (see _score), so the
+    sinusoid_tiny config scores 3 batches a call while a criterion-6 mixed
+    or Weather-shaped model makes one call per batch. Per call and block
+    predict allocates the cell's (S, B, 4d) gate buffer, one (B, d) buffer
+    each for c and n, and a time-major h (the layer norm's output
+    overwrites the block input). It writes no c or n tape and no
+    layer-norm cache, copies no W, R or h, and predicts the bytes of
+    model.forward(x)[0]. batch_size must be at least 1."""
+    return _score(dataset, split, batch_size, model.predict,
+                  model.gate_elements_per_window)
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:

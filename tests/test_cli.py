@@ -169,6 +169,17 @@ def test_malformed_config_value_exits_config(tmp_path, capsys, command,
     assert not (tmp_path / "runs").exists()
 
 
+def test_sinusoid_period_too_small_for_length_exits_config(tmp_path, capsys):
+    # 5e-324 is positive, but 2*pi*(length - 1)/period overflows to inf
+    cfg = write_config(tmp_path, data={**SYNTHETIC, "params": {
+        "length": 400, "period": 5e-324}})
+    assert run(tmp_path, "train", "--config", cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert "period" in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--seed", "-1"],
     ["gradcheck", "--seed", "-3"],

@@ -236,6 +236,18 @@ def test_synthetic_long_memory_decays_slower_than_ar1():
     assert abs(acf(ar.values[:, 0], 50)) < 0.02
 
 
+def test_sinusoid_period_must_keep_the_phase_finite():
+    # the phase 2*pi*t/period must stay finite up to t = length - 1
+    with pytest.raises(ValueError, match="period"):
+        make_synthetic("sinusoid", {"length": 400, "period": 5e-324})
+    with np.errstate(all="raise"):
+        raw = make_synthetic("sinusoid", {"length": 400, "period": 1e-300})
+    assert np.all(np.isfinite(raw.values))
+    # a one-step series has phase 0 at any positive period
+    raw = make_synthetic("sinusoid", {"length": 1, "period": 5e-324})
+    assert raw.values.shape == (1, 1)
+
+
 def test_synthetic_unknown_kind():
     with pytest.raises(ValueError):
         make_synthetic("brownian", {})

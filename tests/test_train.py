@@ -292,20 +292,28 @@ def test_history_val_mse_is_evaluate_at_train_batch_size():
 
 
 def test_train_scores_only_the_val_split_in_eval_mode(monkeypatch):
+    # per epoch: one evaluate of the val split, its predict calls covering
+    # n_val windows in all (the call count depends on the span rule)
     ds = small_dataset()
-    eval_calls = []
-    predict = Forecaster.predict
+    epochs = []
+    predict, evaluate_ = Forecaster.predict, training.evaluate
 
     def counting_predict(self, x):
-        eval_calls.append(x.shape[0])
+        epochs[-1].append(x.shape[0])
         return predict(self, x)
 
+    def marking_evaluate(model, dataset, split, batch_size):
+        assert split == "val"
+        epochs.append([])
+        return evaluate_(model, dataset, split, batch_size)
+
     monkeypatch.setattr(Forecaster, "predict", counting_predict)
+    monkeypatch.setattr(training, "evaluate", marking_evaluate)
     cfg = TrainConfig(max_epochs=3, patience=3, batch_size=24)
     _, history = train(Forecaster(ModelConfig(**TINY), seed=0), ds, cfg)
     n_val = ds.n_windows("val")
-    assert len(eval_calls) == len(history) * math.ceil(n_val / cfg.batch_size)
-    assert sum(eval_calls) == len(history) * n_val
+    assert len(epochs) == len(history) == 3
+    assert [sum(calls) for calls in epochs] == [n_val] * 3
 
 
 def test_history_train_mse_is_window_weighted_step_loss(monkeypatch):
@@ -367,7 +375,11 @@ def test_train_with_dropout_runs():
 # -- evaluation -------------------------------------------------------------
 
 class _ConstantOffsetModel:
-    """Predicts the target plus a fixed offset; evaluation test double."""
+    """Predicts the target plus a fixed offset; evaluation test double.
+    At one gate element a window, evaluate scores a small split in one
+    predict call."""
+
+    gate_elements_per_window = 1
 
     def __init__(self, dataset, split, offset):
         self.dataset, self.split, self.offset = dataset, split, offset
@@ -406,6 +418,103 @@ def test_evaluate_matches_brute_force():
         se += np.sum(d * d); ae += np.sum(np.abs(d)); cnt += d.size
     assert m.mse == pytest.approx(se / cnt, abs=1e-12)
     assert m.mae == pytest.approx(ae / cnt, abs=1e-12)
+
+
+def _per_batch_score(dataset, split, batch_size, predict):
+    """The one-call-per-batch loop evaluate ran before it grouped batches
+    into a call: the reference of the differential tests."""
+    n = dataset.n_windows(split)
+    se, ae, count = 0.0, 0.0, 0
+    for lo in range(0, n, batch_size):
+        x, y = dataset.batch(split, range(lo, min(lo + batch_size, n)))
+        diff = predict(x) - y
+        se += float(np.sum(diff * diff))
+        ae += float(np.sum(np.abs(diff)))
+        count += y.size
+    return training.Metrics(mse=se / count, mae=ae / count, n_samples=n)
+
+
+def _recorded_calls(monkeypatch, fake=False):
+    """The window count of every Forecaster.predict call; with fake, predict
+    returns zeros of the target's shape without running the model."""
+    calls = []
+    predict = Forecaster.predict
+
+    def recording_predict(self, x):
+        calls.append(x.shape[0])
+        if fake:
+            c = self.config
+            return np.zeros((x.shape[0], c.horizon, c.n_channels))
+        return predict(self, x)
+
+    monkeypatch.setattr(Forecaster, "predict", recording_predict)
+    return calls
+
+
+#: the configs/sinusoid_tiny.json model and series
+SINUSOID_TINY = dict(lookback=96, horizon=24, n_channels=1, patch_size=8,
+                     embed_dim=16, n_blocks=1, n_heads=2, dropout_rate=0.1)
+#: acceptance criterion 6's channel-mixed model (the mixed_fit shape)
+MIXED = dict(lookback=96, horizon=96, n_channels=8, patch_size=16,
+             embed_dim=32, n_blocks=1, n_heads=2, dropout_rate=0.0,
+             channel_strategy="mixed")
+#: configs/weather_extended.json's model
+WEATHER = dict(lookback=336, horizon=96, n_channels=21, patch_size=16,
+               patch_stride=16, embed_dim=128, n_blocks=1, n_heads=4,
+               dropout_rate=0.2)
+
+
+def _sinusoid_split(model_cfg, length, noise):
+    raw = make_synthetic("sinusoid", {"length": length, "period": 24,
+                                      "noise_std": noise,
+                                      "channels": model_cfg["n_channels"]},
+                         seed=1)
+    return split_and_standardize(raw, model_cfg["lookback"],
+                                 model_cfg["horizon"])
+
+
+@pytest.mark.parametrize("shape, length, noise, batch_size, splits, grouped", [
+    (SINUSOID_TINY, 10000, 0.1, 64, ("train", "val", "test"), True),
+    (MIXED, 1000, 0.6, 32, ("train", "test"), False),
+], ids=["sinusoid_tiny", "mixed"])
+def test_evaluate_scores_the_bytes_of_one_call_per_batch(
+        monkeypatch, shape, length, noise, batch_size, splits, grouped):
+    ds = _sinusoid_split(shape, length, noise)
+    model = Forecaster(ModelConfig(**shape), seed=4)
+    for split in splits:
+        n = ds.n_windows(split)
+        assert n % batch_size != 0
+        want = _per_batch_score(ds, split, batch_size, model.predict)
+        with monkeypatch.context() as patch:
+            calls = _recorded_calls(patch)
+            got = evaluate(model, ds, split, batch_size)
+        assert (got.mse.hex(), got.mae.hex(), got.n_samples) == \
+            (want.mse.hex(), want.mae.hex(), want.n_samples)
+        assert sum(calls) == n
+        # every call but the last spans the same whole number of batches
+        assert len(set(calls[:-1])) <= 1 and calls[0] % batch_size == 0
+        assert (calls[0] > batch_size) == grouped
+
+
+@pytest.mark.parametrize("shape, length, batch_size", [
+    (WEATHER, 1200, 64), (MIXED, 1000, 32), (MIXED, 1000, 64),
+], ids=["weather_64", "mixed_32", "mixed_64"])
+def test_evaluate_makes_one_call_per_batch_at_wide_shapes(
+        monkeypatch, shape, length, batch_size):
+    ds = _sinusoid_split(shape, length, 0.3)
+    model = Forecaster(ModelConfig(**shape), seed=0)
+    calls = _recorded_calls(monkeypatch, fake=True)
+    evaluate(model, ds, "test", batch_size)
+    n = ds.n_windows("test")
+    assert calls == [min(batch_size, n - lo) for lo in range(0, n, batch_size)]
+
+
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_evaluate_rejects_batch_size_below_one(batch_size):
+    ds = small_dataset()
+    with pytest.raises(ValueError, match="batch_size"):
+        evaluate(Forecaster(ModelConfig(**TINY), seed=0), ds, "test",
+                 batch_size)
 
 
 def test_evaluate_empty_split_rejected():
