@@ -225,12 +225,14 @@ class SequenceTape:
     Previous states are the arrays one step back; c / n is recomputed. A
     sigmoid gate also keeps d log(gate) / d pre, which its rescaled value
     does not determine. The tape keeps no weights: slstm_backward reads
-    them from its params. slstm_backward overwrites ``gates``, so a tape is
-    consumed by one backward pass.
+    them from its params, and the GateMode the forward ran from the tape.
+    slstm_backward overwrites ``gates``, so a tape is consumed by one
+    backward pass.
     """
 
     x: np.ndarray                 # (B, S, d_input), the input as given
     init: SLSTMState              # state before the first step
+    mode: GateMode                # the mode the forward ran
     gates: np.ndarray | None      # (S, B, 4d); None once consumed
     c: np.ndarray                 # (S, B, d)
     n: np.ndarray | None          # (S, B, d); None without the normalizer
@@ -427,7 +429,7 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     out = _tape_arrays(S, B, d, mode)
     gates = np.empty((S, B, 4 * d))
     _run_sequence(params, x_seq, init, mode, gates, out, keep=True)
-    tape = SequenceTape(x_seq, init, gates, *out)
+    tape = SequenceTape(x_seq, init, mode, gates, *out)
     return tape.h.transpose(1, 0, 2), tape
 
 
@@ -454,7 +456,7 @@ def slstm_predict(params: SLSTMParams, x_seq: np.ndarray,
 
 
 def slstm_backward(params: SLSTMParams, tape: SequenceTape,
-                   grad_h_seq: np.ndarray, mode: GateMode = GateMode()
+                   grad_h_seq: np.ndarray
                    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """Exact BPTT for sum_t <grad_h_seq[t], h_t>; consumes the tape.
 
@@ -489,7 +491,7 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
             packed[...] = slab
             c_prev = tape.c[t - 1, blk] if t else init.c[blk]
             np.add(_heads(grad_h_seq[blk, t], H), gh_carry, out=_heads(gh, H))
-            if mode.normalizer:
+            if tape.mode.normalizer:
                 n = tape.n[t, blk]
                 n_prev = tape.n[t - 1, blk] if t else init.n[blk]
                 np.divide(tape.c[t, blk], n, out=hbar)

@@ -22,16 +22,14 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
 from . import __version__
 from .cells import grad_check
-from .datasets import (CsvSchema, DATASET_PRESETS, SYNTHETIC_PARAMS,
-                       SyntheticKind, load_csv, make_synthetic,
+from .datasets import (DataConfig, load_csv, make_synthetic,
                        split_and_standardize)
 from .model import (Forecaster, ModelConfig, load_checkpoint,
                     save_checkpoint)
@@ -39,8 +37,7 @@ from .probe import (ChainConfig, chain_params, check_contraction,
                     memory_report, ratio_stability_report, simulate_chain,
                     two_trajectory_coupling, write_acf_csv, write_probe_report,
                     write_trace_csv)
-from .tensorops import (AtLeast0, AtLeast1, DataError, Rng, check_fields,
-                        from_dict)
+from .tensorops import DataError, Rng, from_dict
 from .training import (TrainConfig, evaluate, mse_loss, persistence_metrics,
                        train, write_history_csv)
 
@@ -53,32 +50,6 @@ EXIT_PROBE = 5
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class DataConfig:
-    """The data section: a synthetic series or a CSV file."""
-    source: Literal["synthetic", "csv"] = "synthetic"
-    window_stride: AtLeast1 = 1
-    path: str | None = None
-    preset: Literal[tuple(DATASET_PRESETS)] | None = None
-    max_rows: AtLeast1 | None = None   # keep only the first max_rows rows
-    has_date_column: bool = True
-    delimiter: str = ","
-    has_header: bool = True
-    kind: SyntheticKind = "sinusoid"
-    # None: those of length=4000, period=24, noise_std=0.1 that kind reads
-    params: dict | None = None
-    seed: AtLeast0 = 0
-
-    def __post_init__(self):
-        check_fields(self)
-        if self.params is None:
-            self.params = {k: v for k, v in dict(length=4000, period=24,
-                                                 noise_std=0.1).items()
-                           if k in SYNTHETIC_PARAMS[self.kind]}
-        if len(self.delimiter) != 1:
-            raise ValueError(f"delimiter {self.delimiter!r} is not one character")
 
 
 def _build(cls, payload):
@@ -136,11 +107,7 @@ def make_train_config(payload: dict) -> TrainConfig:
 def load_dataset(data_cfg: dict, model_cfg: ModelConfig):
     cfg = _build(DataConfig, data_cfg)
     if cfg.source == "csv":
-        if not cfg.path or not os.path.exists(cfg.path):
-            raise FileNotFoundError(f"dataset file not found: {cfg.path}")
-        raw = load_csv(cfg.path, CsvSchema(cfg.has_date_column, cfg.delimiter,
-                                           cfg.has_header))
-        raw.values = raw.values[:cfg.max_rows]
+        raw = load_csv(cfg)
     else:
         try:
             raw = make_synthetic(cfg.kind, cfg.params, seed=cfg.seed)

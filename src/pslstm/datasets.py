@@ -1,6 +1,6 @@
-"""Dataset pipeline: CSV ingestion, chronological splitting, per-channel
-standardization from train statistics, sliding-window samples, and
-synthetic series generators for property tests.
+"""Dataset pipeline: the data config section, CSV ingestion, chronological
+splitting, per-channel standardization from train statistics, sliding-window
+samples, and synthetic series generators for property tests.
 
 Split convention (the common long-horizon benchmark one): rows are split
 chronologically; a window's history x may reach back into the previous
@@ -17,8 +17,8 @@ from typing import Literal
 
 import numpy as np
 
-from .tensorops import (AtLeast1, DataError, NonNegative, Positive, Rng,
-                        check_fields, from_dict)
+from .tensorops import (AtLeast0, AtLeast1, DataError, NonNegative,
+                        Positive, Rng, check_fields, from_dict)
 
 #: name -> (train/val/test ratios, expected channel count)
 DATASET_PRESETS = {
@@ -33,20 +33,43 @@ DEFAULT_RATIOS = (0.7, 0.1, 0.2)
 
 
 @dataclass
-class CsvSchema:
+class DataConfig:
+    """The data section: a synthetic series or a CSV file.
+
+    A csv source reads path (required): has_date_column drops the first
+    column, delimiter is one character, has_header skips the first line,
+    and max_rows, if set, ends the read at that many usable rows. A
+    synthetic source draws kind with params (None: those of length=4000,
+    period=24, noise_std=0.1 that kind reads) from seed. window_stride
+    spaces the window starts; preset applies to a csv source only.
+    """
+    source: Literal["synthetic", "csv"] = "synthetic"
+    window_stride: AtLeast1 = 1
+    path: str | None = None
+    preset: Literal[tuple(DATASET_PRESETS)] | None = None
+    max_rows: AtLeast1 | None = None
     has_date_column: bool = True
     delimiter: str = ","
     has_header: bool = True
+    kind: SyntheticKind = "sinusoid"
+    params: dict | None = None
+    seed: AtLeast0 = 0
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        if self.params is None:
+            self.params = {k: v for k, v in dict(length=4000, period=24,
+                                                 noise_std=0.1).items()
+                           if k in SYNTHETIC_PARAMS[self.kind]}
+        if len(self.delimiter) != 1:
+            raise ValueError(f"delimiter {self.delimiter!r} is not one character")
+        if self.source == "csv" and not self.path:
+            raise ValueError('a "csv" data source needs a path')
 
 
 @dataclass
 class RawSeries:
-    name: str
     values: np.ndarray              # (total_len, M)
-    timestamps: list | None = None
-    n_dropped_rows: int = 0
 
     @property
     def n_channels(self) -> int:
@@ -56,13 +79,16 @@ class RawSeries:
         return self.values.shape[0]
 
 
-def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> RawSeries:
-    """Read a delimited numeric matrix; the date column (if declared) is
-    kept as timestamps. Rows with any unparseable or non-finite cell are
-    dropped and the drop count reported on the result."""
-    schema = schema or CsvSchema()
+def load_csv(config: DataConfig) -> RawSeries:
+    """Read the delimited numeric matrix at config.path, as the config's
+    has_date_column, delimiter and has_header describe it, up to
+    config.max_rows usable rows: no row after the last of them is parsed.
+    Rows with any unparseable or non-finite cell are dropped with one
+    warning that counts them. A file that cannot be opened is an OSError
+    naming the path; a ragged row, undecodable bytes or no usable row is a
+    DataError."""
+    path = config.path
     rows: list[list[float]] = []
-    stamps: list[str] = []
     dropped = 0
     width = None
     try:
@@ -71,8 +97,8 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
         raise OSError(f"cannot read dataset file {path}: {exc}") from exc
     try:
         with fh:
-            reader = csv.reader(fh, delimiter=schema.delimiter)
-            if schema.has_header:
+            reader = csv.reader(fh, delimiter=config.delimiter)
+            if config.has_header:
                 next(reader, None)
             for raw in reader:
                 if not raw:
@@ -82,7 +108,7 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
                 if len(raw) != width:
                     raise DataError(f"{path}: ragged row with {len(raw)} "
                                     f"cells, expected {width}")
-                cells = raw[1:] if schema.has_date_column else raw
+                cells = raw[1:] if config.has_date_column else raw
                 try:
                     row = [float(c) for c in cells]
                 except ValueError:
@@ -92,8 +118,8 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
                     dropped += 1
                     continue
                 rows.append(row)
-                if schema.has_date_column:
-                    stamps.append(raw[0])
+                if len(rows) == config.max_rows:
+                    break
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
@@ -102,9 +128,7 @@ def load_csv(path, schema: CsvSchema | None = None, name: str | None = None) -> 
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} unparseable or "
                       f"non-finite rows")
-    return RawSeries(name=name or str(path), values=np.array(rows, dtype=np.float64),
-                     timestamps=stamps if schema.has_date_column else None,
-                     n_dropped_rows=dropped)
+    return RawSeries(values=np.array(rows, dtype=np.float64))
 
 
 @dataclass
@@ -122,7 +146,6 @@ class WindowedDataset:
     starts: dict[str, np.ndarray]
     norm_mean: np.ndarray
     norm_std: np.ndarray
-    name: str = ""
 
     def n_windows(self, split: str) -> int:
         return len(self.starts[split])
@@ -193,7 +216,7 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
         starts[split] = np.arange(max(lo, 0), last + 1, stride, dtype=np.int64) \
             if last >= max(lo, 0) else np.empty(0, dtype=np.int64)
     return WindowedDataset(values=values, lookback=L, horizon=T, starts=starts,
-                           norm_mean=mean, norm_std=std, name=raw.name)
+                           norm_mean=mean, norm_std=std)
 
 
 #: synthetic kind -> {params key: default} of every key the kind reads; a
@@ -277,4 +300,4 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
         for phi in phis:
             values += _ar1(phi, rng.normal((length, channels), 0.0, noise)) \
                 * (1.0 - phi)
-    return RawSeries(name=f"synthetic:{kind}", values=values)
+    return RawSeries(values=values)

@@ -327,8 +327,7 @@ class Forecaster:
                 k, g_u, *tape.ln_caches[k], tape.dropout_masks[k + 1])
             grads.update(ln_grads)
             cell_grads, g_in = slstm_backward(self.blocks[k],
-                                              tape.cell_tapes[k], g_r,
-                                              c.gate_mode)
+                                              tape.cell_tapes[k], g_r)
             for name, arr in cell_grads.items():
                 grads[f"block{k}.{name}"] = arr
             g_r += g_in

@@ -37,7 +37,7 @@ class TrainConfig:
     seed: AtLeast0 = 0
     beta1: Annotated[float, (">", 0), ("<", 1)] = 0.9
     beta2: Annotated[float, (">", 0), ("<", 1)] = 0.999
-    eps_opt: float = 1e-8
+    eps_opt: Positive = 1e-8
 
     def __post_init__(self):
         check_fields(self)

@@ -15,7 +15,7 @@ import numpy as np
 
 from pslstm.cells import GateMode, LSTM_MODE, SLSTMParams, grad_check, slstm_forward
 from pslstm.cli import main
-from pslstm.datasets import (CsvSchema, load_csv, make_synthetic,
+from pslstm.datasets import (DataConfig, load_csv, make_synthetic,
                              split_and_standardize)
 from pslstm.model import Forecaster, ModelConfig
 from pslstm.probe import (ChainConfig, chain_params, check_contraction,
@@ -202,8 +202,7 @@ def _weather_csv_path():
 def _ci_cm_dataset():
     path = _weather_csv_path()
     if path is not None:
-        raw = load_csv(path, CsvSchema())
-        raw.values = raw.values[:10_000]
+        raw = load_csv(DataConfig(source="csv", path=path, max_rows=10_000))
         return split_and_standardize(raw, lookback=96, horizon=96,
                                      preset="weather", stride=2), "weather"
     # no benchmark file in this environment: a multivariate noisy sinusoid

@@ -232,7 +232,7 @@ def _cell_loss_fn(mode, x, init, gh, n_heads=2):
     def loss_and_grads(pdict):
         params = SLSTMParams(pdict["W"], pdict["b"], pdict.get("R"), n_heads)
         h_seq, tape = slstm_forward(params, x, init, mode)
-        grads, _ = slstm_backward(params, tape, gh, mode)
+        grads, _ = slstm_backward(params, tape, gh)
         return float(np.sum(h_seq * gh)), grads
     return loss_and_grads
 
@@ -251,6 +251,28 @@ def test_backward_matches_finite_differences(mode):
     err = grad_check(_cell_loss_fn(mode, x, init, gh), params.as_dict(),
                      epsilon=1e-5)
     assert err < 1e-6
+
+
+def test_backward_takes_the_gate_mode_from_the_tape():
+    # an exponential-gate tape and a classic-LSTM tape of the same weights
+    # each backpropagate with the arithmetic their forward ran; backward
+    # takes no mode, so a mismatched one cannot be passed
+    params = random_params(17, 3, 4, n_heads=2)
+    rng = Rng(18)
+    x = rng.normal((2, 6, 3), 0.0, 1.0)
+    init = random_state(19, 2, 4)
+    gh = rng.normal((2, 6, 4), 0.0, 1.0)
+    grads_W = []
+    for mode, other in ((GateMode(), LSTM_MODE), (LSTM_MODE, GateMode())):
+        _, tape = slstm_forward(params, x, init, mode)
+        assert tape.mode == mode
+        with pytest.raises(TypeError):
+            slstm_backward(params, tape, gh, other)
+        grads_W.append(slstm_backward(params, tape, gh)[0]["W"])
+        err = grad_check(_cell_loss_fn(mode, x, init, gh), params.as_dict(),
+                         epsilon=1e-5)
+        assert err < 1e-6
+    assert not np.array_equal(*grads_W)
 
 
 def test_backward_longer_sequence_two_heads():

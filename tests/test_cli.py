@@ -102,6 +102,7 @@ SYNTHETIC = {"source": "synthetic",
     ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "delimiter": 5}}),
     ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "delimiter": ",,"}}),
     ("train", {"model": TINY_MODEL, "data": {**SYNTHETIC, "max_rows": -5}}),
+    ("train", {"model": TINY_MODEL, "data": {"source": "csv"}}),
     ("probe", {"probe": {"q": "eight"}}),
     ("probe", {"probe": {"horizon": 2.5}}),
     ("probe", {"probe": {"q": 0}}),
@@ -147,7 +148,8 @@ SYNTHETIC = {"source": "synthetic",
         "length_word", "memory_mixing_string", "stabilized_string",
         "lookback_float", "max_epochs_word", "batch_size_zero",
         "data_key_typo", "has_header_string", "delimiter_number",
-        "delimiter_two_chars", "max_rows_negative", "probe_q_word",
+        "delimiter_two_chars", "max_rows_negative", "csv_without_path",
+        "probe_q_word",
         "probe_horizon_float", "probe_q_zero",
         "probe_p_bool", "probe_scale_word", "probe_noise_nan",
         "probe_negative_gate_bound", "train_seed_negative",
@@ -323,6 +325,7 @@ FLOAT_BOUNDS = [
                                           AT_LEAST_ONE),
     ("train", "learning_rate", NOT_POSITIVE),
     ("train", "clip_norm", NOT_POSITIVE),
+    ("train", "eps_opt", NOT_POSITIVE),
     ("train", "beta1", NOT_POSITIVE), ("train", "beta1", st.floats(0.999, 2.0)),
     ("train", "beta1", AT_LEAST_ONE), ("train", "beta2", NOT_POSITIVE),
     ("train", "beta2", st.floats(-1.0, 0.9)), ("train", "beta2", AT_LEAST_ONE),

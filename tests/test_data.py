@@ -1,10 +1,12 @@
 """Tests for CSV ingestion, splitting/standardization, and the synthetic
 series generators."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from pslstm.datasets import (CsvSchema, DATASET_PRESETS, RawSeries, load_csv,
+from pslstm.datasets import (DATASET_PRESETS, DataConfig, RawSeries, load_csv,
                              make_synthetic, split_and_standardize)
 
 
@@ -13,61 +15,84 @@ def write_csv(path, text):
     return path
 
 
+def read(path, **fields):
+    """load_csv of the csv data section at path with the given fields."""
+    return load_csv(DataConfig(source="csv", path=str(path), **fields))
+
+
 # -- load_csv ---------------------------------------------------------------
 
 def test_load_csv_toy_file(tmp_path):
     p = write_csv(tmp_path / "toy.csv",
                   "date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,3.0,4.0\n"
                   "2020-01-03,5.0,6.0\n")
-    raw = load_csv(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no row dropped
+        raw = read(p)
     assert raw.values.shape == (3, 2)
     assert np.array_equal(raw.values, [[1, 2], [3, 4], [5, 6]])
-    assert raw.timestamps == ["2020-01-01", "2020-01-02", "2020-01-03"]
-    assert raw.n_dropped_rows == 0
 
 
 def test_load_csv_drops_unparseable_row(tmp_path):
     p = write_csv(tmp_path / "bad.csv",
                   "date,a\n2020-01-01,1.0\n2020-01-02,oops\n2020-01-03,3.0\n")
-    with pytest.warns(UserWarning, match="dropped 1"):
-        raw = load_csv(p)
-    assert raw.values.shape == (2, 1)
-    assert raw.n_dropped_rows == 1
+    with pytest.warns(UserWarning, match="dropped 1 "):
+        raw = read(p)
+    assert np.array_equal(raw.values, [[1], [3]])
 
 
 def test_load_csv_drops_non_finite_row(tmp_path):
     p = write_csv(tmp_path / "nan.csv",
                   "date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,nan,4.0\n"
                   "2020-01-03,5.0,6.0\n")
-    with pytest.warns(UserWarning, match="dropped 1"):
-        raw = load_csv(p)
+    with pytest.warns(UserWarning, match="dropped 1 "):
+        raw = read(p)
     assert np.array_equal(raw.values, [[1, 2], [5, 6]])
-    assert raw.timestamps == ["2020-01-01", "2020-01-03"]
-    assert raw.n_dropped_rows == 1
 
 
 def test_load_csv_ragged_row_rejected(tmp_path):
     p = write_csv(tmp_path / "ragged.csv", "date,a,b\nx,1,2\ny,1\n")
     with pytest.raises(ValueError, match="ragged"):
-        load_csv(p)
+        read(p)
+
+
+def test_load_csv_stops_at_max_rows(tmp_path):
+    # the drop before the cut is counted; the drop and the ragged row after
+    # it are never parsed
+    p = write_csv(tmp_path / "cut.csv",
+                  "date,a,b\nt0,1,2\nt1,oops,3\nt2,4,5\nt3,6,7\n"
+                  "t4,nan,8\nt5,1\nt6,9,10\n")
+    with pytest.warns(UserWarning, match="dropped 1 ") as caught:
+        raw = read(p, max_rows=3)
+    assert len(caught) == 1
+    assert np.array_equal(raw.values, [[1, 2], [4, 5], [6, 7]])
 
 
 def test_load_csv_no_usable_rows(tmp_path):
     p = write_csv(tmp_path / "empty.csv", "date,a\n")
     with pytest.raises(ValueError):
-        load_csv(p)
+        read(p)
 
 
 def test_load_csv_missing_file(tmp_path):
-    with pytest.raises(OSError):
-        load_csv(tmp_path / "nope.csv")
+    with pytest.raises(OSError, match="nope.csv"):
+        read(tmp_path / "nope.csv")
 
 
 def test_load_csv_without_date_column(tmp_path):
     p = write_csv(tmp_path / "plain.csv", "a,b\n1,2\n3,4\n")
-    raw = load_csv(p, CsvSchema(has_date_column=False))
-    assert raw.values.shape == (2, 2)
-    assert raw.timestamps is None
+    raw = read(p, has_date_column=False)
+    assert np.array_equal(raw.values, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"delimiter": ";;"}, "delimiter"),
+    ({"path": None}, "path"),
+    ({"path": ""}, "path"),
+], ids=["two_char_delimiter", "no_path", "empty_path"])
+def test_csv_data_section_rejected_before_reading(fields, match):
+    with pytest.raises(ValueError, match=match):
+        DataConfig(**{"source": "csv", "path": "x.csv", **fields})
 
 
 def test_load_csv_ettm1_shaped_header(tmp_path):
@@ -75,7 +100,7 @@ def test_load_csv_ettm1_shaped_header(tmp_path):
     rows = "\n".join(f"t{i}," + ",".join(str(i + j) for j in range(7))
                      for i in range(5))
     p = write_csv(tmp_path / "ettm1.csv", header + "\n" + rows + "\n")
-    raw = load_csv(p)
+    raw = read(p)
     assert raw.n_channels == 7
     assert DATASET_PRESETS["ettm1"][1] == 7
 
@@ -85,7 +110,7 @@ def test_load_csv_ettm1_shaped_header(tmp_path):
 def test_split_constant_channel_fallback():
     values = np.ones((400, 2))
     values[:, 1] = np.sin(np.arange(400))
-    raw = RawSeries(name="t", values=values)
+    raw = RawSeries(values=values)
     with pytest.warns(UserWarning, match="constant"):
         ds = split_and_standardize(raw, lookback=16, horizon=4)
     assert np.all(ds.values[:, 0] == 0.0)

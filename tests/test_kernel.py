@@ -165,7 +165,7 @@ def test_backward_matches_finite_differences(batch, steps, d_in, width,
     def loss_and_grads(pdict):
         p = SLSTMParams(pdict["W"], pdict["b"], pdict.get("R"), n_heads)
         h_seq, tape = slstm_forward(p, x, init, mode)
-        grads, _ = slstm_backward(p, tape, gh, mode)
+        grads, _ = slstm_backward(p, tape, gh)
         return float(np.sum(h_seq * gh)), grads
 
     err = grad_check(loss_and_grads, params.as_dict(), epsilon=1e-5)
@@ -186,7 +186,7 @@ def run_blocked(params, x, init, mode, grad, rows_per_block):
             return FloatingPointError
         out = [h.copy(), tape.c.copy(),
                None if tape.n is None else tape.n.copy()]
-        grads, grad_x = slstm_backward(params, tape, grad, mode)
+        grads, grad_x = slstm_backward(params, tape, grad)
     return out + [grads["W"], grads["b"], grads.get("R"), grad_x]
 
 
@@ -278,15 +278,14 @@ def test_interleaved_calls_share_no_scratch(mode):
         for params, x, init, grad in calls:
             h, tape = slstm_forward(params, x, init, mode)
             out = tape_bytes(h, tape)
-            alone.append(out + grad_bytes(*slstm_backward(params, tape, grad,
-                                                          mode)))
+            alone.append(out + grad_bytes(*slstm_backward(params, tape, grad)))
         (pa, xa, ia, ga), (pb, xb, ib, gb) = calls
         ha, tape_a = slstm_forward(pa, xa, ia, mode)
         hb, tape_b = slstm_forward(pb, xb, ib, mode)
         out_b = tape_bytes(hb, tape_b)
-        out_b += grad_bytes(*slstm_backward(pb, tape_b, gb, mode))
+        out_b += grad_bytes(*slstm_backward(pb, tape_b, gb))
         out_a = tape_bytes(ha, tape_a)
-        out_a += grad_bytes(*slstm_backward(pa, tape_a, ga, mode))
+        out_a += grad_bytes(*slstm_backward(pa, tape_a, ga))
     assert out_a == alone[0]
     assert out_b == alone[1]
 
