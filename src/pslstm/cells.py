@@ -35,12 +35,13 @@ before the time loop, inside which one (B, s) x (s, 4s) GEMM per head
 remains. The tape is time-major: one (S, B, 4d) buffer holds the
 pre-activations, overwritten by the gate activations, plus (S, B, d)
 arrays c, n and h. slstm_backward overwrites the gate buffer with the
-pre-activation gradients; after its loop, single GEMMs give the W, b and
-input gradients and one GEMM per head the R gradient, all in the kernel
-layout. Rows never interact in the recurrence, so both time loops run once
-per block of rows (tensorops.row_slices), with the state restarting for
-each block: a block's gate slice, state and scratch stay in cache across
-its steps.
+pre-activation gradients; after its loop, single GEMMs give the W and b
+gradients, one GEMM per head the R gradient and a last GEMM the input
+gradient, all in the kernel layout, while each tape array is dropped after
+its last read. Rows never interact in the recurrence, so both time loops
+run once per block of rows (tensorops.row_slices), with the state
+restarting for each block: a block's gate slice, state and scratch stay in
+cache across its steps.
 
 Each block owns one gate-major (4, b, d) scratch and a few (b, d) work
 buffers, made per call (forward makes them and its stabilizer m as one
@@ -227,16 +228,17 @@ class SequenceTape:
     does not determine. The tape keeps no weights: slstm_backward reads
     them from its params, and the GateMode the forward ran from the tape.
     slstm_backward overwrites ``gates``, so a tape is consumed by one
-    backward pass.
+    backward pass, which also drops x, c, n, h and the dlog arrays (sets
+    them to None) after their last reads.
     """
 
-    x: np.ndarray                 # (B, S, d_input), the input as given
+    x: np.ndarray | None          # (B, S, d_input), the input as given
     init: SLSTMState              # state before the first step
     mode: GateMode                # the mode the forward ran
     gates: np.ndarray | None      # (S, B, 4d); None once consumed
-    c: np.ndarray                 # (S, B, d)
+    c: np.ndarray | None          # (S, B, d)
     n: np.ndarray | None          # (S, B, d); None without the normalizer
-    h: np.ndarray                 # (S, B, d)
+    h: np.ndarray | None          # (S, B, d)
     dlog_i: np.ndarray | None     # (S, B, d) for a sigmoid input gate
     dlog_f: np.ndarray | None     # (S, B, d) for a sigmoid forget gate
 
@@ -464,14 +466,21 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     layout; grad wrt the inputs (B, S, d_input)). grad_h_seq: (B, S, d).
     params must hold the weights the forward ran with: the tape keeps no
     copy, so run backward before anything updates them.
+
+    Each tape array is dropped right after its last read, so the caller's
+    tape frees it unless something else holds it: the gate buffer on entry
+    (it becomes the pre-activation gradient buffer, freed on return), c, n
+    and the dlog arrays after the time loop, x once its rows are copied
+    for the W gradient, h after the R gradient. The input gradient is
+    computed last. A consumed tape raises ValueError.
     """
+    if tape.gates is None:
+        raise ValueError("slstm_backward: the tape was already consumed")
     grad_h_seq = np.asarray(grad_h_seq, dtype=np.float64)
     S, B, d = tape.h.shape
     if grad_h_seq.shape != (B, S, d):
         raise ShapeError(f"slstm_backward: grad {grad_h_seq.shape} vs "
                          f"tape {(B, S, d)}")
-    if tape.gates is None:
-        raise ValueError("slstm_backward: the tape was already consumed")
     H = params.n_heads
     s = d // H
     R_t = None if params.R is None else params.R.transpose(0, 2, 1)
@@ -536,11 +545,12 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
                                 R_t)
                 gh_carry = rec.transpose(1, 0, 2)
 
+    tape.c = tape.n = tape.dlog_i = tape.dlog_f = None
     rows = grad_pre.reshape(S * B, 4 * d)
     x_rows = tape.x.transpose(1, 0, 2).reshape(S * B, -1)
+    tape.x = None
     grads = {"W": rows.T @ x_rows, "b": rows.sum(axis=0)}
     del x_rows
-    grad_x = (rows @ params.W).reshape(S, B, -1).transpose(1, 0, 2)
     if params.R is not None:
         # per head: steps 1..S-1, then step 0 from the initial state
         h_prev = tape.h[:-1].reshape(-1, d)
@@ -549,6 +559,9 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
             cols, units = slice(4 * s * k, 4 * s * (k + 1)), slice(s * k, s * (k + 1))
             grads["R"][k] = h_prev[:, units].T @ rows[B:, cols]
             grads["R"][k] += init.h[:, units].T @ rows[:B, cols]
+        del h_prev
+    tape.h = None
+    grad_x = (rows @ params.W).reshape(S, B, -1).transpose(1, 0, 2)
     return grads, grad_x
 
 

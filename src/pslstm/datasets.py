@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import warnings
 from dataclasses import dataclass, make_dataclass
 from typing import Literal
@@ -79,25 +80,40 @@ class RawSeries:
         return self.values.shape[0]
 
 
+#: a carriage return that ends a line by itself (not part of \r\n)
+_LONE_CR = re.compile(rb"(?<=\r)(?!\n)")
+
+
+def _decoded_lines(fh):
+    """The lines of the binary handle fh as UTF-8 text, each decoded only
+    when it is reached. Lines end at LF, CR LF or a lone CR, as a text
+    handle opened with newline="" splits them."""
+    for raw in fh:
+        for line in _LONE_CR.split(raw):
+            if line:
+                yield line.decode("utf-8")
+
+
 def load_csv(config: DataConfig) -> RawSeries:
     """Read the delimited numeric matrix at config.path, as the config's
     has_date_column, delimiter and has_header describe it, up to
-    config.max_rows usable rows: no row after the last of them is parsed.
-    Rows with any unparseable or non-finite cell are dropped with one
-    warning that counts them. A file that cannot be opened is an OSError
-    naming the path; a ragged row, undecodable bytes or no usable row is a
-    DataError."""
+    config.max_rows usable rows: no row after the last of them is parsed
+    or decoded. Rows with any unparseable or non-finite cell are dropped
+    with one warning that counts them. A file that cannot be opened is an
+    OSError naming the path; a ragged row, bytes before the cut that are
+    not UTF-8, or no usable row is a DataError."""
     path = config.path
     rows: list[list[float]] = []
     dropped = 0
     width = None
     try:
-        fh = open(path, newline="")
+        fh = open(path, "rb")
     except OSError as exc:
         raise OSError(f"cannot read dataset file {path}: {exc}") from exc
     try:
         with fh:
-            reader = csv.reader(fh, delimiter=config.delimiter)
+            reader = csv.reader(_decoded_lines(fh),
+                                delimiter=config.delimiter)
             if config.has_header:
                 next(reader, None)
             for raw in reader:

@@ -101,9 +101,9 @@ class ModelTape:
     sigma: np.ndarray
     patches: np.ndarray
     cell_tapes: list               # SequenceTape per block
-    ln_caches: list
+    ln_caches: list                # (xhat, std) per block; None once used
     dropout_masks: list            # bool keep-mask per site, or None
-    flat: np.ndarray
+    flat: np.ndarray | None        # None once backward has read it
 
 
 class Forecaster:
@@ -126,7 +126,9 @@ class Forecaster:
             else c.horizon * c.n_channels
 
         self.params: dict[str, np.ndarray] = {}
-        # always empty: kept only because perfbench passes it to adam_step
+        # always empty: kept only because perfbench's step still calls
+        # clip_gradients, then adam_step(..., masks); it can go once that
+        # step calls adam_step(..., clip_norm=)
         self.masks: dict[str, np.ndarray] = {}
         self.params["embed.W"] = rng.normal((self.width, self.in_width),
                                             0.0, 1.0 / np.sqrt(self.in_width))
@@ -310,9 +312,16 @@ class Forecaster:
         """Gradients of a scalar loss wrt every parameter, given dloss/dyhat,
         keyed in the order of self.params.
 
-        Consumes the tape: the cell tapes' gate buffers are reused for the
-        gradients, so one forward pass supports one backward pass.
+        Consumes the tape, dropping each array from it after its last read:
+        flat after the head gradient; block k's layer-norm cache, and the
+        gradient flowing into that layer norm, after its backward; the cell
+        tape's arrays inside slstm_backward (its gate buffer is reused for
+        the gradients). So a step's live memory shrinks as the backward
+        proceeds, and one forward pass supports one backward pass: a second
+        raises ValueError before reading anything.
         """
+        if tape.flat is None:
+            raise ValueError("backward: the tape was already consumed")
         c = self.config
         grads = {}
         g = np.asarray(grad_y, dtype=np.float64) * tape.sigma      # denorm
@@ -321,23 +330,28 @@ class Forecaster:
         grads["head.b"] = g_rows.sum(axis=0)
         g_u = (g_rows @ self.params["head.W"]).reshape(
             tape.flat.shape[0], c.n_patches, self.width)
+        tape.flat = None
 
         for k in range(c.n_blocks - 1, -1, -1):
-            ln_grads, g_r = self._layer_norm_backward(
-                k, g_u, *tape.ln_caches[k], tape.dropout_masks[k + 1])
+            cache, tape.ln_caches[k] = tape.ln_caches[k], None
+            # rebinding g_u frees the incoming gradient with the cache
+            ln_grads, g_u = self._layer_norm_backward(
+                k, g_u, *cache, tape.dropout_masks[k + 1])
+            del cache
             grads.update(ln_grads)
             cell_grads, g_in = slstm_backward(self.blocks[k],
-                                              tape.cell_tapes[k], g_r)
+                                              tape.cell_tapes[k], g_u)
             for name, arr in cell_grads.items():
                 grads[f"block{k}.{name}"] = arr
-            g_r += g_in
-            g_u = g_r
+            g_u += g_in
+            del g_in
 
         self._apply_keep(g_u, tape.dropout_masks[0])
         grads["embed.W"] = g_u.reshape(-1, self.width).T \
             @ tape.patches.reshape(-1, self.in_width)
         grads["embed.b"] = g_u.sum(axis=(0, 1))
-        # params order: clip_gradients sums the squared norms in dict order
+        # params order: the global norm (adam_step, clip_gradients) sums the
+        # squared norms in dict order
         return {name: grads[name] for name in self.params}
 
     # -- bookkeeping -------------------------------------------------------

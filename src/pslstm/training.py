@@ -75,15 +75,29 @@ def mse_loss(yhat: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def clip_gradients(grads: dict[str, np.ndarray],
-                   clip_norm: float) -> dict[str, np.ndarray]:
-    """Scale all gradients so the global L2 norm is at most clip_norm."""
+def _global_norm(grads: dict[str, np.ndarray]) -> float:
+    """The global L2 norm: np.sum(g * g) per gradient, summed in dict order.
+    Not finite if any entry is not finite, or if the sum overflows."""
+    return np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+
+
+def _clip_scale(norm: float, clip_norm: float) -> float | None:
+    """The factor that brings a global norm down to clip_norm; None when it
+    is already within it (a NaN norm gives NaN, an infinite one 0)."""
     if clip_norm <= 0:
         raise ValueError("clip_norm must be positive")
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total <= clip_norm:
+    return None if norm <= clip_norm else clip_norm / norm
+
+
+def clip_gradients(grads: dict[str, np.ndarray],
+                   clip_norm: float) -> dict[str, np.ndarray]:
+    """Scale all gradients so the global L2 norm is at most clip_norm:
+    grads itself when within it, else a scaled copy of every gradient.
+    train uses adam_step(clip_norm=) instead, which applies the same scale
+    without the copy."""
+    scale = _clip_scale(_global_norm(grads), clip_norm)
+    if scale is None:
         return grads
-    scale = clip_norm / total
     return {name: g * scale for name, g in grads.items()}
 
 
@@ -95,11 +109,11 @@ class AdamState:
     layer norm also use: tensorops.row_slices splits each parameter into
     row-slices of at most tensorops._CHUNK elements (a 1-D array into
     element slices; a row wider than that is a chunk of its own). Each
-    chunk keeps its slice, the matching views of m and v, and two scratch
-    views (tmp and step) into one (2, n) buffer, n the largest chunk. So a
-    step allocates nothing sized to the parameter count. m and v are
-    updated in place through these views; rebinding an entry of m or v
-    detaches it from the plan.
+    chunk keeps its slice, the matching views of m and v, and three scratch
+    views (tmp, step and the clipped gradient) into one (3, n) buffer, n
+    the largest chunk. So a step's update allocates nothing sized to the
+    parameter count. m and v are updated in place through these views;
+    rebinding an entry of m or v detaches it from the plan.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
@@ -109,8 +123,8 @@ class AdamState:
         slices = {k: row_slices(v.shape) for k, v in params.items()}
         n = max((params[k][sl].size for k in params for sl in slices[k]),
                 default=1)
-        scratch = np.empty((2, max(n, 1)))
-        # per chunk: (slice, m view, v view, tmp, step)
+        scratch = np.empty((3, max(n, 1)))
+        # per chunk: (slice, m view, v view, tmp, step, clipped)
         self._plan = {}
         for name, p in params.items():
             chunks = []
@@ -123,12 +137,20 @@ class AdamState:
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, config: TrainConfig,
-              masks: dict | None = None) -> None:
-    """One bias-corrected Adam update, in place.
+              masks: dict | None = None, *,
+              clip_norm: float | None = None) -> float:
+    """One bias-corrected Adam update, in place; returns the global L2 norm
+    of grads before any clipping.
 
-    grads are not written. Every gradient is checked to be finite before
-    anything is written. masks, which perfbench passes as Forecaster.masks,
-    must be None or empty: no entry is frozen.
+    grads are not written. The norm is also the finiteness check, made
+    before anything is written: a finite norm means every entry is
+    finite, and only a non-finite one scans the gradients, raising
+    FloatingPointError naming the first array with a non-finite entry (a
+    norm that merely overflowed passes). With clip_norm, a norm above it
+    scales each chunk by clip_norm / norm into the plan's clipped scratch:
+    the bytes of clip_gradients then an unclipped adam_step, without the
+    scaled copy. masks, which perfbench passes as Forecaster.masks, must
+    be None or empty: no entry is frozen.
 
     The update runs chunk by chunk over the plan in `state` (see
     AdamState), each elementwise pass writing into the chunk's scratch
@@ -138,9 +160,12 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     if masks:
         raise ValueError(f"adam_step freezes no entries, got masks for "
                          f"{sorted(masks)}")
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in {name}")
+    norm = _global_norm(grads)
+    scale = None if clip_norm is None else _clip_scale(norm, clip_norm)
+    if not np.isfinite(norm):
+        for name, g in grads.items():
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError(f"non-finite gradient in {name}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     corr1 = 1.0 - b1 ** state.t
@@ -148,8 +173,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     lr, eps = config.learning_rate, config.eps_opt
     for name, p in params.items():
         g = grads[name]
-        for sl, m, v, tmp, step in state._plan[name]:
+        for sl, m, v, tmp, step, clipped in state._plan[name]:
             gs = g[sl]
+            if scale is not None:
+                gs = np.multiply(gs, scale, out=clipped)
             m *= b1
             m += np.multiply(gs, 1.0 - b1, out=tmp)
             v *= b2
@@ -164,6 +191,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             step /= tmp
             ps = p[sl]
             ps -= step
+    return norm
 
 
 def _batches(n: int, batch_size: int, rng: Rng):
@@ -203,8 +231,8 @@ def train(model: Forecaster, dataset: WindowedDataset,
                 break
             loss_sum += loss * len(idx)
             grads = model.backward(tape, grad)
-            grads = clip_gradients(grads, config.clip_norm)
-            adam_step(model.params, grads, opt, config)
+            adam_step(model.params, grads, opt, config,
+                      clip_norm=config.clip_norm)
         if diverged:
             break
         val_mse = evaluate(model, dataset, "val", config.batch_size).mse

@@ -8,6 +8,7 @@ import pytest
 
 from pslstm.datasets import (DATASET_PRESETS, DataConfig, RawSeries, load_csv,
                              make_synthetic, split_and_standardize)
+from pslstm.tensorops import DataError
 
 
 def write_csv(path, text):
@@ -66,6 +67,37 @@ def test_load_csv_stops_at_max_rows(tmp_path):
         raw = read(p, max_rows=3)
     assert len(caught) == 1
     assert np.array_equal(raw.values, [[1, 2], [4, 5], [6, 7]])
+
+
+def test_load_csv_does_not_decode_past_max_rows(tmp_path):
+    # the bad byte lies within the first 8 KB: a text handle's read-ahead
+    # would decode it while parsing the first rows
+    p = tmp_path / "tail.csv"
+    p.write_bytes(b"date,v\n"
+                  + b"".join(b"t%d,%d.5\n" % (k, k) for k in range(200))
+                  + b"t_bad,\xff\n")
+    assert np.array_equal(read(p, max_rows=10).values[:, 0],
+                          np.arange(10) + 0.5)
+    with pytest.raises(DataError, match="can't decode byte 0xff"):
+        read(p)
+
+
+def test_load_csv_undecodable_byte_before_the_cut_is_a_data_error(tmp_path):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"date,v\nt0,1.5\nt1,\xff\nt2,3.0\n")
+    with pytest.raises(DataError, match="unreadable CSV"):
+        read(p, max_rows=10)
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_load_csv_reads_crlf_and_cr_line_ends(tmp_path, end):
+    p = tmp_path / "ends.csv"
+    p.write_bytes(end.join([b"date,a,b", b"t0,1,2", b"t1,3,4", b"t2,5,6"])
+                  + end)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no row dropped
+        raw = read(p, max_rows=2)
+    assert np.array_equal(raw.values, [[1, 2], [3, 4]])
 
 
 def test_load_csv_no_usable_rows(tmp_path):

@@ -2,6 +2,7 @@
 channel strategies, parameter accounting, checkpoints."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
@@ -388,9 +389,40 @@ def test_blocked_training_step_matches_one_block(mixing):
             assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_backward_frees_the_tape_as_it_goes(n_blocks):
+    # the backward's own allocations, above what it starts with, stay
+    # within two (B*M, S, width) arrays: each tape array is freed after its
+    # last read (holding them all to the end took over four)
+    B = 16
+    cfg = ModelConfig(lookback=96, horizon=24, n_channels=7, patch_size=8,
+                      embed_dim=64, n_blocks=n_blocks, n_heads=4,
+                      dropout_rate=0.2)
+    model = Forecaster(cfg, seed=0)
+    x = Rng(1).normal((B, 96, 7), 0.0, 1.0)
+    unit = B * 7 * cfg.n_patches * model.width * 8
+    # traced from the forward on, so that freeing a tape array counts
+    tracemalloc.start()
+    try:
+        yhat, tape = model.forward(x, training=True, dropout_rng=Rng(2))
+        g_y = np.ones_like(yhat) / yhat.size
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        model.backward(tape, g_y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / unit < 2.0
+    for cell_tape in tape.cell_tapes:
+        assert (cell_tape.c, cell_tape.n, cell_tape.h, cell_tape.x) \
+            == (None,) * 4
+    with pytest.raises(ValueError, match="consumed"):
+        model.backward(tape, g_y)
+
+
 def test_backward_grads_follow_params_order():
-    # clip_gradients sums squared norms in dict order; params order keeps
-    # that float sum the same from run to run
+    # adam_step sums squared norms in dict order; params order keeps that
+    # float sum the same from run to run
     model = Forecaster(tiny_config(n_blocks=2), seed=0)
     x = Rng(1).normal((2, 16, 2), 0.0, 1.0)
     yhat, tape = model.forward(x)

@@ -1,6 +1,7 @@
 """Tests for the loss, optimizer, clipping, and the training loop."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,75 @@ def test_adam_chunked_matches_whole_array_update():
     # updated in place, layout kept
     assert params["fortran"] is fortran and fortran.flags.f_contiguous
     assert _bits(fortran) != start["fortran"]
+
+
+@pytest.mark.parametrize("clip_norm, spike", [
+    (1.0, None),            # every norm far above the threshold
+    (1e6, None),            # every norm below it: no scaling
+    (1.0, 1e200),           # finite entries, a norm that overflows: scale 0
+], ids=["above", "below", "overflow"])
+def test_adam_fused_clip_matches_clip_then_step(clip_norm, spike):
+    chunk = tensorops._CHUNK
+    rng = Rng(9)
+    shapes = {
+        "long_1d": (2 * chunk + 5,),
+        "rows_split": (300, 250),
+        "wide_row": (3, chunk + 7),
+        "fortran": (200, 300),
+        "square": (256, 256),
+        "small": (5,),
+    }
+    params = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+    params["fortran"] = np.asfortranarray(params["fortran"])
+    ref = {k: v.copy(order="K") for k, v in params.items()}
+    state, ref_state = AdamState(params), AdamState(ref)
+    cfg = TrainConfig(learning_rate=1e-2)
+    for step in range(5):
+        grads = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+        if spike is not None:
+            grads["square"][3, 4] = -spike
+        before = {k: _bits(g) for k, g in grads.items()}
+        with np.errstate(over="ignore"):
+            expect = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            norm = adam_step(params, grads, state, cfg, clip_norm=clip_norm)
+            adam_step(ref, clip_gradients(grads, clip_norm), ref_state, cfg)
+        assert _bits(np.float64(norm)) == _bits(np.float64(expect))
+        assert (expect > clip_norm) == (clip_norm == 1.0)
+        assert all(_bits(g) == before[k] for k, g in grads.items())
+    assert state.t == ref_state.t == 5
+    for k in shapes:
+        assert _bits(params[k]) == _bits(ref[k]), k
+        assert _bits(state.m[k]) == _bits(ref_state.m[k]), k
+        assert _bits(state.v[k]) == _bits(ref_state.v[k]), k
+
+
+def test_adam_rejects_a_non_positive_clip_norm():
+    params = {"a": np.zeros(3)}
+    with pytest.raises(ValueError, match="clip_norm"):
+        adam_step(params, {"a": np.ones(3)}, AdamState(params), TrainConfig(),
+                  clip_norm=0.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("head.W", np.nan), ("block0.R", np.inf), ("embed.b", -np.inf),
+])
+def test_adam_names_the_gradient_that_is_not_finite(name, value):
+    # a NaN once made the clip scale NaN, so every gradient read as NaN and
+    # the first, embed.W, was blamed
+    model = Forecaster(ModelConfig(**TINY), seed=0)
+    x = Rng(1).normal((4, 16, 1), 0.0, 1.0)
+    yhat, tape = model.forward(x)
+    grads = model.backward(tape, np.ones_like(yhat))
+    grads[name].flat[1] = value
+    state = AdamState(model.params)
+    saved = {k: _bits(p) for k, p in model.params.items()}
+    for clip_norm in (1e-3, None):
+        with pytest.raises(FloatingPointError,
+                           match=rf"^non-finite gradient in {re.escape(name)}$"):
+            adam_step(model.params, grads, state, TrainConfig(),
+                      clip_norm=clip_norm)
+    assert state.t == 0
+    assert {k: _bits(p) for k, p in model.params.items()} == saved
 
 
 def test_adam_non_finite_last_gradient_changes_nothing():
