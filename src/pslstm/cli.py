@@ -8,9 +8,11 @@ directory. --seed sets probe.seed for probe and train.seed for the rest
 (eval draws nothing at random and has none); the grid commands (the sweeps
 and ablate) drop a repeated grid value with a warning.
 
-Exit codes: 0 success, 2 config error (ConfigError), 3 data error
-(DataError or OSError), 4 numerical divergence (FloatingPointError), 5
-probe-invariant failure. Any other exception is a bug and propagates.
+Exit codes: 0 success, 1 a gradcheck error of at least 1e-4, 2 config
+error (ConfigError), 3 data error (DataError or OSError), 4 numerical
+divergence (FloatingPointError), 5 probe-invariant failure. Any other
+exception is a bug and propagates. A non-finite training loss only warns
+(see training.train).
 """
 
 from __future__ import annotations

@@ -185,17 +185,16 @@ class WindowedDataset:
 
 
 def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
-                          ratios: tuple[float, float, float] = DEFAULT_RATIOS,
                           preset: str | None = None,
                           stride: int = 1) -> WindowedDataset:
     """Chronological split, z-score from train statistics, dense windows.
 
-    With a preset name the preset's ratios apply and the channel count is
-    checked (warning only; file variants circulate).
-    """
+    The split ratios are DEFAULT_RATIOS, or the preset's with a preset
+    name, which also checks the channel count (warning only; file variants
+    circulate)."""
+    ratios = DEFAULT_RATIOS
     if preset is not None:
-        preset_ratios, expect_m = DATASET_PRESETS[preset]
-        ratios = preset_ratios
+        ratios, expect_m = DATASET_PRESETS[preset]
         if raw.n_channels != expect_m:
             warnings.warn(f"{preset}: expected {expect_m} channels, "
                           f"file has {raw.n_channels}")

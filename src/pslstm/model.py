@@ -3,16 +3,18 @@
 Pipeline for a batch x of shape (B, L, M):
 
     instance-normalize each (sample, channel) window
-    -> channel independence: (B*M, L)            [or channel mixing]
     -> patchify: (B*M, N, P)
-    -> linear embedding: (B*M, N, E)
+    -> group g channels per row: (B*M/g, N, g*P)
+    -> linear embedding: (B*M/g, N, g*E)
     -> n_blocks x [sLSTM over the patch sequence + residual + layernorm]
-    -> flatten: (B*M, N*E) -> linear head -> (B*M, T)
+    -> flatten: (B*M/g, N*g*E) -> linear head -> (B*M/g, g*T)
     -> denormalize and reshape to (B, T, M)
 
-Under channel independence every channel shares the same backbone, so the
-parameter count is independent of M. Channel mixing concatenates the M
-patches at each time index instead; the backbone width becomes E*M.
+The two channel strategies differ only in g, the number of channels that
+share one cell row. Channel independence (g = 1) runs every channel through
+the same backbone as a row of its own, so the parameter count is
+independent of M. Channel mixing (g = M) concatenates the M patches at
+each time index into one row, so the backbone width becomes E*M.
 
 Forecaster.forward keeps a tape for backward; Forecaster.predict, the
 evaluation path, runs the same pipeline to the same bytes and keeps none.
@@ -82,17 +84,14 @@ def patchify(x: np.ndarray, config: ModelConfig) -> np.ndarray:
         raise ShapeError(f"patchify: expected (B, L, M), got {x.shape}")
     B, L, M = x.shape
     P, S, N = config.patch_size, config.stride, config.n_patches
-    if P > L:
-        raise ShapeError(f"patchify: patch_size {P} exceeds series length {L}")
-    offset = L - (P + (N - 1) * S)
+    span = P + (N - 1) * S
+    if L < span:
+        raise ShapeError(f"patchify: series length {L} is shorter than the "
+                         f"{span} steps of {N} patches of size {P}, stride {S}")
+    offset = L - span
     rows = x.transpose(0, 2, 1).reshape(B * M, L)
     idx = offset + np.arange(N)[:, None] * S + np.arange(P)[None, :]
     return rows[:, idx]
-
-
-def _unpatch_rows(B: int, M: int, horizon: int, rows: np.ndarray) -> np.ndarray:
-    """Head output rows (channel-major) back to (B, T, M)."""
-    return rows.reshape(B, M, horizon).transpose(0, 2, 1)
 
 
 @dataclass
@@ -118,12 +117,12 @@ class Forecaster:
         self.config = config
         rng = Rng(seed)
         c = config
-        self.width = c.embed_dim if c.channel_strategy == "independent" \
-            else c.embed_dim * c.n_channels
-        self.in_width = c.patch_size if c.channel_strategy == "independent" \
-            else c.patch_size * c.n_channels
-        self.out_width = c.horizon if c.channel_strategy == "independent" \
-            else c.horizon * c.n_channels
+        # g, the channels that share one cell row
+        g = self.channels_per_row = \
+            c.n_channels if c.channel_strategy == "mixed" else 1
+        self.width = c.embed_dim * g
+        self.in_width = c.patch_size * g
+        self.out_width = c.horizon * g
 
         self.params: dict[str, np.ndarray] = {}
         # always empty: kept only because perfbench's step still calls
@@ -152,25 +151,12 @@ class Forecaster:
     @property
     def gate_elements_per_window(self) -> int:
         """Elements one window adds to predict's (S, B, 4d) gate buffers,
-        summed over blocks: n_patches steps times its cell rows (n_channels
-        under channel independence, else 1) times 4 * width, per block."""
+        summed over blocks: n_patches steps times 4 * n_channels *
+        embed_dim, per block (its M / g cell rows of width g * E)."""
         c = self.config
-        rows = c.n_channels if c.channel_strategy == "independent" else 1
-        return c.n_patches * rows * 4 * self.width * c.n_blocks
+        return 4 * c.n_patches * c.n_channels * c.embed_dim * c.n_blocks
 
     # -- forward / backward ------------------------------------------------
-
-    def _arrange(self, xn: np.ndarray) -> np.ndarray:
-        """Normalized (B, L, M) -> patch rows for the configured strategy."""
-        c = self.config
-        patches = patchify(xn, c)                       # (B*M, N, P)
-        if c.channel_strategy == "independent":
-            return patches
-        B = xn.shape[0]
-        # concatenate the M channel patches at each patch index
-        return patches.reshape(B, c.n_channels, c.n_patches, c.patch_size) \
-                      .transpose(0, 2, 1, 3) \
-                      .reshape(B, c.n_patches, self.in_width)
 
     def _keep_mask(self, shape: tuple, rng: Rng | None) -> np.ndarray | None:
         """A bool dropout keep-mask, drawn whole; None without an rng."""
@@ -186,8 +172,9 @@ class Forecaster:
             a *= 1.0 / (1.0 - self.config.dropout_rate)
 
     def _embed(self, x: np.ndarray):
-        """Check x, instance-normalize it, arrange its patches and embed
-        them: returns (mu, sigma, patches, u), u of shape (rows, N, width)."""
+        """Check x, instance-normalize it, patchify it, join each row's g
+        channels at every patch index and embed: returns (mu, sigma,
+        patches, u), patches (B*M/g, N, g*P) and u (B*M/g, N, width)."""
         c = self.config
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != c.lookback or x.shape[2] != c.n_channels:
@@ -201,7 +188,9 @@ class Forecaster:
             mu = np.zeros((x.shape[0], 1, c.n_channels))
             sigma = np.ones((x.shape[0], 1, c.n_channels))
             xn = x
-        patches = self._arrange(xn)
+        g, N = self.channels_per_row, c.n_patches
+        patches = patchify(xn, c).reshape(-1, g, N, c.patch_size) \
+            .transpose(0, 2, 1, 3).reshape(-1, N, self.in_width)
         u = (patches.reshape(-1, self.in_width) @ self.params["embed.W"].T) \
             .reshape(patches.shape[:2] + (self.width,))
         u += self.params["embed.b"]
@@ -212,7 +201,8 @@ class Forecaster:
         """The forecast (B, T, M) from the flattened last block output."""
         c = self.config
         out_rows = flat @ self.params["head.W"].T + self.params["head.b"]
-        yhat_n = _unpatch_rows(mu.shape[0], c.n_channels, c.horizon, out_rows)
+        # channel-major rows back to (B, T, M)
+        yhat_n = out_rows.reshape(-1, c.n_channels, c.horizon).transpose(0, 2, 1)
         return yhat_n * sigma + mu
 
     def forward(self, x: np.ndarray, training: bool = False,

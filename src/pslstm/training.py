@@ -16,6 +16,7 @@ from __future__ import annotations
 import copy
 import csv
 import time
+import warnings
 from dataclasses import dataclass
 from typing import Annotated, Callable
 
@@ -204,14 +205,15 @@ def train(model: Forecaster, dataset: WindowedDataset,
           config: TrainConfig) -> tuple[Forecaster, list[EpochRecord]]:
     """Train with early stopping; returns the best-validation-epoch model.
 
-    If the train loss goes non-finite the run aborts and the last finite
-    best checkpoint is returned.
+    A non-finite training loss stops training with one warning naming the
+    epoch and whose parameters the model keeps: the best epoch's so far,
+    or the initial ones when no epoch finished.
     """
     if dataset.n_windows("train") == 0 or dataset.n_windows("val") == 0:
         raise DataError("train requires non-empty train and val splits")
     opt = AdamState(model.params)
     history: list[EpochRecord] = []
-    best_val = np.inf
+    best_val, best_epoch = np.inf, None
     best_params = copy.deepcopy(model.params)
     stale = 0
     n_train = dataset.n_windows("train")
@@ -220,26 +222,28 @@ def train(model: Forecaster, dataset: WindowedDataset,
         t0 = time.perf_counter()
         shuffle_rng = Rng(config.seed).spawn(1000 + epoch)
         drop_rng = Rng(config.seed).spawn(2000 + epoch)
-        diverged = False
         loss_sum = 0.0
         for idx in _batches(n_train, config.batch_size, shuffle_rng):
             x, y = dataset.batch("train", idx)
             yhat, tape = model.forward(x, training=True, dropout_rng=drop_rng)
             loss, grad = mse_loss(yhat, y)
             if not np.isfinite(loss):
-                diverged = True
                 break
             loss_sum += loss * len(idx)
             grads = model.backward(tape, grad)
             adam_step(model.params, grads, opt, config,
                       clip_norm=config.clip_norm)
-        if diverged:
+        if not np.isfinite(loss):
+            kept = ("the initial parameters" if best_epoch is None
+                    else f"the parameters of epoch {best_epoch}")
+            warnings.warn(f"training loss not finite in epoch {epoch}; "
+                          f"training stopped, keeping {kept}")
             break
         val_mse = evaluate(model, dataset, "val", config.batch_size).mse
         history.append(EpochRecord(epoch, loss_sum / n_train, val_mse,
                                    time.perf_counter() - t0))
         if val_mse < best_val:
-            best_val = val_mse
+            best_val, best_epoch = val_mse, epoch
             best_params = copy.deepcopy(model.params)
             stale = 0
         else:

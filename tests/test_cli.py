@@ -492,6 +492,24 @@ def test_divergence_exits_4_with_one_line_from_train_and_grids(tmp_path,
                                   "in embed.W\n"), argv
 
 
+def test_train_stopped_by_a_non_finite_loss_warns_and_exits_0(tmp_path,
+                                                              capsys):
+    # raw mode at learning rate 50: the loss overflows in epoch 0, so the
+    # run keeps the initial parameters, says so, and still writes its files
+    cfg = write_config(
+        tmp_path,
+        model={**TINY_MODEL, "gate_mode": {"stabilized": False}},
+        train={"max_epochs": 3, "learning_rate": 50, "clip_norm": 1000})
+    assert run(tmp_path, "train", "--config", cfg) == EXIT_OK
+    assert capsys.readouterr().err == (
+        "warning: training loss not finite in epoch 0; training stopped, "
+        "keeping the initial parameters\n")
+    runs = tmp_path / "runs" / "train"
+    assert (runs / "history.csv").read_text().splitlines() == [
+        "epoch,train_mse,val_mse,seconds"]
+    assert json.loads((runs / "metrics.json").read_text())["test"]["mse"] > 0
+
+
 def test_train_missing_dataset_exits_data(tmp_path, capsys):
     cfg = write_config(tmp_path, data={"source": "csv",
                                        "path": "/nonexistent/weather.csv"})

@@ -98,6 +98,11 @@ def test_patchify_shape_errors():
     cfg = tiny_config()
     with pytest.raises(ShapeError):
         patchify(np.zeros((4, 16)), cfg)
+    # 4 patches of 4 span 16 steps: a series of 10 must not wrap around
+    with pytest.raises(ShapeError, match="series length 10 is shorter"):
+        patchify(np.arange(10.0).reshape(1, 10, 1), tiny_config(n_channels=1))
+    with pytest.raises(ShapeError):
+        patchify(np.zeros((1, 3, 2)), cfg)
 
 
 # -- forward ----------------------------------------------------------------
@@ -433,12 +438,52 @@ def test_backward_grads_follow_params_order():
 # -- channel mixing ---------------------------------------------------------
 
 def test_channel_mixed_single_channel_degenerates_to_independent():
-    a = Forecaster(tiny_config(n_channels=1), seed=7)
-    b = Forecaster(tiny_config(n_channels=1, channel_strategy="mixed"), seed=7)
+    # one channel per row either way (g = 1): the same model, bit for bit
+    cfg = dict(n_channels=1, n_blocks=2, dropout_rate=0.2)
+    a = Forecaster(tiny_config(**cfg), seed=7)
+    b = Forecaster(tiny_config(**cfg, channel_strategy="mixed"), seed=7)
+    assert list(a.params) == list(b.params)
+    for name in a.params:
+        assert np.array_equal(a.params[name], b.params[name]), name
     x = Rng(9).normal((4, 16, 1), 0.0, 1.0)
-    y_a, _ = a.forward(x)
-    y_b, _ = b.forward(x)
+    y_a, tape_a = a.forward(x, training=True, dropout_rng=Rng(3))
+    y_b, tape_b = b.forward(x, training=True, dropout_rng=Rng(3))
     assert np.array_equal(y_a, y_b)
+    g_a = a.backward(tape_a, np.cos(y_a))
+    g_b = b.backward(tape_b, np.cos(y_b))
+    for name in g_a:
+        assert np.array_equal(g_a[name], g_b[name]), name
+    assert np.array_equal(a.predict(x), b.predict(x))
+
+
+@pytest.mark.parametrize("strategy", ["independent", "mixed"])
+@pytest.mark.parametrize("shape", [
+    dict(), dict(n_channels=3, n_blocks=2),
+    dict(lookback=21, patch_size=6, patch_stride=3, n_channels=4, embed_dim=4)])
+def test_grouping_factor_sets_rows_widths_and_gate_elements(monkeypatch,
+                                                            strategy, shape):
+    cfg = tiny_config(**shape, channel_strategy=strategy)
+    g = cfg.n_channels if strategy == "mixed" else 1
+    model = Forecaster(cfg, seed=0)
+    assert (model.width, model.in_width, model.out_width) == (
+        cfg.embed_dim * g, cfg.patch_size * g, cfg.horizon * g)
+    B, N, M = 5, cfg.n_patches, cfg.n_channels
+    x = Rng(4).normal((B, cfg.lookback, M), 0.0, 1.0)
+    made = []
+
+    def recording_patchify(*args):
+        made.append(patchify(*args))
+        return made[-1]
+
+    monkeypatch.setattr("pslstm.model.patchify", recording_patchify)
+    _, _, patches, u = model._embed(x)
+    assert patches.shape == (B * M // g, N, cfg.patch_size * g)
+    assert u.shape == (B * M // g, N, cfg.embed_dim * g)
+    # under channel independence the embedding reads patchify's own array
+    assert np.shares_memory(patches, made[0]) == (g == 1)
+    # rows times width is M * E under both strategies
+    assert model.gate_elements_per_window == 4 * N * M * cfg.embed_dim \
+        * cfg.n_blocks == N * 4 * u.shape[0] * u.shape[2] // B * cfg.n_blocks
 
 
 def test_channel_mixed_parameter_count_grows_with_channels():

@@ -442,6 +442,43 @@ def test_train_with_dropout_runs():
     assert np.isfinite(history[0].train_mse)
 
 
+@pytest.mark.parametrize("fail_epoch", [0, 1])
+def test_train_stops_on_a_non_finite_loss_and_restores(monkeypatch,
+                                                       fail_epoch):
+    # the loss of epoch fail_epoch's second batch is NaN: train keeps the
+    # best epoch's parameters (epoch 0, as a run of one epoch leaves them),
+    # or the initial ones when no epoch finished, and warns once
+    ds = small_dataset()
+    cfg = ModelConfig(**TINY)
+    train_cfg = TrainConfig(max_epochs=3)
+    per_epoch = math.ceil(ds.n_windows("train") / train_cfg.batch_size)
+    initial = Forecaster(cfg, seed=0).params
+    reference, _ = train(Forecaster(cfg, seed=0), ds,
+                         TrainConfig(max_epochs=1))
+    expected = initial if fail_epoch == 0 else reference.params
+    calls = []
+    real_loss = training.mse_loss
+
+    def loss_nan_once(yhat, y):
+        calls.append(None)
+        loss, grad = real_loss(yhat, y)
+        return (np.nan if len(calls) == fail_epoch * per_epoch + 2
+                else loss), grad
+
+    monkeypatch.setattr(training, "mse_loss", loss_nan_once)
+    kept = "the initial parameters" if fail_epoch == 0 \
+        else "the parameters of epoch 0"
+    with pytest.warns(UserWarning) as record:
+        model, history = train(Forecaster(cfg, seed=0), ds, train_cfg)
+    assert [str(w.message) for w in record] == [
+        f"training loss not finite in epoch {fail_epoch}; training stopped, "
+        f"keeping {kept}"]
+    assert len(calls) == fail_epoch * per_epoch + 2
+    assert len(history) == fail_epoch
+    for name, arr in model.params.items():
+        assert np.array_equal(arr, expected[name]), name
+
+
 # -- evaluation -------------------------------------------------------------
 
 class _ConstantOffsetModel:
