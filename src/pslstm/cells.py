@@ -11,11 +11,14 @@ the output gate:
     n_t = f_t * n_{t-1} + i_t
     h_t = o_t * c_t / n_t
 
-Exponential gates overflow for positive pre-activations, so a log-space
-stabilizer m_t = max(log f_t + m_{t-1}, log i_t) is tracked in stabilized
-mode; the hidden state is algebraically unchanged because the exp(-m)
-rescaling cancels in the c/n ratio. Raw mode keeps the textbook arithmetic
-(including its overflow) for the memory-property probe.
+Every mode forms i and f in log space (an exponential gate's log is its
+pre-activation, a sigmoid gate's is log_sigmoid of it) and then takes one
+exp of both. Exponential gates overflow for positive pre-activations, so
+stabilized mode subtracts a stabilizer m_t = max(log f_t + m_{t-1}, log i_t)
+before that exp; the hidden state is algebraically unchanged because the
+exp(-m) rescaling cancels in the c/n ratio. Raw mode is the same recurrence
+with m pinned at 0: the textbook arithmetic, overflow included, which the
+memory-property probe relies on.
 
 Memory mixing happens within a head, never across heads: each recurrent
 matrix Rg is block-diagonal with n_heads (H) equal blocks of s = d / H
@@ -220,8 +223,8 @@ class SequenceTape:
     """What slstm_backward needs from one slstm_forward call.
 
     Arrays are time-major. ``gates`` holds, per step, the activations z,
-    i_eff, d_eff and o in the kernel layout; in stabilized mode i_eff,
-    d_eff, c and n are the rescaled (primed) quantities, and the gradient
+    i_eff, d_eff and o in the kernel layout; i_eff, d_eff, c and n are
+    rescaled by exp(-m), with m pinned at 0 in raw mode, and the gradient
     algebra is the same in both modes because h depends only on ratios.
     Previous states are the arrays one step back; c / n is recomputed. A
     sigmoid gate also keeps d log(gate) / d pre, which its rescaled value
@@ -243,20 +246,14 @@ class SequenceTape:
     dlog_f: np.ndarray | None     # (S, B, d) for a sigmoid forget gate
 
 
-def _gate_in_place(x: np.ndarray, activation: str, log: bool,
+def _gate_in_place(x: np.ndarray, activation: str,
                    dlog: np.ndarray | None) -> None:
-    """Overwrite the pre-activations x with the gate, or with log(gate) if
-    log; a sigmoid gate also writes d log(gate) / d x into dlog (into a
-    temporary if dlog is None)."""
-    if activation == "exponential":
-        if not log:
-            np.exp(x, out=x)
-    elif log:
+    """Overwrite the pre-activations x with log(gate). An exponential
+    gate's log is x itself; a sigmoid gate also writes d log(gate) / d x,
+    sigmoid(-x), into dlog."""
+    if activation == "sigmoid":
         sigmoid(-x, out=dlog)
         x[...] = log_sigmoid(x)
-    else:
-        sigmoid(x, out=x)
-        np.subtract(1.0, x, out=dlog)
 
 
 def _head_major(g: np.ndarray, n_heads: int) -> np.ndarray:
@@ -316,12 +313,12 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
                        out=packed)
             np.tanh(z, out=z)
             sigmoid(o, out=o)
-            _gate_in_place(i_eff, mode.input_activation, mode.stabilized,
+            _gate_in_place(i_eff, mode.input_activation,
                            None if dlog_i is None else dlog_i[t])
-            _gate_in_place(d_eff, mode.forget_activation, mode.stabilized,
+            _gate_in_place(d_eff, mode.forget_activation,
                            None if dlog_f is None else dlog_f[t])
+            # i_eff and d_eff hold log i and log f; raw mode keeps m at 0
             if mode.stabilized:
-                # i_eff and d_eff hold log i and log f
                 if m_prev is None:
                     # -inf sentinel: the forget branch cannot win the max,
                     # and the decay factor keeps the raw exp(log f) scaling
@@ -332,7 +329,7 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
                     np.maximum(d_eff, i_eff, out=m)
                 m_prev = m
                 np.subtract(scaled, m, out=scaled)
-                np.exp(scaled, out=scaled)
+            np.exp(scaled, out=scaled)
             c = np.multiply(d_eff, c, out=c_out[t])
             c += np.multiply(i_eff, z, out=work)
             if n_out is not None:
@@ -357,17 +354,27 @@ def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
     return a.reshape(a.shape[:-1] + (n_heads, -1))
 
 
+def _check_state(caller: str, state: SLSTMState, B: int, d: int) -> None:
+    """ShapeError naming the first of h, c, n and m (when given) that is
+    not (B, d): numpy would broadcast a (1, d) or (d,) state silently."""
+    for name in "hcnm":
+        a = getattr(state, name)
+        if name == "m" and a is None:
+            continue
+        if np.shape(a) != (B, d):
+            raise ShapeError(f"{caller}: state {name} {np.shape(a)} vs "
+                             f"expected {(B, d)}")
+
+
 def slstm_step(params: SLSTMParams, x: np.ndarray, prev: SLSTMState,
                mode: GateMode = GateMode()) -> SLSTMState:
     """One recurrent step. x: (B, d_input); returns the new state. The
     step runs the sequence time loop (_forward_rows) once over all B rows
-    and keeps no gate activations: the reference step of the tests."""
+    and keeps no gate activations."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.d_input:
         raise ShapeError(f"slstm_step: input {x.shape} vs d_input {params.d_input}")
-    if prev.h.shape != (x.shape[0], params.d_hidden):
-        raise ShapeError(f"slstm_step: state {prev.h.shape} vs "
-                         f"expected {(x.shape[0], params.d_hidden)}")
+    _check_state("slstm_step", prev, x.shape[0], params.d_hidden)
     pre = x @ params.W.T
     pre += params.b
     out = _tape_arrays(1, x.shape[0], params.d_hidden, mode)
@@ -425,9 +432,7 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     B, S, _ = x_seq.shape
     d = params.d_hidden
     init = init if init is not None else SLSTMState.zeros(B, d)
-    if init.h.shape != (B, d):
-        raise ShapeError(f"slstm_forward: state {init.h.shape} vs "
-                         f"expected {(B, d)}")
+    _check_state("slstm_forward", init, B, d)
     out = _tape_arrays(S, B, d, mode)
     gates = np.empty((S, B, 4 * d))
     _run_sequence(params, x_seq, init, mode, gates, out, keep=True)

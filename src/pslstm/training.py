@@ -13,7 +13,6 @@ mode; `evaluate(model, dataset, "train")` gives that figure.
 
 from __future__ import annotations
 
-import copy
 import csv
 import time
 import warnings
@@ -214,7 +213,7 @@ def train(model: Forecaster, dataset: WindowedDataset,
     opt = AdamState(model.params)
     history: list[EpochRecord] = []
     best_val, best_epoch = np.inf, None
-    best_params = copy.deepcopy(model.params)
+    best_params = {name: arr.copy() for name, arr in model.params.items()}
     stale = 0
     n_train = dataset.n_windows("train")
 
@@ -244,7 +243,8 @@ def train(model: Forecaster, dataset: WindowedDataset,
                                    time.perf_counter() - t0))
         if val_mse < best_val:
             best_val, best_epoch = val_mse, epoch
-            best_params = copy.deepcopy(model.params)
+            for name, arr in model.params.items():
+                np.copyto(best_params[name], arr)
             stale = 0
         else:
             stale += 1
@@ -252,7 +252,7 @@ def train(model: Forecaster, dataset: WindowedDataset,
                 break
 
     for name, arr in model.params.items():
-        arr[...] = best_params[name]
+        np.copyto(arr, best_params[name])
     return model, history
 
 

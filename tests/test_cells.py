@@ -119,6 +119,22 @@ def test_step_shape_errors():
         slstm_step(params, np.zeros((1, 3)), SLSTMState.zeros(2, 4))
 
 
+@pytest.mark.parametrize("entry", ["step", "forward"])
+@pytest.mark.parametrize("name, shape", [("h", (1, 4)), ("c", (1, 4)),
+                                         ("n", (4,)), ("m", (1, 4))])
+def test_mis_shaped_initial_state_is_rejected(entry, name, shape):
+    # numpy would broadcast a (1, d) or (d,) state over the batch of 2
+    params = random_params(0, 3, 4)
+    state = SLSTMState.zeros(2, 4)
+    state.m = np.zeros((2, 4))
+    setattr(state, name, np.zeros(shape))
+    with pytest.raises(ShapeError, match=f"state {name} "):
+        if entry == "step":
+            slstm_step(params, np.zeros((2, 3)), state)
+        else:
+            slstm_forward(params, np.zeros((2, 5, 3)), state)
+
+
 # -- cross-mode equivalence -------------------------------------------------
 
 def test_stabilized_matches_raw_forward():

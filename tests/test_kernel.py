@@ -14,6 +14,10 @@ sequence driver, so predict must give forward's h byte for byte; both are
 also checked byte for byte against a driver rebuilt in this file (one
 whole-batch input GEMM, then the time loop per row block). A time loop fed
 by its own output (the probe's chain) must give a slstm_step loop's bytes.
+
+Those references all run the kernel's own time loop. textbook_forward does
+not: it steps the module docstring's equations over the dense per-gate
+arrays, and every GateMode's h, c and n must agree with it to rounding.
 """
 
 import contextlib
@@ -496,3 +500,78 @@ def test_fed_time_loop_matches_the_step_loop(mode, batch, forget_bias):
     assert state.m is m is None or state.m.tobytes() == m.tobytes()
     if forget_bias is not None and mode == GateMode(stabilized=False):
         assert not np.isfinite(state.c).all()   # the overflow was reached
+
+
+# -- a reference that shares no code with the kernel ---------------------------
+
+def textbook_forward(params, x, init, mode):
+    """The module docstring's equations, one step at a time, over the dense
+    per-gate arrays of params.gates(): [h, c, n] (B, S, d), with c and n
+    rescaled by exp(-m) in stabilized mode (as the tape keeps them) and n
+    None without the normalizer."""
+    g = params.gates()
+    B, S, _ = x.shape
+    d = params.d_hidden
+    if init is None:
+        init = SLSTMState.zeros(B, d)
+    h, c, n, m = init.h, init.c, init.n, init.m
+    out = [np.empty((B, S, d)) for _ in range(3)]
+    for t in range(S):
+        pre = {}
+        for k in "zifo":
+            pre[k] = x[:, t] @ g[f"W_{k}"].T + g[f"b_{k}"]
+            if mode.memory_mixing:
+                pre[k] = pre[k] + h @ g[f"R_{k}"].T
+        z = np.tanh(pre["z"])
+        o = 1.0 / (1.0 + np.exp(-pre["o"]))
+        # log i and log f: exp(x) has log x, sigmoid(x) has -log(1 + e^-x)
+        log_i, log_f = (pre[k] if act == "exponential"
+                        else -np.logaddexp(0.0, -pre[k])
+                        for k, act in (("i", mode.input_activation),
+                                       ("f", mode.forget_activation)))
+        if not mode.stabilized:
+            i, f = np.exp(log_i), np.exp(log_f)
+        elif m is None:
+            # m_{-1} = -inf loses the max; f keeps its unscaled exp(log f)
+            m = log_i
+            i, f = np.ones_like(log_i), np.exp(log_f - m)
+        else:
+            m_new = np.maximum(log_f + m, log_i)
+            i, f = np.exp(log_i - m_new), np.exp(log_f + m - m_new)
+            m = m_new
+        c = f * c + i * z
+        if mode.normalizer:
+            n = f * n + i
+            h = o * c / n
+        else:
+            h = o * np.tanh(c)
+        out[0][:, t], out[1][:, t], out[2][:, t] = h, c, n
+    if not mode.normalizer:
+        out[2] = None
+    return out
+
+
+def check_textbook(case):
+    params, x, init, mode = build(case)
+    expected = textbook_forward(params, x, init, mode)
+    assert all(np.isfinite(a).all() for a in expected if a is not None)
+    h, tape = slstm_forward(params, x, init, mode)
+    got = [h, tape.c.transpose(1, 0, 2),
+           None if tape.n is None else tape.n.transpose(1, 0, 2)]
+    for a, b in zip(got, expected):
+        if b is None:
+            assert a is None
+        else:
+            assert_same(a, b)
+
+
+@given(cases())
+def test_forward_matches_the_textbook_equations(case):
+    check_textbook(case)
+
+
+@pytest.mark.parametrize("init", ["none", "state", "state_with_m"])
+@pytest.mark.parametrize("mode", ALL_MODES, ids=mode_id)
+def test_every_gate_mode_matches_the_textbook_equations(mode, init):
+    check_textbook(dict(batch=5, steps=7, d_in=3, d=6, n_heads=3, seed=29,
+                        init=init, mode=mode))

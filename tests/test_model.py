@@ -2,6 +2,9 @@
 channel strategies, parameter accounting, checkpoints."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -10,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import pslstm
 from pslstm import tensorops
 from pslstm.cells import LSTM_MODE, GateMode, grad_check
 from pslstm.model import (Forecaster, ModelConfig, load_checkpoint, patchify,
@@ -433,6 +437,59 @@ def test_backward_grads_follow_params_order():
     yhat, tape = model.forward(x)
     grads = model.backward(tape, np.ones_like(yhat))
     assert list(grads) == list(model.params)
+
+
+# -- BLAS thread count -------------------------------------------------------
+
+#: One seeded training-mode forward, backward and predict, printing the
+#: SHA-256 of their bytes; argv: the ModelConfig as JSON, then the batch.
+_SEEDED_STEP = """
+import hashlib, json, sys
+from pslstm.model import Forecaster, ModelConfig
+from pslstm.tensorops import Rng
+config = ModelConfig(**json.loads(sys.argv[1]))
+x = Rng(1).normal((int(sys.argv[2]), config.lookback, config.n_channels))
+model = Forecaster(config, seed=0)
+yhat, tape = model.forward(x, training=True, dropout_rng=Rng(2))
+grads = model.backward(tape, Rng(3).normal(yhat.shape, 0.0, 1.0))
+digest = hashlib.sha256(yhat.tobytes())
+for name in grads:
+    digest.update(grads[name].tobytes())
+digest.update(model.predict(x).tobytes())
+print(digest.hexdigest())
+"""
+
+
+WEATHER_SHAPE = dict(lookback=336, horizon=96, n_channels=21, patch_size=16,
+                     embed_dim=128, n_heads=4, dropout_rate=0.2)
+
+
+@pytest.mark.parametrize("shape, batch", [
+    # acceptance criterion 6's channel-mixed model
+    (dict(lookback=96, horizon=96, n_channels=8, patch_size=16, embed_dim=32,
+          n_heads=2, channel_strategy="mixed", dropout_rate=0.1), 32),
+    # configs/weather_extended.json's model and batch
+    (WEATHER_SHAPE, 64),
+    # below 32 windows the input-weight gradients' GEMMs (rows.T @ x_rows,
+    # 21 * 21 * batch terms a sum) rounded differently under two threads
+    # with OpenBLAS 0.3.31; not strict, since that depends on the build
+    pytest.param(WEATHER_SHAPE, 16, marks=pytest.mark.xfail(
+        reason="embed.W and block0.W gradients depend on the BLAS thread "
+               "count at this batch")),
+], ids=["mixed", "weather", "weather_16"])
+def test_seeded_step_does_not_depend_on_the_blas_thread_count(shape, batch):
+    src = str(Path(pslstm.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+        run = subprocess.run(
+            [sys.executable, "-c", _SEEDED_STEP, json.dumps(shape), str(batch)],
+            env=env, capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
 
 
 # -- channel mixing ---------------------------------------------------------
