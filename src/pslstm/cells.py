@@ -37,9 +37,10 @@ step's input pre-activations with one (B*S, d_input) x (d_input, 4d) GEMM
 before the time loop, inside which one (B, s) x (s, 4s) GEMM per head
 remains. The tape is time-major: one (S, B, 4d) buffer holds the
 pre-activations, overwritten by the gate activations, plus (S, B, d)
-arrays c, n and h. slstm_backward overwrites the gate buffer with the
-pre-activation gradients; after its loop, single GEMMs give the W and b
-gradients, one GEMM per head the R gradient and a last GEMM the input
+arrays c, n and h and the (S*B, d_input) input rows of that GEMM.
+slstm_backward overwrites the gate buffer with the pre-activation
+gradients; after its loop, single GEMMs give the W gradient (from the
+tape's input rows) and the b gradient, one GEMM per head the R gradient and a last GEMM the input
 gradient, all in the kernel layout, while each tape array is dropped after
 its last read. Rows never interact in the recurrence, so both time loops
 run once per block of rows (tensorops.row_slices), with the state
@@ -48,10 +49,19 @@ cache across its steps.
 
 Each block owns one gate-major (4, b, d) scratch and a few (b, d) work
 buffers, made per call (forward makes them and its stabilizer m as one
-(6, b, d) array). A step copies its (b, 4d) slab into the scratch once
-(forward adds the recurrent product on the way), runs the gate arithmetic
-in place on the contiguous (b, d) gates and, when a tape keeps them,
-copies the activations (or their gradients) back once.
+(6, b, d) array). The views a step reads are made once per block, before
+its time loop: each step's slab of the gate buffer in the scratch's
+head-major (b, H, 4, s) shape, the previous h split into heads, and in
+backward the tape's c and n rows and the rows of grad_h. A step copies its
+slab into the scratch once, runs the gate arithmetic in place on the
+contiguous (b, d) gates and, when a tape keeps them, copies the
+activations (or their gradients) back once. The recurrent products are
+written by np.matmul straight into head-major buffers: forward's
+(b, H, 4s) product, which the slab is added to on its way into the
+scratch, and backward's (b, d) carry into h, added to grad_h in one
+contiguous pass. A sigmoid gate's log and its log-derivative are written
+in place, the former through the forward's free work row, so no step
+allocates in any mode.
 
 One driver, _run_sequence, runs the input GEMM and the row blocks of both
 slstm_forward and slstm_predict; only the tape differs. Both return h as
@@ -222,10 +232,14 @@ class SLSTMState:
 class SequenceTape:
     """What slstm_backward needs from one slstm_forward call.
 
-    Arrays are time-major. ``gates`` holds, per step, the activations z,
-    i_eff, d_eff and o in the kernel layout; i_eff, d_eff, c and n are
-    rescaled by exp(-m), with m pinned at 0 in raw mode, and the gradient
-    algebra is the same in both modes because h depends only on ratios.
+    Arrays are time-major. ``x`` holds the rows of the forward's input
+    GEMM, step-major: a copy of the caller's (B, S, d_input) sequence
+    (unless B or S is 1) that backward reads for the W gradient, so the
+    tape does not keep the caller's array alive. ``gates`` holds, per
+    step, the activations z, i_eff, d_eff and o in the kernel layout;
+    i_eff, d_eff, c and n are rescaled by exp(-m), with m pinned at 0 in
+    raw mode, and the gradient algebra is the same in both modes because h
+    depends only on ratios.
     Previous states are the arrays one step back; c / n is recomputed. A
     sigmoid gate also keeps d log(gate) / d pre, which its rescaled value
     does not determine. The tape keeps no weights: slstm_backward reads
@@ -235,7 +249,7 @@ class SequenceTape:
     them to None) after their last reads.
     """
 
-    x: np.ndarray | None          # (B, S, d_input), the input as given
+    x: np.ndarray | None          # (S*B, d_input), time-major input rows
     init: SLSTMState              # state before the first step
     mode: GateMode                # the mode the forward ran
     gates: np.ndarray | None      # (S, B, 4d); None once consumed
@@ -244,16 +258,6 @@ class SequenceTape:
     h: np.ndarray | None          # (S, B, d)
     dlog_i: np.ndarray | None     # (S, B, d) for a sigmoid input gate
     dlog_f: np.ndarray | None     # (S, B, d) for a sigmoid forget gate
-
-
-def _gate_in_place(x: np.ndarray, activation: str,
-                   dlog: np.ndarray | None) -> None:
-    """Overwrite the pre-activations x with log(gate). An exponential
-    gate's log is x itself; a sigmoid gate also writes d log(gate) / d x,
-    sigmoid(-x), into dlog."""
-    if activation == "sigmoid":
-        sigmoid(-x, out=dlog)
-        x[...] = log_sigmoid(x)
 
 
 def _head_major(g: np.ndarray, n_heads: int) -> np.ndarray:
@@ -286,37 +290,49 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
     """The time loop of one block of b rows, in every GateMode: pre
     (S, b, 4d) holds the input pre-activations, overwritten with the
     activations z, i_eff, d_eff and o if keep; out holds the (S, b, d)
-    arrays of _tape_arrays, where a dlog array may be None. feed(t, h), if
-    given, runs after step t and its copy-back and may write pre[t + 1].
-    Returns the stabilizer m after the last step (None outside stabilized
-    mode); a stabilized h that is not finite raises FloatingPointError
-    once the loop ends."""
+    arrays of _tape_arrays, where only an exponential gate's dlog array
+    may be None. feed(t, h), if given, runs after step t and its copy-back
+    and may write pre[t + 1]. Returns the stabilizer m after the last step
+    (None outside stabilized mode); a stabilized h that is not finite
+    raises FloatingPointError once the loop ends."""
     S, b, d4 = pre.shape
     c_out, n_out, h_out, dlog_i, dlog_f = out
     # one scratch: the four gates, a work buffer and the stabilizer m
     scratch = np.empty((6, b, d4 // 4))
     z, i_eff, d_eff, o, work, m = scratch
-    g, scaled = scratch[:4], scratch[1:3]
-    packed = _head_major(g, n_heads)
-    h, c, n, m_prev = init.h, init.c, init.n, init.m
+    scaled = scratch[1:3]
+    packed = _head_major(scratch[:4], n_heads)
+    # the views each step reads, made once: its slab of pre in packed's
+    # (b, H, 4, s) shape, and (below) the previous h split into heads
+    slabs = pre.reshape((S,) + packed.shape)
+    sigmoid_gates = [(gate, dlog) for gate, dlog, activation in (
+        (i_eff, dlog_i, mode.input_activation),
+        (d_eff, dlog_f, mode.forget_activation)) if activation == "sigmoid"]
+    if R is not None:
+        # the recurrent product, written head-major (b, H, 4s) like a slab
+        rec = np.empty((b, n_heads, d4 // n_heads))
+        rec_out, rec = rec.transpose(1, 0, 2), rec.reshape(packed.shape)
+        h_heads = h_out.reshape(S, b, n_heads, -1).transpose(0, 2, 1, 3)
+        h_prev = init.h.reshape(b, n_heads, -1).transpose(1, 0, 2)
+    c, n, m_prev = init.c, init.n, init.m
     # raw arithmetic may overflow (the probe relies on it); stabilized may not
     errors = contextlib.nullcontext() if mode.stabilized else \
         np.errstate(over="ignore", invalid="ignore", divide="ignore")
     with errors:
         for t in range(S):
-            slab = pre[t].reshape(packed.shape)
+            slab = slabs[t]
             if R is None:
                 packed[...] = slab
             else:
-                rec = np.matmul(h.reshape(b, n_heads, -1).transpose(1, 0, 2), R)
-                np.add(slab, rec.transpose(1, 0, 2).reshape(packed.shape),
-                       out=packed)
+                np.matmul(h_prev, R, out=rec_out)
+                np.add(slab, rec, out=packed)
+                h_prev = h_heads[t]
             np.tanh(z, out=z)
             sigmoid(o, out=o)
-            _gate_in_place(i_eff, mode.input_activation,
-                           None if dlog_i is None else dlog_i[t])
-            _gate_in_place(d_eff, mode.forget_activation,
-                           None if dlog_f is None else dlog_f[t])
+            # log of a sigmoid gate, and its derivative sigmoid(-x)
+            for gate, dlog in sigmoid_gates:
+                sigmoid(np.negative(gate, out=dlog[t]), out=dlog[t])
+                log_sigmoid(gate, out=gate, work=work)
             # i_eff and d_eff hold log i and log f; raw mode keeps m at 0
             if mode.stabilized:
                 if m_prev is None:
@@ -347,11 +363,6 @@ def _forward_rows(pre: np.ndarray, init: SLSTMState, R: np.ndarray | None,
         raise FloatingPointError("stabilized sLSTM step produced a "
                                  "non-finite hidden state")
     return m if mode.stabilized else None
-
-
-def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
-    """(..., d) -> (..., H, s)."""
-    return a.reshape(a.shape[:-1] + (n_heads, -1))
 
 
 def _check_state(caller: str, state: SLSTMState, B: int, d: int) -> None:
@@ -399,19 +410,17 @@ def _sequence(caller: str, params: SLSTMParams,
     return x_seq
 
 
-def _run_sequence(params: SLSTMParams, x_seq: np.ndarray, init: SLSTMState,
+def _run_sequence(params: SLSTMParams, x_rows: np.ndarray, init: SLSTMState,
                   mode: GateMode, gates: np.ndarray, out: list,
                   keep: bool) -> None:
-    """slstm_forward's and slstm_predict's driver: one GEMM writes every
-    step's input pre-activations into the time-major (S, B, 4d) gates, then
-    the time loop runs per row block into the (S, B, d) arrays out (c, n,
-    h, dlog_i, dlog_f; see _tape_arrays). With keep the gate buffer ends up
-    holding the activations."""
-    B, S, d_in = x_seq.shape
-    d = params.d_hidden
-    x_rows = x_seq.transpose(1, 0, 2).reshape(S * B, d_in)
-    np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, 4 * d))
-    del x_rows
+    """slstm_forward's and slstm_predict's driver: one GEMM of the
+    time-major (S*B, d_input) input rows writes every step's input
+    pre-activations into the time-major (S, B, 4d) gates, then the time
+    loop runs per row block into the (S, B, d) arrays out (c, n, h, dlog_i,
+    dlog_f; see _tape_arrays). With keep the gate buffer ends up holding
+    the activations."""
+    S, B, d4 = gates.shape
+    np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, d4))
     gates += params.b
     for blk in row_slices(gates.shape[1:]):
         rows = SLSTMState(*(None if a is None else a[blk]
@@ -433,10 +442,12 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     d = params.d_hidden
     init = init if init is not None else SLSTMState.zeros(B, d)
     _check_state("slstm_forward", init, B, d)
+    # the input GEMM's time-major rows, kept on the tape for the W gradient
+    x_rows = x_seq.transpose(1, 0, 2).reshape(S * B, -1)
     out = _tape_arrays(S, B, d, mode)
     gates = np.empty((S, B, 4 * d))
-    _run_sequence(params, x_seq, init, mode, gates, out, keep=True)
-    tape = SequenceTape(x_seq, init, mode, gates, *out)
+    _run_sequence(params, x_rows, init, mode, gates, out, keep=True)
+    tape = SequenceTape(x_rows, init, mode, gates, *out)
     return tape.h.transpose(1, 0, 2), tape
 
 
@@ -457,9 +468,86 @@ def slstm_predict(params: SLSTMParams, x_seq: np.ndarray,
     d = params.d_hidden
     gates, h = np.split(np.empty(5 * S * B * d), [4 * S * B * d])
     out = _tape_arrays(S, B, d, mode, h=h.reshape(S, B, d))
-    _run_sequence(params, x_seq, SLSTMState.zeros(B, d), mode,
-                  gates.reshape(S, B, 4 * d), out, keep=False)
+    _run_sequence(params, x_seq.transpose(1, 0, 2).reshape(S * B, -1),
+                  SLSTMState.zeros(B, d), mode, gates.reshape(S, B, 4 * d),
+                  out, keep=False)
     return out[2].transpose(1, 0, 2)
+
+
+def _backward_rows(grad: np.ndarray, grad_h: np.ndarray, tape: SequenceTape,
+                   blk: slice, R_t: np.ndarray | None, n_heads: int) -> None:
+    """slstm_backward's time loop over the rows blk: grad (S, b, 4d), the
+    rows' part of the tape's gate buffer, holds their activations and is
+    overwritten with their pre-activation gradients; grad_h (S, b, d) is
+    dloss / dh_t. The carries into h, c and n start at 0."""
+    S, b, d4 = grad.shape
+    d, s = d4 // 4, d4 // 4 // n_heads
+    # the step's gates, gate-major, and (b, d) work buffers
+    g = np.empty((4, b, d))
+    packed = _head_major(g, n_heads)
+    z, i_eff, d_eff, o = g
+    work = np.empty((8, b, d))
+    gh, hbar, gc, gn, into_i, into_f, gc_next, gn_next = work
+    # the views each step reads, made once
+    slabs = grad.reshape((S,) + packed.shape)
+    init, normalizer = tape.init, tape.mode.normalizer
+    c_seq = tape.c[:, blk]
+    c_prev = [init.c[blk], *c_seq[:-1]]
+    if normalizer:
+        n_seq = tape.n[:, blk]
+        n_prev = [init.n[blk], *n_seq[:-1]]
+    dlogs = [(a, dlog[:, blk]) for a, dlog in
+             ((i_eff, tape.dlog_i), (d_eff, tape.dlog_f)) if dlog is not None]
+    if R_t is not None:
+        # the carry into h, written head-major (b, H, s) like gh
+        carry = np.empty((b, d))
+        carry_out = carry.reshape(b, n_heads, s).transpose(1, 0, 2)
+        grad_heads = grad.reshape(S, b, n_heads, 4 * s).transpose(0, 2, 1, 3)
+    gh_carry = gc_carry = gn_carry = 0.0
+    for t in range(S - 1, -1, -1):
+        slab = slabs[t]
+        packed[...] = slab
+        np.add(grad_h[t], gh_carry, out=gh)
+        if normalizer:
+            n = n_seq[t]
+            np.divide(c_seq[t], n, out=hbar)
+            a = np.multiply(gh, o, out=gn)
+            a /= n
+            np.add(a, gc_carry, out=gc)
+            a *= hbar
+            np.subtract(gn_carry, a, out=gn)
+            gn_carry = np.multiply(gn, d_eff, out=gn_next)
+            np.multiply(gc, z, out=into_i)
+            into_i += gn
+            np.multiply(gc, c_prev[t], out=into_f)
+            into_f += np.multiply(gn, n_prev[t], out=gn)
+        else:
+            np.tanh(c_seq[t], out=hbar)
+            np.multiply(hbar, hbar, out=gn)
+            np.subtract(1.0, gn, out=gn)
+            np.multiply(gh, o, out=gc)
+            gc *= gn
+            gc += gc_carry
+            np.multiply(gc, z, out=into_i)
+            np.multiply(gc, c_prev[t], out=into_f)
+        gc_carry = np.multiply(gc, d_eff, out=gc_next)
+        # each activation is overwritten by its pre-activation gradient
+        # after its last use
+        g_z = np.multiply(z, z, out=gn)
+        np.subtract(1.0, g_z, out=g_z)
+        g_z *= gc
+        np.multiply(g_z, i_eff, out=z)
+        np.multiply(into_i, i_eff, out=i_eff)
+        np.multiply(into_f, d_eff, out=d_eff)
+        for a, dlog in dlogs:
+            a *= dlog[t]
+        g_o = np.multiply(gh, hbar, out=gh)
+        g_o *= np.subtract(1.0, o, out=hbar)
+        np.multiply(g_o, o, out=o)
+        slab[...] = packed
+        if R_t is not None:
+            np.matmul(grad_heads[t], R_t, out=carry_out)
+            gh_carry = carry
 
 
 def slstm_backward(params: SLSTMParams, tape: SequenceTape,
@@ -475,9 +563,9 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     Each tape array is dropped right after its last read, so the caller's
     tape frees it unless something else holds it: the gate buffer on entry
     (it becomes the pre-activation gradient buffer, freed on return), c, n
-    and the dlog arrays after the time loop, x once its rows are copied
-    for the W gradient, h after the R gradient. The input gradient is
-    computed last. A consumed tape raises ValueError.
+    and the dlog arrays after the time loop, x after the W gradient, h
+    after the R gradient. The input gradient is computed last. A consumed
+    tape raises ValueError.
     """
     if tape.gates is None:
         raise ValueError("slstm_backward: the tape was already consumed")
@@ -489,73 +577,17 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     H = params.n_heads
     s = d // H
     R_t = None if params.R is None else params.R.transpose(0, 2, 1)
+    init = tape.init
     # the gate buffer becomes the pre-activation gradient buffer
     grad_pre, tape.gates = tape.gates, None
-    init = tape.init
+    grad_h_seq = grad_h_seq.transpose(1, 0, 2)
     for blk in row_slices(grad_pre.shape[1:]):
-        # per block: the step's gates, gate-major, and (b, d) work buffers
-        g = np.empty((4, blk.stop - blk.start, d))
-        packed = _head_major(g, H)
-        z, i_eff, d_eff, o = g
-        gh, hbar, gc, gn, into_i, into_f, gc_next, gn_next = np.empty(
-            (8,) + z.shape)
-        gh_carry = gc_carry = gn_carry = 0.0
-        for t in range(S - 1, -1, -1):
-            slab = grad_pre[t, blk].reshape(packed.shape)
-            packed[...] = slab
-            c_prev = tape.c[t - 1, blk] if t else init.c[blk]
-            np.add(_heads(grad_h_seq[blk, t], H), gh_carry, out=_heads(gh, H))
-            if tape.mode.normalizer:
-                n = tape.n[t, blk]
-                n_prev = tape.n[t - 1, blk] if t else init.n[blk]
-                np.divide(tape.c[t, blk], n, out=hbar)
-                a = np.multiply(gh, o, out=gn)
-                a /= n
-                np.add(a, gc_carry, out=gc)
-                a *= hbar
-                np.subtract(gn_carry, a, out=gn)
-                gn_carry = np.multiply(gn, d_eff, out=gn_next)
-                np.multiply(gc, z, out=into_i)
-                into_i += gn
-                np.multiply(gc, c_prev, out=into_f)
-                into_f += np.multiply(gn, n_prev, out=gn)
-            else:
-                np.tanh(tape.c[t, blk], out=hbar)
-                np.multiply(hbar, hbar, out=gn)
-                np.subtract(1.0, gn, out=gn)
-                np.multiply(gh, o, out=gc)
-                gc *= gn
-                gc += gc_carry
-                np.multiply(gc, z, out=into_i)
-                np.multiply(gc, c_prev, out=into_f)
-            gc_carry = np.multiply(gc, d_eff, out=gc_next)
-            # each activation is overwritten by its pre-activation gradient
-            # after its last use
-            g_z = np.multiply(z, z, out=gn)
-            np.subtract(1.0, g_z, out=g_z)
-            g_z *= gc
-            np.multiply(g_z, i_eff, out=z)
-            np.multiply(into_i, i_eff, out=i_eff)
-            np.multiply(into_f, d_eff, out=d_eff)
-            if tape.dlog_i is not None:
-                i_eff *= tape.dlog_i[t, blk]
-            if tape.dlog_f is not None:
-                d_eff *= tape.dlog_f[t, blk]
-            g_o = np.multiply(gh, hbar, out=gh)
-            g_o *= np.subtract(1.0, o, out=hbar)
-            np.multiply(g_o, o, out=o)
-            slab[...] = packed
-            if R_t is not None:
-                rec = np.matmul(_heads(grad_pre[t, blk], H).transpose(1, 0, 2),
-                                R_t)
-                gh_carry = rec.transpose(1, 0, 2)
+        _backward_rows(grad_pre[:, blk], grad_h_seq[:, blk], tape, blk, R_t, H)
 
     tape.c = tape.n = tape.dlog_i = tape.dlog_f = None
     rows = grad_pre.reshape(S * B, 4 * d)
-    x_rows = tape.x.transpose(1, 0, 2).reshape(S * B, -1)
+    grads = {"W": rows.T @ tape.x, "b": rows.sum(axis=0)}
     tape.x = None
-    grads = {"W": rows.T @ x_rows, "b": rows.sum(axis=0)}
-    del x_rows
     if params.R is not None:
         # per head: steps 1..S-1, then step 0 from the initial state
         h_prev = tape.h[:-1].reshape(-1, d)

@@ -181,9 +181,16 @@ class Forecaster:
             raise ShapeError(f"forward: expected (B, {c.lookback}, "
                              f"{c.n_channels}), got {x.shape}")
         if c.instance_norm:
-            mu = x.mean(axis=1, keepdims=True)
-            sigma = x.std(axis=1, keepdims=True) + _INORM_EPS
-            xn = (x - mu) / sigma
+            # x.mean(axis=1) and x.std(axis=1) bit for bit, the deviations
+            # x - mu computed once, for sigma and for xn
+            mu = np.add.reduce(x, axis=1, keepdims=True)
+            mu /= c.lookback
+            xn = x - mu
+            sigma = np.add.reduce(np.square(xn), axis=1, keepdims=True)
+            sigma /= c.lookback
+            np.sqrt(sigma, out=sigma)
+            sigma += _INORM_EPS
+            xn /= sigma
         else:
             mu = np.zeros((x.shape[0], 1, c.n_channels))
             sigma = np.ones((x.shape[0], 1, c.n_channels))
@@ -220,6 +227,10 @@ class Forecaster:
         for k, cell in enumerate(self.blocks):
             h_seq, tape = slstm_forward(cell, u, None, c.gate_mode)
             cell_tapes.append(tape)
+            # the residual is read from the tape's time-major copy of u (the
+            # same values), so u itself is freed now, not after the layer norm
+            u = tape.x.reshape(u.shape[1], u.shape[0], self.width) \
+                .transpose(1, 0, 2)
             masks.append(self._keep_mask(u.shape, rng))
             xhat, std, u = self._layer_norm(k, u, h_seq, masks[-1])
             ln_caches.append((xhat, std))
@@ -255,22 +266,31 @@ class Forecaster:
         """Block k's layer norm of the residual sum u + h_seq over the width,
         its gain and bias, then the dropout keep-mask. Rows are independent,
         so this runs one row block at a time. With cache it writes into new
-        arrays and returns (xhat, std, output) for the backward; without
-        (evaluation) it writes the sum and then the output over u and
-        returns only that. The sum of squares over the width repeats
-        np.var's arithmetic bit for bit."""
+        C-ordered arrays, whatever u's layout (forward passes a view of the
+        cell tape's time-major copy), and returns (xhat, std, output) for
+        the backward; without (evaluation) it writes the sum and then the
+        output over u and returns only that. The mean and the sum of
+        squares over the width repeat np.mean's and np.var's arithmetic bit
+        for bit: an add.reduce, then a divide by the width; with cache the
+        squares go into the output block before the output does."""
         gain = self.params[f"block{k}.ln_gain"]
         bias = self.params[f"block{k}.ln_bias"]
         xhat = out = u
         std = None
         if cache:
-            xhat, out = np.empty_like(u), np.empty_like(u)
+            xhat, out = np.empty(u.shape), np.empty(u.shape)
             std = np.empty(u.shape[:-1] + (1,))
         for blk in row_slices(u.shape):
             x = np.add(u[blk], h_seq[blk], out=xhat[blk])
-            x -= x.mean(axis=-1, keepdims=True)
-            x /= np.sqrt(np.sum(x * x, axis=-1, keepdims=True) / self.width
-                         + _LN_EPS, out=None if std is None else std[blk])
+            mean = np.add.reduce(x, axis=-1, keepdims=True)
+            mean /= self.width
+            x -= mean
+            squares = np.multiply(x, x, out=out[blk] if cache else None)
+            var = np.add.reduce(squares, axis=-1, keepdims=True,
+                                out=None if std is None else std[blk])
+            var /= self.width
+            var += _LN_EPS
+            x /= np.sqrt(var, out=var)
             y = np.multiply(x, gain, out=out[blk])
             y += bias
             self._apply_keep(y, None if keep is None else keep[blk])
@@ -281,17 +301,26 @@ class Forecaster:
         """Gradient of _layer_norm's input, one row block at a time, given
         dloss/doutput g_u; applies the keep-mask to g_u in place first. The
         gain and bias gradients reduce over rows, so they are summed whole
-        afterwards, over the masked g_u. Overwrites xhat."""
+        afterwards, over the masked g_u. Overwrites xhat. The two means
+        over the width are np.mean's arithmetic (an add.reduce, then a
+        divide), and both products go through one scratch block."""
         gain = self.params[f"block{k}.ln_gain"]
         g_r = np.empty_like(g_u)
-        for blk in row_slices(g_u.shape):
+        blocks = row_slices(g_u.shape)
+        scratch = np.empty_like(g_u[blocks[0]])
+        for blk in blocks:
             g = g_u[blk]
             self._apply_keep(g, None if keep is None else keep[blk])
             x = xhat[blk]
+            tmp = scratch[:len(x)]
             gx = np.multiply(g, gain, out=g_r[blk])
-            proj = (gx * x).mean(axis=-1, keepdims=True)
-            gx -= gx.mean(axis=-1, keepdims=True)
-            gx -= x * proj
+            proj = np.add.reduce(np.multiply(gx, x, out=tmp), axis=-1,
+                                 keepdims=True)
+            proj /= self.width
+            mean = np.add.reduce(gx, axis=-1, keepdims=True)
+            mean /= self.width
+            gx -= mean
+            gx -= np.multiply(x, proj, out=tmp)
             gx /= std[blk]
         grads = {f"block{k}.ln_gain":
                  np.multiply(g_u, xhat, out=xhat).sum(axis=(0, 1)),

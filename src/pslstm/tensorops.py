@@ -65,10 +65,21 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def log_sigmoid(x: np.ndarray) -> np.ndarray:
-    """log(sigmoid(x)) without intermediate overflow."""
+def log_sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
+    """log(sigmoid(x)) as min(x, 0) - log1p(exp(-|x|)), without
+    intermediate overflow. out may be x itself; work, an array of x's
+    shape, holds the second term, so that given both it allocates
+    nothing."""
     x = np.asarray(x, dtype=np.float64)
-    return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    # -|x| as one bit operation: copysign sets the sign bit, as negating
+    # abs(x) does, NaNs included
+    work = np.copysign(x, -1.0, out=np.empty_like(x) if work is None else work)
+    np.exp(work, out=work)
+    np.log1p(work, out=work)
+    out = np.minimum(x, 0.0, out=out)
+    out -= work
+    return out
 
 
 # -- row blocks ------------------------------------------------------------

@@ -23,7 +23,7 @@ import numpy as np
 
 from .datasets import WindowedDataset
 from .model import Forecaster
-from .tensorops import (_EVAL_BUDGET, AtLeast0, AtLeast1, DataError,
+from .tensorops import (_CHUNK, _EVAL_BUDGET, AtLeast0, AtLeast1, DataError,
                         Positive, Rng, ShapeError, check_fields, row_slices)
 
 
@@ -105,34 +105,75 @@ class AdamState:
     """First/second moment accumulators, one pair per parameter array, and
     the chunk plan adam_step walks.
 
-    The plan is made once, here, by the row-block rule the cell and the
-    layer norm also use: tensorops.row_slices splits each parameter into
-    row-slices of at most tensorops._CHUNK elements (a 1-D array into
-    element slices; a row wider than that is a chunk of its own). Each
-    chunk keeps its slice, the matching views of m and v, and three scratch
-    views (tmp, step and the clipped gradient) into one (3, n) buffer, n
-    the largest chunk. So a step's update allocates nothing sized to the
-    parameter count. m and v are updated in place through these views;
-    rebinding an entry of m or v detaches it from the plan.
+    The plan is made once, here, over the parameters in dict order, with
+    chunks of at most tensorops._CHUNK elements (the row-block bound the
+    cell and the layer norm also use):
+
+    - an array of at least _CHUNK elements, or one that is not
+      C-contiguous, is split by tensorops.row_slices into row slices (a
+      1-D array into element slices; a row wider than _CHUNK is a chunk of
+      its own), each updated in place through views of the array, its m
+      and its v;
+    - consecutive smaller C-contiguous arrays are packed into shared
+      chunks, in order, as many as fit. The m and v of a packed chunk are
+      one flat buffer each, and each array's entry of m and v is its
+      segment, in the array's shape. adam_step copies (or, under clipping,
+      scales) the chunk's gradients into scratch and runs the update once
+      over the whole chunk; each array then subtracts its segment of the
+      step.
+
+    Each chunk's scratch (tmp, step and the gathered or clipped gradient)
+    is a view into one (3, n) buffer, n the largest chunk, so a step's
+    update allocates nothing sized to the parameter count. m and v are
+    updated in place through the plan; rebinding an entry of m or v
+    detaches it from the plan.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m, self.v = {}, {}
         self.t = 0
-        slices = {k: row_slices(v.shape) for k, v in params.items()}
-        n = max((params[k][sl].size for k in params for sl in slices[k]),
-                default=1)
-        scratch = np.empty((3, max(n, 1)))
-        # per chunk: (slice, m view, v view, tmp, step, clipped)
-        self._plan = {}
+        # a name (an array split by rows) or a list of names (packed);
+        # room: the elements the last packed list can still take
+        groups, room = [], -1
         for name, p in params.items():
-            chunks = []
-            for sl in slices[name]:
-                m, v = self.m[name][sl], self.v[name][sl]
-                chunks.append((sl, m, v, *(buf[:m.size].reshape(m.shape)
-                                           for buf in scratch)))
-            self._plan[name] = chunks
+            if p.size >= _CHUNK or not p.flags.c_contiguous:
+                groups.append(name)
+                room = -1
+            elif p.size <= room:
+                groups[-1].append(name)
+                room -= p.size
+            else:
+                groups.append([name])
+                room = _CHUNK - p.size
+        chunks = []     # (m, v, pieces), a piece (name, rows, segment)
+        for group in groups:
+            if isinstance(group, str):
+                m = self.m[group] = np.zeros_like(params[group])
+                v = self.v[group] = np.zeros_like(params[group])
+                chunks += [(m[sl], v[sl], [(group, sl, None)])
+                           for sl in row_slices(m.shape)]
+                continue
+            ends = np.cumsum([params[k].size for k in group]).tolist()
+            m, v = np.zeros((2, ends[-1]))
+            segments = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+            for name, seg in zip(group, segments):
+                self.m[name] = m[seg].reshape(params[name].shape)
+                self.v[name] = v[seg].reshape(params[name].shape)
+            chunks.append((m, v, [(name, ..., seg)
+                                  for name, seg in zip(group, segments)]))
+        n = max((m.size for m, _, _ in chunks), default=1)
+        scratch = np.empty((3, max(n, 1)))
+        # per chunk: (m, v, tmp, step, gradient scratch, pieces), a packed
+        # piece's segment replaced by its (gradient, step) scratch views
+        self._plan = []
+        for m, v, pieces in chunks:
+            tmp, step, grad = (buf[:m.size].reshape(m.shape)
+                               for buf in scratch)
+            self._plan.append((m, v, tmp, step, grad, [
+                (name, sl, seg if seg is None else
+                 (grad[seg].reshape(self.m[name].shape),
+                  step[seg].reshape(self.m[name].shape)))
+                for name, sl, seg in pieces]))
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -147,10 +188,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     finite, and only a non-finite one scans the gradients, raising
     FloatingPointError naming the first array with a non-finite entry (a
     norm that merely overflowed passes). With clip_norm, a norm above it
-    scales each chunk by clip_norm / norm into the plan's clipped scratch:
-    the bytes of clip_gradients then an unclipped adam_step, without the
-    scaled copy. masks, which perfbench passes as Forecaster.masks, must
-    be None or empty: no entry is frozen.
+    scales each gradient by clip_norm / norm into the plan's gradient
+    scratch: the bytes of clip_gradients then an unclipped adam_step,
+    without the scaled copy. masks, which perfbench passes as
+    Forecaster.masks, must be None or empty: no entry is frozen.
 
     The update runs chunk by chunk over the plan in `state` (see
     AdamState), each elementwise pass writing into the chunk's scratch
@@ -171,26 +212,30 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
     lr, eps = config.learning_rate, config.eps_opt
-    for name, p in params.items():
-        g = grads[name]
-        for sl, m, v, tmp, step, clipped in state._plan[name]:
-            gs = g[sl]
-            if scale is not None:
-                gs = np.multiply(gs, scale, out=clipped)
-            m *= b1
-            m += np.multiply(gs, 1.0 - b1, out=tmp)
-            v *= b2
-            np.multiply(gs, 1.0 - b2, out=tmp)
-            tmp *= gs
-            v += tmp
-            np.divide(v, corr2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += eps
-            np.divide(m, corr1, out=step)
-            step *= lr
-            step /= tmp
-            ps = p[sl]
-            ps -= step
+    for m, v, tmp, step, gs, pieces in state._plan:
+        for name, sl, views in pieces:
+            g = grads[name][sl]
+            if views is None:       # a row slice of one array, read in place
+                gs = g if scale is None else np.multiply(g, scale, out=gs)
+            elif scale is None:
+                np.copyto(views[0], g)
+            else:
+                np.multiply(g, scale, out=views[0])
+        m *= b1
+        m += np.multiply(gs, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(gs, 1.0 - b2, out=tmp)
+        tmp *= gs
+        v += tmp
+        np.divide(v, corr2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += eps
+        np.divide(m, corr1, out=step)
+        step *= lr
+        step /= tmp
+        for name, sl, views in pieces:
+            p = params[name][sl]
+            p -= step if views is None else views[1]
     return norm
 
 

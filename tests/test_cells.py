@@ -358,6 +358,19 @@ def test_backward_consumes_the_tape():
         slstm_backward(params, tape, np.ones((2, 5, 4)))
 
 
+def test_tape_keeps_the_time_major_input_rows_not_the_callers_array():
+    # the forward's GEMM rows serve the W gradient too: backward makes no
+    # second copy, and the tape does not keep the caller's array alive
+    params = random_params(48, 3, 4, n_heads=2)
+    x = Rng(49).normal((5, 6, 3), 0.0, 1.0)
+    _, tape = slstm_forward(params, x)
+    assert tape.x.shape == (6 * 5, 3) and tape.x.flags.c_contiguous
+    assert tape.x.tobytes() == x.transpose(1, 0, 2).tobytes()
+    assert not np.shares_memory(tape.x, x)
+    slstm_backward(params, tape, np.ones((5, 6, 4)))
+    assert tape.x is None
+
+
 def test_stabilized_forward_rejects_non_finite_hidden_state():
     params = random_params(46, 3, 4, n_heads=2)
     x = Rng(47).normal((1, 6, 3), 0.0, 1.0)

@@ -492,6 +492,29 @@ def test_seeded_step_does_not_depend_on_the_blas_thread_count(shape, batch):
     assert digests[0] == digests[1]
 
 
+@pytest.mark.parametrize("shape, batch", [
+    (dict(lookback=96, horizon=24, n_channels=1, patch_size=8, embed_dim=16),
+     64),                                         # configs/sinusoid_tiny.json
+    (dict(lookback=96, horizon=96, n_channels=8, patch_size=16, embed_dim=32,
+          channel_strategy="mixed"), 32),         # criterion 6's mixed model
+    (WEATHER_SHAPE, 64),
+], ids=["tiny", "mixed", "weather"])
+def test_instance_norm_is_numpys_mean_and_std(shape, batch):
+    cfg = ModelConfig(**shape)
+    model = Forecaster(cfg, seed=0)
+    x = Rng(2).normal((batch, cfg.lookback, cfg.n_channels), 0.5, 3.0)
+    mu, sigma, patches, _ = model._embed(x)
+    ref_mu = x.mean(axis=1, keepdims=True)
+    ref_sigma = x.std(axis=1, keepdims=True) + 1e-5
+    g, N = model.channels_per_row, cfg.n_patches
+    ref = patchify((x - ref_mu) / ref_sigma, cfg) \
+        .reshape(-1, g, N, cfg.patch_size).transpose(0, 2, 1, 3) \
+        .reshape(-1, N, model.in_width)
+    for got, want in ((mu, ref_mu), (sigma, ref_sigma), (patches, ref)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # -- channel mixing ---------------------------------------------------------
 
 def test_channel_mixed_single_channel_degenerates_to_independent():

@@ -78,6 +78,17 @@ def test_log_sigmoid_matches_log_of_sigmoid():
     assert np.allclose(log_sigmoid(x), np.log(sigmoid(x)), atol=1e-12)
 
 
+def test_log_sigmoid_in_place_is_the_allocating_expression():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 4001),
+                        [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan,
+                         -np.nan]])
+    want = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+    assert log_sigmoid(x).tobytes() == want.tobytes()
+    a, work = x.copy(), np.empty_like(x)
+    assert log_sigmoid(a, out=a, work=work) is a
+    assert a.tobytes() == want.tobytes()
+
+
 def test_log_sigmoid_no_overflow_for_large_negative():
     out = log_sigmoid(np.array(-1e4))
     assert np.isclose(out, -1e4)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import types
 
 import numpy as np
 import pytest
@@ -250,6 +251,65 @@ def test_adam_fused_clip_matches_clip_then_step(clip_norm, spike):
         assert _bits(params[k]) == _bits(ref[k]), k
         assert _bits(state.m[k]) == _bits(ref_state.m[k]), k
         assert _bits(state.v[k]) == _bits(ref_state.v[k]), k
+
+
+@pytest.mark.parametrize("clip_norm", [None, 1.0, 1e6],
+                         ids=["unclipped", "above", "below"])
+def test_adam_packed_chunks_match_whole_array_update(clip_norm):
+    # small C-contiguous arrays share chunks: g3 does not fit beside g1 and
+    # g2 and opens the next one; the F-ordered and the large array are
+    # split by rows on their own, and the F-ordered one ends a group
+    chunk = tensorops._CHUNK
+    shapes = {
+        "w0": (20, 30), "b0": (30,), "empty": (0,), "empty_2d": (0, 5),
+        "fortran": (40, 50),
+        "g1": (100, 100), "g2": (150, 100), "g3": (chunk // 4,),
+        "g4": (7, 3), "one": (1,),
+        "big": (300, 250),
+        "tail": (5, 5),
+    }
+    assert 10_000 + 15_000 + chunk // 4 > chunk and 300 * 250 > chunk
+    rng = Rng(11)
+    params = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+    params["fortran"] = np.asfortranarray(params["fortran"])
+    ref = {k: v.copy(order="K") for k, v in params.items()}
+    state = AdamState(params)
+    ref_state = types.SimpleNamespace(
+        t=0, m={k: np.zeros_like(v) for k, v in ref.items()},
+        v={k: np.zeros_like(v) for k, v in ref.items()})
+    start = {k: _bits(v) for k, v in params.items()}
+    arrays = {k: v for k, v in params.items()}
+    cfg = TrainConfig(learning_rate=1e-2)
+    for step in range(4):
+        grads = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+        grads["g2"] = np.asfortranarray(grads["g2"])   # any layout is read
+        before = {k: _bits(g) for k, g in grads.items()}
+        norm = adam_step(params, grads, state, cfg, clip_norm=clip_norm)
+        _reference_adam_step(ref, grads if clip_norm is None else
+                             clip_gradients(grads, clip_norm), ref_state, cfg)
+        assert _bits(np.float64(norm)) == _bits(np.float64(np.sqrt(
+            sum(float(np.sum(g * g)) for g in grads.values()))))
+        assert all(_bits(g) == before[k] for k, g in grads.items())
+    assert state.t == ref_state.t == 4
+    for k, p in params.items():
+        assert p is arrays[k], k                        # updated in place
+        assert _bits(p) == _bits(ref[k]), k
+        assert _bits(state.m[k]) == _bits(ref_state.m[k]), k
+        assert _bits(state.v[k]) == _bits(ref_state.v[k]), k
+        for moment in (state.m[k], state.v[k]):
+            assert moment.shape == p.shape, k
+            assert moment.flags.c_contiguous == p.flags.c_contiguous, k
+            assert moment.flags.f_contiguous == p.flags.f_contiguous, k
+        if p.size:
+            assert _bits(p) != start[k], k
+    # the packing: one buffer for w0 ... empty_2d, the next for g1 and g2,
+    # another from g3 on; the F-ordered and the large array stand alone
+    base = {k: state.m[k].base for k in shapes}
+    assert base["w0"] is base["b0"] is base["empty"] is base["empty_2d"]
+    assert base["g1"] is base["g2"] is not base["w0"]
+    assert base["g3"] is base["g4"] is base["one"] is not base["g1"]
+    assert base["tail"] is not base["g3"]
+    assert base["fortran"] is None and base["big"] is None
 
 
 def test_adam_rejects_a_non_positive_clip_norm():
