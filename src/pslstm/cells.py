@@ -609,7 +609,9 @@ def grad_check(loss_and_grads: Callable[[dict[str, np.ndarray]],
 
     loss_and_grads evaluates the scalar loss and its analytic gradients for
     the given parameter dict. Relative error is
-    |a - n| / max(1e-8, |a| + |n|).
+    |a - n| / max(1e-8, |a| + |n|); a non-finite one (a NaN analytic entry
+    or loss at a perturbed point) returns inf at once. Each perturbed entry
+    is restored, also when loss_and_grads raises.
     """
     if not (1e-7 <= epsilon <= 1e-3):
         raise ValueError(f"epsilon {epsilon} outside [1e-7, 1e-3]")
@@ -623,13 +625,17 @@ def grad_check(loss_and_grads: Callable[[dict[str, np.ndarray]],
         for _ in it:
             idx = it.multi_index
             orig = arr[idx]
-            arr[idx] = orig + epsilon
-            lp, _ = loss_and_grads(params)
-            arr[idx] = orig - epsilon
-            lm, _ = loss_and_grads(params)
-            arr[idx] = orig
+            try:
+                arr[idx] = orig + epsilon
+                lp, _ = loss_and_grads(params)
+                arr[idx] = orig - epsilon
+                lm, _ = loss_and_grads(params)
+            finally:
+                arr[idx] = orig
             fd = (lp - lm) / (2.0 * epsilon)
             a = analytic[name][idx]
             rel = abs(a - fd) / max(1e-8, abs(a) + abs(fd))
+            if not np.isfinite(rel):
+                return np.inf
             worst = max(worst, rel)
     return worst

@@ -3,9 +3,10 @@
 Tensors are plain ``numpy.ndarray`` objects in double precision, row-major.
 The module holds the shape and data errors, the seeded random stream, the
 overflow-free sigmoid and log-sigmoid, the row-block rule shared by the
-cell's time loops, the layer norm and Adam, the element budget of an
-evaluation call, and the config schema checks, which read a field's type,
-values and range (``AtLeast1``) off its annotation.
+cell's time loops and the layer norm (Adam's chunks take the same element
+bound, _CHUNK), the element budget of an evaluation call, and the config
+schema checks, which read a field's type, values and range (``AtLeast1``)
+off its annotation.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ def log_sigmoid(x: np.ndarray, out: np.ndarray | None = None,
 
 # -- row blocks ------------------------------------------------------------
 
-#: Elements per row block: 256 KB of float64, so a block and the scratch of
-#: its elementwise passes stay resident in a core's L2 cache.
+#: Elements per row block and per Adam chunk: 256 KB of float64, so a block
+#: and the scratch of its elementwise passes stay in a core's L2 cache.
 _CHUNK = 32768
 
 #: Gate-buffer elements one evaluation predict call may hold (1.25 MiB of
@@ -102,8 +103,6 @@ _EVAL_BUDGET = 163840
 def row_slices(shape: tuple[int, ...]) -> list:
     """Leading-axis slices of at most _CHUNK elements (at least one row; a
     1-D array is sliced by element)."""
-    if not shape:
-        return [...]
     rows = max(1, _CHUNK // max(math.prod(shape[1:]), 1))
     return [slice(lo, min(lo + rows, shape[0]))
             for lo in range(0, shape[0], rows)]

@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import WindowedDataset
 from .model import Forecaster
 from .tensorops import (_CHUNK, _EVAL_BUDGET, AtLeast0, AtLeast1, DataError,
-                        Positive, Rng, ShapeError, check_fields, row_slices)
+                        Positive, Rng, ShapeError, check_fields)
 
 
 @dataclass
@@ -102,78 +102,51 @@ def clip_gradients(grads: dict[str, np.ndarray],
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per parameter array, and
-    the chunk plan adam_step walks.
+    """First/second moment accumulators and the chunk plan adam_step walks.
 
-    The plan is made once, here, over the parameters in dict order, with
-    chunks of at most tensorops._CHUNK elements (the row-block bound the
-    cell and the layer norm also use):
+    m and v live in one (2, total) zero buffer, total the parameter count:
+    m[name] and v[name] are the parameter's segment of its row, in dict
+    order, in the parameter's shape and memory order. A parameter must be
+    C- or F-contiguous, so that raveling it in that order is a view; any
+    other raises ValueError naming it.
 
-    - an array of at least _CHUNK elements, or one that is not
-      C-contiguous, is split by tensorops.row_slices into row slices (a
-      1-D array into element slices; a row wider than _CHUNK is a chunk of
-      its own), each updated in place through views of the array, its m
-      and its v;
-    - consecutive smaller C-contiguous arrays are packed into shared
-      chunks, in order, as many as fit. The m and v of a packed chunk are
-      one flat buffer each, and each array's entry of m and v is its
-      segment, in the array's shape. adam_step copies (or, under clipping,
-      scales) the chunk's gradients into scratch and runs the update once
-      over the whole chunk; each array then subtracts its segment of the
-      step.
-
-    Each chunk's scratch (tmp, step and the gathered or clipped gradient)
-    is a view into one (3, n) buffer, n the largest chunk, so a step's
-    update allocates nothing sized to the parameter count. m and v are
-    updated in place through the plan; rebinding an entry of m or v
-    detaches it from the plan.
+    The plan cuts the flat order into consecutive chunks of
+    tensorops._CHUNK elements. A chunk lists one piece per parameter it
+    overlaps (many small arrays, or the tail of one and the head of the
+    next): the name, the slice of the raveled parameter, and the piece's
+    views of the gradient and step scratch. The scratch (tmp, step,
+    gradient) is one buffer of three rows of at most _CHUNK, so a step
+    allocates nothing sized to the parameter count. Rebinding an entry of
+    m or v detaches it from the plan.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
-        self.m, self.v = {}, {}
         self.t = 0
-        # a name (an array split by rows) or a list of names (packed);
-        # room: the elements the last packed list can still take
-        groups, room = [], -1
+        total = sum(p.size for p in params.values())
+        m, v = np.zeros((2, total))
+        self.m, self.v, self._layout, segments, lo = {}, {}, {}, {}, 0
         for name, p in params.items():
-            if p.size >= _CHUNK or not p.flags.c_contiguous:
-                groups.append(name)
-                room = -1
-            elif p.size <= room:
-                groups[-1].append(name)
-                room -= p.size
-            else:
-                groups.append([name])
-                room = _CHUNK - p.size
-        chunks = []     # (m, v, pieces), a piece (name, rows, segment)
-        for group in groups:
-            if isinstance(group, str):
-                m = self.m[group] = np.zeros_like(params[group])
-                v = self.v[group] = np.zeros_like(params[group])
-                chunks += [(m[sl], v[sl], [(group, sl, None)])
-                           for sl in row_slices(m.shape)]
-                continue
-            ends = np.cumsum([params[k].size for k in group]).tolist()
-            m, v = np.zeros((2, ends[-1]))
-            segments = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
-            for name, seg in zip(group, segments):
-                self.m[name] = m[seg].reshape(params[name].shape)
-                self.v[name] = v[seg].reshape(params[name].shape)
-            chunks.append((m, v, [(name, ..., seg)
-                                  for name, seg in zip(group, segments)]))
-        n = max((m.size for m, _, _ in chunks), default=1)
-        scratch = np.empty((3, max(n, 1)))
-        # per chunk: (m, v, tmp, step, gradient scratch, pieces), a packed
-        # piece's segment replaced by its (gradient, step) scratch views
-        self._plan = []
-        for m, v, pieces in chunks:
-            tmp, step, grad = (buf[:m.size].reshape(m.shape)
-                               for buf in scratch)
-            self._plan.append((m, v, tmp, step, grad, [
-                (name, sl, seg if seg is None else
-                 (grad[seg].reshape(self.m[name].shape),
-                  step[seg].reshape(self.m[name].shape)))
-                for name, sl, seg in pieces]))
+            if not (p.flags.c_contiguous or p.flags.f_contiguous):
+                raise ValueError(f"AdamState: parameter {name} is neither C- "
+                                 f"nor F-contiguous")
+            order = "C" if p.flags.c_contiguous else "F"
+            self._layout[name] = order, p.shape
+            segments[name] = lo, lo + p.size
+            self.m[name] = m[lo:lo + p.size].reshape(p.shape, order=order)
+            self.v[name] = v[lo:lo + p.size].reshape(p.shape, order=order)
+            lo += p.size
+        scratch = np.empty((3, min(total, _CHUNK)))
+        self._plan = []     # per chunk: (m, v, tmp, step, gradient, pieces)
+        for a in range(0, total, _CHUNK):
+            b = min(a + _CHUNK, total)
+            tmp, step, grad = scratch[:, :b - a]
+            pieces = []
+            for name, (lo, hi) in segments.items():
+                s, e = max(lo, a), min(hi, b)
+                if s < e:
+                    pieces.append((name, slice(s - lo, e - lo),
+                                   grad[s - a:e - a], step[s - a:e - a]))
+            self._plan.append((m[a:b], v[a:b], tmp, step, grad, pieces))
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -183,24 +156,45 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     """One bias-corrected Adam update, in place; returns the global L2 norm
     of grads before any clipping.
 
-    grads are not written. The norm is also the finiteness check, made
-    before anything is written: a finite norm means every entry is
-    finite, and only a non-finite one scans the gradients, raising
-    FloatingPointError naming the first array with a non-finite entry (a
-    norm that merely overflowed passes). With clip_norm, a norm above it
-    scales each gradient by clip_norm / norm into the plan's gradient
-    scratch: the bytes of clip_gradients then an unclipped adam_step,
-    without the scaled copy. masks, which perfbench passes as
-    Forecaster.masks, must be None or empty: no entry is frozen.
+    grads are not written, and are checked before anything is: the keys of
+    params and grads must be those AdamState planned for (else ValueError
+    naming the missing and the unknown ones), each parameter and gradient
+    the shape AdamState saw (else ShapeError), and each parameter its
+    memory order (else ValueError: raveling would copy it and lose its
+    update). The norm is also the finiteness check: a finite norm
+    means every entry is finite, and only a non-finite one scans the
+    gradients, raising FloatingPointError naming the first array with a
+    non-finite entry (a norm that merely overflowed passes). With
+    clip_norm, a norm above it scales each gradient by clip_norm / norm
+    into the plan's gradient scratch: the bytes of clip_gradients then an
+    unclipped adam_step, without the scaled copy. masks, which perfbench
+    passes as Forecaster.masks, must be None or empty: no entry is frozen.
 
     The update runs chunk by chunk over the plan in `state` (see
-    AdamState), each elementwise pass writing into the chunk's scratch
-    views. Every operation is elementwise and done in the order of the
-    whole-array update, so the results are bit-identical to it.
+    AdamState), reading a chunk's gradient in place when nothing is
+    clipped and the chunk lies inside one array. Every operation is
+    elementwise and done in the order of the whole-array update, so the
+    results are bit-identical to it.
     """
     if masks:
         raise ValueError(f"adam_step freezes no entries, got masks for "
                          f"{sorted(masks)}")
+    planned = state._layout.keys()
+    for kind, d in (("parameter", params), ("gradient", grads)):
+        if d.keys() != planned:
+            raise ValueError(f"adam_step: no {kind} for "
+                             f"{sorted(planned - d.keys())}, unknown "
+                             f"{kind}s {sorted(d.keys() - planned)}")
+    flat_p, flat_g = {}, {}
+    for name, (order, shape) in state._layout.items():
+        p, g = params[name], grads[name]
+        if not p.shape == g.shape == shape:
+            raise ShapeError(f"adam_step: {name} is planned as {shape}, the "
+                             f"parameter is {p.shape}, its gradient {g.shape}")
+        flat_p[name], flat_g[name] = p.ravel(order), g.ravel(order)
+        if flat_p[name].base is None:
+            raise ValueError(f"adam_step: parameter {name} is no longer "
+                             f"{order}-contiguous, as AdamState planned")
     norm = _global_norm(grads)
     scale = None if clip_norm is None else _clip_scale(norm, clip_norm)
     if not np.isfinite(norm):
@@ -213,14 +207,15 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     corr2 = 1.0 - b2 ** state.t
     lr, eps = config.learning_rate, config.eps_opt
     for m, v, tmp, step, gs, pieces in state._plan:
-        for name, sl, views in pieces:
-            g = grads[name][sl]
-            if views is None:       # a row slice of one array, read in place
-                gs = g if scale is None else np.multiply(g, scale, out=gs)
-            elif scale is None:
-                np.copyto(views[0], g)
-            else:
-                np.multiply(g, scale, out=views[0])
+        if scale is None and len(pieces) == 1:
+            name, sl, _, _ = pieces[0]
+            gs = flat_g[name][sl]
+        else:
+            for name, sl, g, _ in pieces:
+                if scale is None:
+                    np.copyto(g, flat_g[name][sl])
+                else:
+                    np.multiply(flat_g[name][sl], scale, out=g)
         m *= b1
         m += np.multiply(gs, 1.0 - b1, out=tmp)
         v *= b2
@@ -233,9 +228,8 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         np.divide(m, corr1, out=step)
         step *= lr
         step /= tmp
-        for name, sl, views in pieces:
-            p = params[name][sl]
-            p -= step if views is None else views[1]
+        for name, sl, _, s in pieces:
+            flat_p[name][sl] -= s
     return norm
 
 

@@ -408,3 +408,42 @@ def test_grad_check_epsilon_bounds():
 def test_grad_check_nonfinite_loss():
     with pytest.raises(FloatingPointError):
         grad_check(lambda p: (float("nan"), {}), {"a": np.zeros(1)})
+
+
+def _square_loss(nan_grad=False, nan_at=None):
+    """loss sum(a**2) with exact gradients 2a; nan_grad puts NaN in the
+    analytic gradient's first entry, nan_at makes the loss NaN at that
+    value of a[0]."""
+    def loss_and_grads(p):
+        a = p["a"]
+        grad = 2.0 * a
+        if nan_grad:
+            grad[0] = np.nan
+        loss = float(np.sum(a * a))
+        return (np.nan if a[0] == nan_at else loss), {"a": grad}
+    return loss_and_grads
+
+
+@pytest.mark.parametrize("kwargs", [{"nan_grad": True},
+                                    {"nan_at": 1.0 + 1e-5}],
+                         ids=["analytic", "perturbed_loss"])
+def test_grad_check_counts_a_nan_comparison_as_a_failure(kwargs):
+    params = {"a": np.array([1.0, 2.0])}
+    assert grad_check(_square_loss(), params) < 1e-9
+    assert grad_check(_square_loss(**kwargs), params) == np.inf
+
+
+def test_grad_check_restores_the_entry_when_the_loss_raises():
+    params = {"a": np.array([1.0, 2.0])}
+    calls = []
+
+    def loss_and_grads(p):
+        calls.append(p["a"].copy())
+        if len(calls) == 2:
+            raise RuntimeError("model failed")
+        return float(np.sum(p["a"] ** 2)), {"a": 2.0 * p["a"]}
+
+    with pytest.raises(RuntimeError, match="model failed"):
+        grad_check(loss_and_grads, params)
+    assert calls[1][0] != 1.0
+    assert params["a"].tolist() == [1.0, 2.0]

@@ -256,19 +256,23 @@ def test_adam_fused_clip_matches_clip_then_step(clip_norm, spike):
 @pytest.mark.parametrize("clip_norm", [None, 1.0, 1e6],
                          ids=["unclipped", "above", "below"])
 def test_adam_packed_chunks_match_whole_array_update(clip_norm):
-    # small C-contiguous arrays share chunks: g3 does not fit beside g1 and
-    # g2 and opens the next one; the F-ordered and the large array are
-    # split by rows on their own, and the F-ordered one ends a group
+    # the flat order is cut into _CHUNK-element chunks: chunk 0 packs w0 ...
+    # g2 and the head of g3, chunk 1 the tail of g3, g4, one, scalar and
+    # the head of big; empty arrays take no element, the F-ordered one is
+    # raveled in F order
     chunk = tensorops._CHUNK
     shapes = {
         "w0": (20, 30), "b0": (30,), "empty": (0,), "empty_2d": (0, 5),
         "fortran": (40, 50),
         "g1": (100, 100), "g2": (150, 100), "g3": (chunk // 4,),
-        "g4": (7, 3), "one": (1,),
+        "g4": (7, 3), "one": (1,), "scalar": (),
         "big": (300, 250),
         "tail": (5, 5),
     }
-    assert 10_000 + 15_000 + chunk // 4 > chunk and 300 * 250 > chunk
+    sizes = [int(np.prod(s)) for s in shapes.values()]
+    offsets = dict(zip(shapes, np.cumsum([0] + sizes[:-1]).tolist()))
+    assert offsets["g3"] < chunk < offsets["g4"]
+    assert offsets["big"] < 2 * chunk < offsets["tail"]
     rng = Rng(11)
     params = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
     params["fortran"] = np.asfortranarray(params["fortran"])
@@ -291,25 +295,73 @@ def test_adam_packed_chunks_match_whole_array_update(clip_norm):
             sum(float(np.sum(g * g)) for g in grads.values()))))
         assert all(_bits(g) == before[k] for k, g in grads.items())
     assert state.t == ref_state.t == 4
+    # m and v are the two rows of one (2, total) buffer, each parameter's
+    # segment at its offset in dict order
+    buf = state.m["w0"].base
+    assert buf.shape == (2, sum(sizes))
+    address = buf.__array_interface__["data"][0]
     for k, p in params.items():
         assert p is arrays[k], k                        # updated in place
         assert _bits(p) == _bits(ref[k]), k
         assert _bits(state.m[k]) == _bits(ref_state.m[k]), k
         assert _bits(state.v[k]) == _bits(ref_state.v[k]), k
-        for moment in (state.m[k], state.v[k]):
+        for row, moment in enumerate((state.m[k], state.v[k])):
+            assert moment.base is buf, k
+            # numpy may move an empty view's pointer to the buffer's start
+            assert not p.size or moment.__array_interface__["data"][0] \
+                == address + 8 * (row * buf.shape[1] + offsets[k]), k
             assert moment.shape == p.shape, k
             assert moment.flags.c_contiguous == p.flags.c_contiguous, k
             assert moment.flags.f_contiguous == p.flags.f_contiguous, k
         if p.size:
             assert _bits(p) != start[k], k
-    # the packing: one buffer for w0 ... empty_2d, the next for g1 and g2,
-    # another from g3 on; the F-ordered and the large array stand alone
-    base = {k: state.m[k].base for k in shapes}
-    assert base["w0"] is base["b0"] is base["empty"] is base["empty_2d"]
-    assert base["g1"] is base["g2"] is not base["w0"]
-    assert base["g3"] is base["g4"] is base["one"] is not base["g1"]
-    assert base["tail"] is not base["g3"]
-    assert base["fortran"] is None and base["big"] is None
+
+
+def test_adam_rejects_a_parameter_that_is_not_contiguous():
+    # ravel would copy a strided view, so its update would be lost
+    params = {"a": np.zeros(3), "strided": np.zeros((4, 6))[:, ::2]}
+    with pytest.raises(ValueError, match="strided"):
+        AdamState(params)
+
+
+@pytest.mark.parametrize("change, error, match", [
+    (lambda p, g: g.pop("c"), ValueError, r"no gradient for \['c'\]"),
+    (lambda p, g: g.update(d=np.ones(2)), ValueError,
+     r"unknown gradients \['d'\]"),
+    # an unplanned parameter would count toward the norm, but never move
+    (lambda p, g: (p.update(d=np.ones(2)), g.update(d=np.ones(2))),
+     ValueError, r"unknown parameters \['d'\]"),
+    (lambda p, g: g.update(c=np.ones((1, 3))), ShapeError,
+     r"c is planned as \(3, 3\), the parameter is \(3, 3\), its gradient "
+     r"\(1, 3\)"),
+    # the flat plan would update a larger array's first elements only,
+    # and a copy of a re-laid-out one
+    (lambda p, g: (p.update(c=np.ones((3, 4))), g.update(c=np.ones((3, 4)))),
+     ShapeError, r"the parameter is \(3, 4\)"),
+    (lambda p, g: p.update(c=np.asfortranarray(p["c"])), ValueError,
+     "parameter c is no longer C-contiguous"),
+], ids=["missing", "unknown", "unplanned_parameter", "shape",
+        "parameter_shape", "parameter_order"])
+def test_adam_checks_its_inputs_before_writing(change, error, match):
+    # "a" spans two chunks, so a failure inside the chunk loop would have
+    # updated its first chunk already
+    rng = Rng(12)
+    shapes = {"a": (40, 900), "b": (7,), "c": (3, 3)}
+    params = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+    state = AdamState(params)
+    cfg = TrainConfig()
+    adam_step(params, {k: rng.normal(s, 0.0, 1.0)
+                       for k, s in shapes.items()}, state, cfg)
+    grads = {k: rng.normal(s, 0.0, 1.0) for k, s in shapes.items()}
+    change(params, grads)
+    saved = [{k: _bits(d[k]) for k in shapes}
+             for d in (params, state.m, state.v)]
+    for clip_norm in (None, 1e-3):
+        with pytest.raises(error, match=match):
+            adam_step(params, grads, state, cfg, clip_norm=clip_norm)
+    assert state.t == 1
+    for d, bits in zip((params, state.m, state.v), saved):
+        assert {k: _bits(d[k]) for k in shapes} == bits
 
 
 def test_adam_rejects_a_non_positive_clip_norm():
