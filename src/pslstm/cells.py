@@ -45,7 +45,11 @@ gradient, all in the kernel layout, while each tape array is dropped after
 its last read. Rows never interact in the recurrence, so both time loops
 run once per block of rows (tensorops.row_slices), with the state
 restarting for each block: a block's gate slice, state and scratch stay in
-cache across its steps.
+cache across its steps. The blocks go through tensorops.for_blocks: with 2
+blocks or more and 2 CPUs or more, the second half of them runs on a
+worker thread while the caller runs the first. A block writes only its
+own rows and owns its scratch, so every output keeps the bytes of the
+plain loop; the GEMMs before and after the loops stay serial.
 
 Each block owns one gate-major (4, b, d) scratch and a few (b, d) work
 buffers, made per call (forward makes them and its stabilizer m as one
@@ -83,8 +87,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .tensorops import (Rng, ShapeError, check_fields, log_sigmoid, row_slices,
-                        sigmoid)
+from .tensorops import (Rng, ShapeError, check_fields, for_blocks, log_sigmoid,
+                        row_slices, sigmoid)
 
 
 @dataclass(frozen=True)
@@ -422,11 +426,14 @@ def _run_sequence(params: SLSTMParams, x_rows: np.ndarray, init: SLSTMState,
     S, B, d4 = gates.shape
     np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, d4))
     gates += params.b
-    for blk in row_slices(gates.shape[1:]):
-        rows = SLSTMState(*(None if a is None else a[blk]
-                            for a in (init.h, init.c, init.n, init.m)))
-        _forward_rows(gates[:, blk], rows, params.R, params.n_heads, mode,
-                      [None if a is None else a[:, blk] for a in out], keep)
+
+    def run(blocks: list) -> None:
+        for blk in blocks:
+            rows = SLSTMState(*(None if a is None else a[blk]
+                                for a in (init.h, init.c, init.n, init.m)))
+            _forward_rows(gates[:, blk], rows, params.R, params.n_heads, mode,
+                          [None if a is None else a[:, blk] for a in out], keep)
+    for_blocks(run, row_slices(gates.shape[1:]))
 
 
 def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
@@ -581,8 +588,12 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
     # the gate buffer becomes the pre-activation gradient buffer
     grad_pre, tape.gates = tape.gates, None
     grad_h_seq = grad_h_seq.transpose(1, 0, 2)
-    for blk in row_slices(grad_pre.shape[1:]):
-        _backward_rows(grad_pre[:, blk], grad_h_seq[:, blk], tape, blk, R_t, H)
+
+    def run(blocks: list) -> None:
+        for blk in blocks:
+            _backward_rows(grad_pre[:, blk], grad_h_seq[:, blk], tape, blk,
+                           R_t, H)
+    for_blocks(run, row_slices(grad_pre.shape[1:]))
 
     tape.c = tape.n = tape.dlog_i = tape.dlog_f = None
     rows = grad_pre.reshape(S * B, 4 * d)

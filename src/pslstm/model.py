@@ -32,9 +32,16 @@ import numpy as np
 from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
                     slstm_forward, slstm_predict)
 from .tensorops import (AtLeast0, AtLeast1, DataError, Rng, ShapeError,
-                        check_fields, from_dict, row_slices)
+                        check_fields, for_blocks, from_dict, row_slices)
 
 _LN_EPS = 1e-5
+#: Fewest row blocks the layer norm splits over two CPUs: from 4 blocks
+#: on, the worker's half holds a full block besides the tail. A layer-norm
+#: block is about 15 cheap passes, so a worker given only a short tail
+#: costs more than it saves: sinusoid_tiny's 192-window evaluation call
+#: (blocks of 170 and 22 rows) took evaluate from 26.3 to 28.7 ms when
+#: split. A cell block runs a whole time loop and splits from 2.
+_LN_SPLIT_BLOCKS = 4
 _INORM_EPS = 1e-5
 #: 2: kernel layout; version-1 files (per-gate arrays) are converted on load
 CHECKPOINT_VERSION = 2
@@ -159,10 +166,20 @@ class Forecaster:
     # -- forward / backward ------------------------------------------------
 
     def _keep_mask(self, shape: tuple, rng: Rng | None) -> np.ndarray | None:
-        """A bool dropout keep-mask, drawn whole; None without an rng."""
+        """A bool dropout keep-mask, rng.uniform(shape) >= dropout_rate bit
+        for bit and leaving rng where that draw would; None without an rng.
+        The draw fills one reused float scratch a row block at a time, in
+        stream order, so no float array of the whole shape is made."""
         if rng is None:
             return None
-        return rng.uniform(shape) >= self.config.dropout_rate
+        keep = np.empty(shape, dtype=bool)
+        blocks = row_slices(shape)
+        scratch = np.empty((blocks[0].stop,) + tuple(shape)[1:])
+        for blk in blocks:
+            u = scratch[:blk.stop - blk.start]
+            np.greater_equal(rng.uniform(u.shape, out=u),
+                             self.config.dropout_rate, out=keep[blk])
+        return keep
 
     def _apply_keep(self, a: np.ndarray, keep: np.ndarray | None) -> None:
         """Inverted dropout in place: zero a where keep is False and scale
@@ -272,7 +289,9 @@ class Forecaster:
         output over u and returns only that. The mean and the sum of
         squares over the width repeat np.mean's and np.var's arithmetic bit
         for bit: an add.reduce, then a divide by the width; with cache the
-        squares go into the output block before the output does."""
+        squares go into the output block before the output does. The row
+        blocks go through tensorops.for_blocks, which may run two halves
+        at once, to the same bytes."""
         gain = self.params[f"block{k}.ln_gain"]
         bias = self.params[f"block{k}.ln_bias"]
         xhat = out = u
@@ -280,51 +299,62 @@ class Forecaster:
         if cache:
             xhat, out = np.empty(u.shape), np.empty(u.shape)
             std = np.empty(u.shape[:-1] + (1,))
-        for blk in row_slices(u.shape):
-            x = np.add(u[blk], h_seq[blk], out=xhat[blk])
-            mean = np.add.reduce(x, axis=-1, keepdims=True)
-            mean /= self.width
-            x -= mean
-            squares = np.multiply(x, x, out=out[blk] if cache else None)
-            var = np.add.reduce(squares, axis=-1, keepdims=True,
-                                out=None if std is None else std[blk])
-            var /= self.width
-            var += _LN_EPS
-            x /= np.sqrt(var, out=var)
-            y = np.multiply(x, gain, out=out[blk])
-            y += bias
-            self._apply_keep(y, None if keep is None else keep[blk])
+
+        def run(blocks: list) -> None:
+            for blk in blocks:
+                x = np.add(u[blk], h_seq[blk], out=xhat[blk])
+                mean = np.add.reduce(x, axis=-1, keepdims=True)
+                mean /= self.width
+                x -= mean
+                squares = np.multiply(x, x, out=out[blk] if cache else None)
+                var = np.add.reduce(squares, axis=-1, keepdims=True,
+                                    out=None if std is None else std[blk])
+                var /= self.width
+                var += _LN_EPS
+                x /= np.sqrt(var, out=var)
+                y = np.multiply(x, gain, out=out[blk])
+                y += bias
+                self._apply_keep(y, None if keep is None else keep[blk])
+        for_blocks(run, row_slices(u.shape), _LN_SPLIT_BLOCKS)
         return (xhat, std, out) if cache else out
 
     def _layer_norm_backward(self, k: int, g_u: np.ndarray, xhat: np.ndarray,
                              std: np.ndarray, keep: np.ndarray | None):
-        """Gradient of _layer_norm's input, one row block at a time, given
-        dloss/doutput g_u; applies the keep-mask to g_u in place first. The
+        """Gradient of _layer_norm's input, given dloss/doutput g_u, which it
+        overwrites. A first pass over the row blocks applies the keep-mask
+        to g_u in place and writes g_u * xhat into the result array; the
         gain and bias gradients reduce over rows, so they are summed whole
-        afterwards, over the masked g_u. Overwrites xhat. The two means
-        over the width are np.mean's arithmetic (an add.reduce, then a
-        divide), and both products go through one scratch block."""
+        from those two. A second pass writes each block's input gradient
+        over that product, with the block of g_u, which nothing reads any
+        more, as the scratch of its two products. The two means over the
+        width are np.mean's arithmetic (an add.reduce, then a divide).
+        Both passes go through tensorops.for_blocks, which may run two
+        halves at once, to the same bytes."""
         gain = self.params[f"block{k}.ln_gain"]
         g_r = np.empty_like(g_u)
         blocks = row_slices(g_u.shape)
-        scratch = np.empty_like(g_u[blocks[0]])
-        for blk in blocks:
-            g = g_u[blk]
-            self._apply_keep(g, None if keep is None else keep[blk])
-            x = xhat[blk]
-            tmp = scratch[:len(x)]
-            gx = np.multiply(g, gain, out=g_r[blk])
-            proj = np.add.reduce(np.multiply(gx, x, out=tmp), axis=-1,
-                                 keepdims=True)
-            proj /= self.width
-            mean = np.add.reduce(gx, axis=-1, keepdims=True)
-            mean /= self.width
-            gx -= mean
-            gx -= np.multiply(x, proj, out=tmp)
-            gx /= std[blk]
-        grads = {f"block{k}.ln_gain":
-                 np.multiply(g_u, xhat, out=xhat).sum(axis=(0, 1)),
+
+        def masked_products(blocks: list) -> None:
+            for blk in blocks:
+                self._apply_keep(g_u[blk], None if keep is None else keep[blk])
+                np.multiply(g_u[blk], xhat[blk], out=g_r[blk])
+        for_blocks(masked_products, blocks, _LN_SPLIT_BLOCKS)
+        grads = {f"block{k}.ln_gain": g_r.sum(axis=(0, 1)),
                  f"block{k}.ln_bias": g_u.sum(axis=(0, 1))}
+
+        def run(blocks: list) -> None:
+            for blk in blocks:
+                tmp, x = g_u[blk], xhat[blk]
+                gx = np.multiply(tmp, gain, out=g_r[blk])
+                proj = np.add.reduce(np.multiply(gx, x, out=tmp), axis=-1,
+                                     keepdims=True)
+                proj /= self.width
+                mean = np.add.reduce(gx, axis=-1, keepdims=True)
+                mean /= self.width
+                gx -= mean
+                gx -= np.multiply(x, proj, out=tmp)
+                gx /= std[blk]
+        for_blocks(run, blocks, _LN_SPLIT_BLOCKS)
         return grads, g_r
 
     def backward(self, tape: ModelTape, grad_y: np.ndarray) -> dict[str, np.ndarray]:

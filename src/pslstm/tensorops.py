@@ -3,18 +3,21 @@
 Tensors are plain ``numpy.ndarray`` objects in double precision, row-major.
 The module holds the shape and data errors, the seeded random stream, the
 overflow-free sigmoid and log-sigmoid, the row-block rule shared by the
-cell's time loops and the layer norm (Adam's chunks take the same element
-bound, _CHUNK), the element budget of an evaluation call, and the config
-schema checks, which read a field's type, values and range (``AtLeast1``)
-off its annotation.
+cell's time loops, the layer norm and the dropout draw (Adam's chunks take
+the same element bound, _CHUNK), the runner of independent blocks on two
+CPUs (for_blocks), the element budget of an evaluation call, and the
+config schema checks, which read a field's type, values and range
+(``AtLeast1``) off its annotation.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import functools
 import math
 import operator
+import os
 import typing
 
 import numpy as np
@@ -47,8 +50,11 @@ class Rng:
             return np.full(shape, float(mean), dtype=np.float64)
         return self._gen.normal(mean, std, size=shape)
 
-    def uniform(self, shape) -> np.ndarray:
-        return self._gen.random(size=shape, dtype=np.float64)
+    def uniform(self, shape, out: np.ndarray | None = None) -> np.ndarray:
+        """Uniform [0, 1) tensor; given out (of that shape), filled in
+        place. A C-ordered array drawn in leading-axis slices, in order,
+        gets the bytes of one draw of the whole."""
+        return self._gen.random(size=shape, dtype=np.float64, out=out)
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -106,6 +112,68 @@ def row_slices(shape: tuple[int, ...]) -> list:
     rows = max(1, _CHUNK // max(math.prod(shape[1:]), 1))
     return [slice(lo, min(lo + rows, shape[0]))
             for lo in range(0, shape[0], rows)]
+
+
+def split_point(n_blocks: int) -> int:
+    """How many of n_blocks blocks for_blocks runs on the caller's thread
+    when it splits them (the first half, rounded up); the worker thread
+    runs the rest. A caller that gives each half its own scratch cuts its
+    blocks here."""
+    return (n_blocks + 1) // 2
+
+
+def _cpus() -> int:
+    """CPUs this thread may run on (1 where the platform cannot say)."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+_worker = None      # the worker thread's executor, made at the first split
+
+
+def _forget_worker() -> None:
+    """A forked child has no worker thread: drop the parent's executor, so
+    that the child's first split makes its own."""
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def for_blocks(fn: typing.Callable[[list], None], blocks: list,
+               min_blocks: int = 2) -> None:
+    """Run fn over independent blocks: fn(part) loops over part, a
+    contiguous run of blocks, and the parts cover blocks in order.
+
+    With fewer than min_blocks blocks (2 or more) or fewer than 2 CPUs,
+    fn(blocks) runs the plain loop. Otherwise the caller's thread runs the
+    first split_point(len(blocks)) blocks while one worker thread, made at
+    the first split, runs the rest in a copy of the caller's context (numpy
+    2 keeps np.errstate there, so it holds in the worker too). The blocks
+    must write disjoint outputs and share no scratch; then every output
+    keeps the bytes of the plain loop. The call returns once both halves
+    have ended, also when one raised, and then raises the caller's half's
+    exception if it has one (the one the plain loop meets first), else the
+    worker's. fn must not call for_blocks: on the worker thread such a call
+    would wait for its own thread."""
+    if len(blocks) < min_blocks or _cpus() < 2:
+        fn(blocks)
+        return
+    global _worker
+    if _worker is None:
+        import concurrent.futures
+        _worker = concurrent.futures.ThreadPoolExecutor(
+            1, thread_name_prefix="pslstm-blocks")
+    k = split_point(len(blocks))
+    second = _worker.submit(contextvars.copy_context().run, fn, blocks[k:])
+    try:
+        fn(blocks[:k])
+    finally:
+        second.exception()      # waits: fn's arrays are in use until it ends
+    second.result()
 
 
 # -- config schema ---------------------------------------------------------

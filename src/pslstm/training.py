@@ -24,7 +24,8 @@ import numpy as np
 from .datasets import WindowedDataset
 from .model import Forecaster
 from .tensorops import (_CHUNK, _EVAL_BUDGET, AtLeast0, AtLeast1, DataError,
-                        Positive, Rng, ShapeError, check_fields)
+                        Positive, Rng, ShapeError, check_fields, for_blocks,
+                        split_point)
 
 
 @dataclass
@@ -115,9 +116,13 @@ class AdamState:
     overlaps (many small arrays, or the tail of one and the head of the
     next): the name, the slice of the raveled parameter, and the piece's
     views of the gradient and step scratch. The scratch (tmp, step,
-    gradient) is one buffer of three rows of at most _CHUNK, so a step
-    allocates nothing sized to the parameter count. Rebinding an entry of
-    m or v detaches it from the plan.
+    gradient) is three rows of at most _CHUNK, one set for the first
+    tensorops.split_point(n) of the n chunks and, with two chunks or more,
+    one for the rest: adam_step runs its chunks through
+    tensorops.for_blocks, which may run the two halves at once on two
+    CPUs, to the same bytes. So a step allocates nothing sized to the
+    parameter count. Rebinding an entry of m or v detaches it from the
+    plan.
     """
 
     def __init__(self, params: dict[str, np.ndarray]):
@@ -135,11 +140,14 @@ class AdamState:
             self.m[name] = m[lo:lo + p.size].reshape(p.shape, order=order)
             self.v[name] = v[lo:lo + p.size].reshape(p.shape, order=order)
             lo += p.size
-        scratch = np.empty((3, min(total, _CHUNK)))
+        starts = range(0, total, _CHUNK)
+        # one scratch per half of the chunks, which for_blocks may run at once
+        scratch = np.empty((min(len(starts), 2), 3, min(total, _CHUNK)))
+        half = split_point(len(starts))
         self._plan = []     # per chunk: (m, v, tmp, step, gradient, pieces)
-        for a in range(0, total, _CHUNK):
+        for j, a in enumerate(starts):
             b = min(a + _CHUNK, total)
-            tmp, step, grad = scratch[:, :b - a]
+            tmp, step, grad = scratch[int(j >= half), :, :b - a]
             pieces = []
             for name, (lo, hi) in segments.items():
                 s, e = max(lo, a), min(hi, b)
@@ -172,9 +180,11 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
     The update runs chunk by chunk over the plan in `state` (see
     AdamState), reading a chunk's gradient in place when nothing is
-    clipped and the chunk lies inside one array. Every operation is
-    elementwise and done in the order of the whole-array update, so the
-    results are bit-identical to it.
+    clipped and the chunk lies inside one array; with two CPUs the two
+    halves of the plan run at once (tensorops.for_blocks), while the norm
+    stays one serial sum. Every operation is elementwise and done in the
+    order of the whole-array update, so the results are bit-identical to
+    it.
     """
     if masks:
         raise ValueError(f"adam_step freezes no entries, got masks for "
@@ -206,30 +216,33 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     corr1 = 1.0 - b1 ** state.t
     corr2 = 1.0 - b2 ** state.t
     lr, eps = config.learning_rate, config.eps_opt
-    for m, v, tmp, step, gs, pieces in state._plan:
-        if scale is None and len(pieces) == 1:
-            name, sl, _, _ = pieces[0]
-            gs = flat_g[name][sl]
-        else:
-            for name, sl, g, _ in pieces:
-                if scale is None:
-                    np.copyto(g, flat_g[name][sl])
-                else:
-                    np.multiply(flat_g[name][sl], scale, out=g)
-        m *= b1
-        m += np.multiply(gs, 1.0 - b1, out=tmp)
-        v *= b2
-        np.multiply(gs, 1.0 - b2, out=tmp)
-        tmp *= gs
-        v += tmp
-        np.divide(v, corr2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += eps
-        np.divide(m, corr1, out=step)
-        step *= lr
-        step /= tmp
-        for name, sl, _, s in pieces:
-            flat_p[name][sl] -= s
+
+    def run(chunks: list) -> None:
+        for m, v, tmp, step, gs, pieces in chunks:
+            if scale is None and len(pieces) == 1:
+                name, sl, _, _ = pieces[0]
+                gs = flat_g[name][sl]
+            else:
+                for name, sl, g, _ in pieces:
+                    if scale is None:
+                        np.copyto(g, flat_g[name][sl])
+                    else:
+                        np.multiply(flat_g[name][sl], scale, out=g)
+            m *= b1
+            m += np.multiply(gs, 1.0 - b1, out=tmp)
+            v *= b2
+            np.multiply(gs, 1.0 - b2, out=tmp)
+            tmp *= gs
+            v += tmp
+            np.divide(v, corr2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(m, corr1, out=step)
+            step *= lr
+            step /= tmp
+            for name, sl, _, s in pieces:
+                flat_p[name][sl] -= s
+    for_blocks(run, state._plan)
     return norm
 
 

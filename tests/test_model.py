@@ -172,6 +172,28 @@ def test_dropout_off_at_evaluation_time():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("shape, rows_per_block", [
+    ((11, 4, 8), 3),            # three full blocks and a tail of 2
+    ((11, 4, 8), 10**6),        # one block
+    ((7, 5), 1),                # 2-D, a block per row
+    ((1344, 21, 128), None),    # the Weather shape at the shipped budget
+])
+def test_keep_mask_is_one_uniform_draw_compared_with_the_rate(shape,
+                                                             rows_per_block):
+    model = Forecaster(tiny_config(dropout_rate=0.3), seed=0)
+    budget = tensorops._CHUNK if rows_per_block is None \
+        else rows_per_block * int(np.prod(shape[1:]))
+    drawn, whole = Rng(5), Rng(5)
+    with mock.patch.object(tensorops, "_CHUNK", budget):
+        keep = model._keep_mask(shape, drawn)
+    want = whole.uniform(shape) >= 0.3
+    assert keep.dtype == bool and keep.shape == shape
+    assert keep.tobytes() == want.tobytes()
+    # the stream is left where the whole draw leaves it
+    assert drawn.uniform((3,)).tobytes() == whole.uniform((3,)).tobytes()
+    assert model._keep_mask(shape, None) is None
+
+
 # -- the tape-free evaluation path ------------------------------------------
 
 PREDICT_CASES = {
@@ -441,12 +463,17 @@ def test_backward_grads_follow_params_order():
 
 # -- BLAS thread count -------------------------------------------------------
 
-#: One seeded training-mode forward, backward and predict, printing the
-#: SHA-256 of their bytes; argv: the ModelConfig as JSON, then the batch.
+#: One seeded training-mode forward, backward and predict, then two Adam
+#: steps (unclipped, clipped), printing the SHA-256 of their bytes; argv:
+#: the ModelConfig as JSON, the batch, and "pinned" or "all" CPUs.
 _SEEDED_STEP = """
-import hashlib, json, sys
+import hashlib, json, os, sys
+import numpy as np
 from pslstm.model import Forecaster, ModelConfig
 from pslstm.tensorops import Rng
+from pslstm.training import AdamState, TrainConfig, adam_step
+if sys.argv[3] == "pinned":     # this process on one CPU: no split
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 config = ModelConfig(**json.loads(sys.argv[1]))
 x = Rng(1).normal((int(sys.argv[2]), config.lookback, config.n_channels))
 model = Forecaster(config, seed=0)
@@ -456,18 +483,43 @@ digest = hashlib.sha256(yhat.tobytes())
 for name in grads:
     digest.update(grads[name].tobytes())
 digest.update(model.predict(x).tobytes())
+state = AdamState(model.params)
+for clip_norm in (1e6, 1e-3):   # unclipped, then clipped
+    norm = adam_step(model.params, grads, state, TrainConfig(),
+                     clip_norm=clip_norm)
+    digest.update(np.float64(norm).tobytes())
+for name in model.params:
+    for a in (model.params[name], state.m[name], state.v[name]):
+        digest.update(a.tobytes())
 print(digest.hexdigest())
 """
 
 
+def _seeded_step(shape, batch, blas_threads="1", cpus="all"):
+    """The SHA-256 of _SEEDED_STEP run in a new process, with cpus "all"
+    or "pinned" to one CPU."""
+    src = str(Path(pslstm.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+           "PYTHONPATH": os.pathsep.join(
+               [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    run = subprocess.run(
+        [sys.executable, "-c", _SEEDED_STEP, json.dumps(shape), str(batch),
+         cpus], env=env, capture_output=True, text=True, check=True)
+    digest = run.stdout.strip()
+    assert len(digest) == 64
+    return digest
+
+
 WEATHER_SHAPE = dict(lookback=336, horizon=96, n_channels=21, patch_size=16,
                      embed_dim=128, n_heads=4, dropout_rate=0.2)
+# acceptance criterion 6's channel-mixed model
+MIXED_SHAPE = dict(lookback=96, horizon=96, n_channels=8, patch_size=16,
+                   embed_dim=32, n_heads=2, channel_strategy="mixed",
+                   dropout_rate=0.1)
 
 
 @pytest.mark.parametrize("shape, batch", [
-    # acceptance criterion 6's channel-mixed model
-    (dict(lookback=96, horizon=96, n_channels=8, patch_size=16, embed_dim=32,
-          n_heads=2, channel_strategy="mixed", dropout_rate=0.1), 32),
+    (MIXED_SHAPE, 32),
     # configs/weather_extended.json's model and batch
     (WEATHER_SHAPE, 64),
     # below 32 windows the input-weight gradients' GEMMs (rows.T @ x_rows,
@@ -478,18 +530,19 @@ WEATHER_SHAPE = dict(lookback=336, horizon=96, n_channels=21, patch_size=16,
                "count at this batch")),
 ], ids=["mixed", "weather", "weather_16"])
 def test_seeded_step_does_not_depend_on_the_blas_thread_count(shape, batch):
-    src = str(Path(pslstm.__file__).resolve().parents[1])
-    digests = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
-        run = subprocess.run(
-            [sys.executable, "-c", _SEEDED_STEP, json.dumps(shape), str(batch)],
-            env=env, capture_output=True, text=True, check=True)
-        digests.append(run.stdout.strip())
-    assert len(digests[0]) == 64
-    assert digests[0] == digests[1]
+    assert _seeded_step(shape, batch, "1") == _seeded_step(shape, batch, "2")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs 2 CPUs to compare a split with the plain loop")
+@pytest.mark.parametrize("shape, batch", [
+    (MIXED_SHAPE, 32),      # Adam's 50 chunks split
+    (WEATHER_SHAPE, 64),    # every cell row block, layer norm and chunk
+], ids=["mixed", "weather"])
+def test_seeded_step_does_not_depend_on_the_cpu_count(shape, batch):
+    assert _seeded_step(shape, batch, cpus="pinned") == \
+        _seeded_step(shape, batch, cpus="all")
 
 
 @pytest.mark.parametrize("shape, batch", [

@@ -1,14 +1,23 @@
 """Tests for the dense numeric kernel primitives."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Annotated, Literal
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import pslstm
 from pslstm import tensorops
 from pslstm.tensorops import (AtLeast1, Positive, Rng, check_fields,
-                              from_dict, log_sigmoid, row_slices, sigmoid)
+                              for_blocks, from_dict, log_sigmoid, row_slices,
+                              sigmoid)
 
 
 def test_rng_reproducible():
@@ -210,3 +219,131 @@ def test_row_slices_cover_the_rows_in_budget_sized_blocks(shape):
         assert rows * row <= tensorops._CHUNK or rows == 1
     # every block but the tail is full
     assert len({sl.stop - sl.start for sl in slices[:-1]}) <= 1
+
+
+# -- two halves on two CPUs ---------------------------------------------------
+
+def record_parts(blocks, cpus, min_blocks=2):
+    """The (part, ran on the caller's thread) pairs of one for_blocks call
+    seeing cpus CPUs, in the order the parts ended."""
+    parts, lock = [], threading.Lock()
+    caller = threading.get_ident()
+
+    def fn(part):
+        with lock:
+            parts.append((list(part), threading.get_ident() == caller))
+    with mock.patch.object(tensorops, "_cpus", lambda: cpus):
+        for_blocks(fn, blocks, min_blocks)
+    return parts
+
+
+@pytest.mark.parametrize("n_blocks, cpus, min_blocks", [
+    (0, 2, 2), (1, 2, 2), (5, 1, 2), (3, 2, 4)])
+def test_for_blocks_is_a_plain_loop_below_min_blocks_or_two_cpus(
+        n_blocks, cpus, min_blocks):
+    blocks = list(range(n_blocks))
+    assert record_parts(blocks, cpus, min_blocks) == [(blocks, True)]
+
+
+@pytest.mark.parametrize("n_blocks, min_blocks, first", [
+    (2, 2, 1), (5, 2, 3), (6, 2, 3), (4, 4, 2)])
+def test_for_blocks_runs_the_second_half_on_a_worker(n_blocks, min_blocks,
+                                                     first):
+    blocks = list(range(n_blocks))
+    parts = record_parts(blocks, 2, min_blocks)
+    assert sorted(parts) == [(blocks[:first], True), (blocks[first:], False)]
+    assert tensorops.split_point(n_blocks) == first
+
+
+@pytest.mark.parametrize("raising", ["caller", "worker", "both"])
+def test_for_blocks_waits_for_both_halves_when_one_raises(raising):
+    # the half that does not raise sleeps first: the call still returns
+    # only once it has ended, and raises the caller's exception if the
+    # caller's half raised (the one a plain loop meets first)
+    ended = []
+
+    def fn(part):
+        if part[0] == 0 and raising in ("caller", "both"):
+            raise KeyError("caller")
+        if part[0] == 2 and raising in ("worker", "both"):
+            raise LookupError("worker")
+        time.sleep(0.2)
+        ended.append(part[0])
+    with mock.patch.object(tensorops, "_cpus", lambda: 2):
+        with pytest.raises(LookupError) as raised:
+            for_blocks(fn, [0, 1, 2, 3])
+    assert raised.type is (LookupError if raising == "worker" else KeyError)
+    assert ended == {"caller": [2], "worker": [0], "both": []}[raising]
+
+
+def test_for_blocks_runs_the_worker_half_under_the_callers_errstate():
+    seen = {}
+
+    def fn(part):
+        seen[part[0]] = np.geterr()["over"]
+        if part[0] == 1:
+            np.exp(np.full(4, 1000.0))
+    with mock.patch.object(tensorops, "_cpus", lambda: 2):
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                for_blocks(fn, [0, 1])
+        assert seen == {0: "raise", 1: "raise"}
+        with np.errstate(over="ignore"):
+            for_blocks(fn, [0, 1])
+        assert seen == {0: "ignore", 1: "ignore"}
+
+
+def run_script(script):
+    src = str(Path(pslstm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    return subprocess.run([sys.executable, "-c", script], env=env, text=True,
+                          capture_output=True, check=True, timeout=120).stdout
+
+
+def test_only_a_split_loads_concurrent_futures():
+    # sinusoid_tiny's training step and predict take one block and one
+    # chunk everywhere: no worker, and concurrent.futures is not imported
+    out = run_script("""
+import sys
+import numpy as np
+from pslstm import tensorops
+from pslstm.model import Forecaster, ModelConfig
+from pslstm.training import AdamState, TrainConfig, adam_step
+config = ModelConfig(lookback=96, horizon=24, n_channels=1, patch_size=8,
+                     embed_dim=16, dropout_rate=0.1)
+model = Forecaster(config, seed=0)
+x = tensorops.Rng(1).normal((64, 96, 1))
+yhat, tape = model.forward(x, training=True, dropout_rng=tensorops.Rng(2))
+grads = model.backward(tape, np.ones_like(yhat))
+adam_step(model.params, grads, AdamState(model.params), TrainConfig())
+model.predict(x)
+print("concurrent.futures" in sys.modules, tensorops._worker is None)
+tensorops._cpus = lambda: 2
+tensorops.for_blocks(lambda part: None, [0, 1])
+print("concurrent.futures" in sys.modules, tensorops._worker is None)
+""")
+    assert out.split() == ["False", "True", "True", "False"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_splits_on_a_worker_of_its_own():
+    # the parent's executor has no thread in a forked child; the child's
+    # first split must make its own instead of waiting forever
+    out = run_script("""
+import os, signal, threading
+from pslstm import tensorops
+tensorops._cpus = lambda: 2
+names = []
+run = lambda part: names.append(threading.current_thread().name)
+tensorops.for_blocks(run, [0, 1])
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)        # a child that hangs ends itself
+    names.clear()
+    tensorops.for_blocks(run, [0, 1])
+    os._exit(0 if len(names) == 2 else 1)
+_, status = os.waitpid(pid, 0)
+print(os.waitstatus_to_exitcode(status))
+""")
+    assert out.strip() == "0"
