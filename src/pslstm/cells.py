@@ -40,16 +40,21 @@ pre-activations, overwritten by the gate activations, plus (S, B, d)
 arrays c, n and h and the (S*B, d_input) input rows of that GEMM.
 slstm_backward overwrites the gate buffer with the pre-activation
 gradients; after its loop, single GEMMs give the W gradient (from the
-tape's input rows) and the b gradient, one GEMM per head the R gradient and a last GEMM the input
-gradient, all in the kernel layout, while each tape array is dropped after
-its last read. Rows never interact in the recurrence, so both time loops
-run once per block of rows (tensorops.row_slices), with the state
-restarting for each block: a block's gate slice, state and scratch stay in
-cache across its steps. The blocks go through tensorops.for_blocks: with 2
-blocks or more and 2 CPUs or more, the second half of them runs on a
-worker thread while the caller runs the first. A block writes only its
-own rows and owns its scratch, so every output keeps the bytes of the
-plain loop; the GEMMs before and after the loops stay serial.
+tape's input rows) and the b gradient, one GEMM per head the R gradient
+and a last GEMM the input gradient, all in the kernel layout, while each
+tape array is dropped after its last read. Rows never interact in the
+recurrence, so both time loops run once per block of rows
+(tensorops.row_slices), with the state restarting for each block: a
+block's gate slice, state and scratch stay in cache across its steps. The
+blocks go through tensorops.for_blocks: with 2 blocks or more and 2 CPUs
+or more, the second half of them runs on a worker thread while the caller
+runs the first. A block writes only its own rows and owns its scratch, so
+every output keeps the bytes of the plain loop. The input GEMM, the W
+gradient and the input gradient go through tensorops.matmul_rows, which
+splits a product's output rows over the same two threads once each half
+holds _GEMM_SPLIT_WORK multiply-adds; the R gradient's per-head products
+run as for_blocks blocks from the same bound. Neither splits a sum, so
+these too keep the bytes of the serial products.
 
 Each block owns one gate-major (4, b, d) scratch and a few (b, d) work
 buffers, made per call (forward makes them and its stabilizer m as one
@@ -87,8 +92,9 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .tensorops import (Rng, ShapeError, check_fields, for_blocks, log_sigmoid,
-                        row_slices, sigmoid)
+from .tensorops import (_GEMM_SPLIT_WORK, Rng, ShapeError, check_fields,
+                        for_blocks, log_sigmoid, matmul_rows, row_slices,
+                        sigmoid)
 
 
 @dataclass(frozen=True)
@@ -424,7 +430,7 @@ def _run_sequence(params: SLSTMParams, x_rows: np.ndarray, init: SLSTMState,
     dlog_f; see _tape_arrays). With keep the gate buffer ends up holding
     the activations."""
     S, B, d4 = gates.shape
-    np.matmul(x_rows, params.W.T, out=gates.reshape(S * B, d4))
+    matmul_rows(x_rows, params.W.T, gates.reshape(S * B, d4))
     gates += params.b
 
     def run(blocks: list) -> None:
@@ -597,19 +603,29 @@ def slstm_backward(params: SLSTMParams, tape: SequenceTape,
 
     tape.c = tape.n = tape.dlog_i = tape.dlog_f = None
     rows = grad_pre.reshape(S * B, 4 * d)
-    grads = {"W": rows.T @ tape.x, "b": rows.sum(axis=0)}
+    grads = {"W": matmul_rows(rows.T, tape.x), "b": rows.sum(axis=0)}
     tape.x = None
     if params.R is not None:
         # per head: steps 1..S-1, then step 0 from the initial state
         h_prev = tape.h[:-1].reshape(-1, d)
         grads["R"] = np.empty((H, s, 4 * s))
-        for k in range(H):
-            cols, units = slice(4 * s * k, 4 * s * (k + 1)), slice(s * k, s * (k + 1))
-            grads["R"][k] = h_prev[:, units].T @ rows[B:, cols]
-            grads["R"][k] += init.h[:, units].T @ rows[:B, cols]
+        heads = list(range(H))
+
+        def run(part: list) -> None:
+            for k in part:
+                cols = slice(4 * s * k, 4 * s * (k + 1))
+                units = slice(s * k, s * (k + 1))
+                grads["R"][k] = h_prev[:, units].T @ rows[B:, cols]
+                grads["R"][k] += init.h[:, units].T @ rows[:B, cols]
+        # whole products per head, so no byte depends on the split; split
+        # when the worker's H // 2 heads hold matmul_rows' work a half
+        if H // 2 * 4 * s * s * S * B >= _GEMM_SPLIT_WORK:
+            for_blocks(run, heads)
+        else:
+            run(heads)
         del h_prev
     tape.h = None
-    grad_x = (rows @ params.W).reshape(S, B, -1).transpose(1, 0, 2)
+    grad_x = matmul_rows(rows, params.W).reshape(S, B, -1).transpose(1, 0, 2)
     return grads, grad_x
 
 

