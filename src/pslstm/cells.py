@@ -33,11 +33,14 @@ from_gates and gates() convert from and to the 12 per-gate arrays, which
 the initializer draws, version-1 checkpoints store and the probe reads.
 
 States are (B, d) and sequences (B, S, d). slstm_forward computes every
-step's input pre-activations with one (B*S, d_input) x (d_input, 4d) GEMM
-before the time loop, inside which one (B, s) x (s, 4s) GEMM per head
-remains. The tape is time-major: one (S, B, 4d) buffer holds the
-pre-activations, overwritten by the gate activations, plus (S, B, d)
-arrays c, n and h and the (S*B, d_input) input rows of that GEMM.
+step's input products with one (B*S, d_input) x (d_input, 4d) GEMM before
+the time loop, inside which one (B, s) x (s, 4s) GEMM per head remains;
+each row block adds the bias b to its own slice of those products just
+before its time loop, so the add splits with the blocks. The tape is
+time-major: one (S, B, 4d) buffer holds the pre-activations, overwritten
+by the gate activations, plus (S, B, d) arrays c, n and h and the
+(S*B, d_input) input rows of that GEMM, copied from the batch-major
+sequence in row blocks (_time_major_rows).
 slstm_backward overwrites the gate buffer with the pre-activation
 gradients; after its loop, single GEMMs give the W gradient (from the
 tape's input rows) and the b gradient, one GEMM per head the R gradient
@@ -92,9 +95,9 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .tensorops import (_GEMM_SPLIT_WORK, Rng, ShapeError, check_fields,
-                        for_blocks, log_sigmoid, matmul_rows, row_slices,
-                        sigmoid)
+from .tensorops import (_ELEMENTWISE_SPLIT_BLOCKS, _GEMM_SPLIT_WORK, Rng,
+                        ShapeError, check_fields, for_blocks, log_sigmoid,
+                        matmul_rows, row_slices, sigmoid)
 
 
 @dataclass(frozen=True)
@@ -243,10 +246,10 @@ class SequenceTape:
     """What slstm_backward needs from one slstm_forward call.
 
     Arrays are time-major. ``x`` holds the rows of the forward's input
-    GEMM, step-major: a copy of the caller's (B, S, d_input) sequence
-    (unless B or S is 1) that backward reads for the W gradient, so the
-    tape does not keep the caller's array alive. ``gates`` holds, per
-    step, the activations z, i_eff, d_eff and o in the kernel layout;
+    GEMM, step-major: a copy of the caller's (B, S, d_input) sequence that
+    backward reads for the W gradient, so the tape does not keep the
+    caller's array alive. ``gates`` holds, per step, the activations z,
+    i_eff, d_eff and o in the kernel layout;
     i_eff, d_eff, c and n are rescaled by exp(-m), with m pinned at 0 in
     raw mode, and the gradient algebra is the same in both modes because h
     depends only on ratios.
@@ -420,6 +423,20 @@ def _sequence(caller: str, params: SLSTMParams,
     return x_seq
 
 
+def _time_major_rows(x_seq: np.ndarray) -> np.ndarray:
+    """A copy of the (B, S, d_input) x_seq as the input GEMM's time-major
+    (S*B, d_input) rows, copied a row block at a time through for_blocks,
+    which may run two halves at once, to the same bytes."""
+    B, S, d_in = x_seq.shape
+    rows = np.empty((S, B, d_in))
+
+    def run(blocks: list) -> None:
+        for blk in blocks:
+            rows[:, blk] = x_seq[blk].transpose(1, 0, 2)
+    for_blocks(run, row_slices(x_seq.shape), _ELEMENTWISE_SPLIT_BLOCKS)
+    return rows.reshape(S * B, d_in)
+
+
 def _run_sequence(params: SLSTMParams, x_rows: np.ndarray, init: SLSTMState,
                   mode: GateMode, gates: np.ndarray, out: list,
                   keep: bool) -> None:
@@ -427,17 +444,19 @@ def _run_sequence(params: SLSTMParams, x_rows: np.ndarray, init: SLSTMState,
     time-major (S*B, d_input) input rows writes every step's input
     pre-activations into the time-major (S, B, 4d) gates, then the time
     loop runs per row block into the (S, B, d) arrays out (c, n, h, dlog_i,
-    dlog_f; see _tape_arrays). With keep the gate buffer ends up holding
-    the activations."""
+    dlog_f; see _tape_arrays). Each row block adds the bias b to its own
+    gate slice just before its time loop. With keep the gate buffer ends
+    up holding the activations."""
     S, B, d4 = gates.shape
     matmul_rows(x_rows, params.W.T, gates.reshape(S * B, d4))
-    gates += params.b
 
     def run(blocks: list) -> None:
         for blk in blocks:
             rows = SLSTMState(*(None if a is None else a[blk]
                                 for a in (init.h, init.c, init.n, init.m)))
-            _forward_rows(gates[:, blk], rows, params.R, params.n_heads, mode,
+            pre = gates[:, blk]
+            pre += params.b
+            _forward_rows(pre, rows, params.R, params.n_heads, mode,
                           [None if a is None else a[:, blk] for a in out], keep)
     for_blocks(run, row_slices(gates.shape[1:]))
 
@@ -456,7 +475,7 @@ def slstm_forward(params: SLSTMParams, x_seq: np.ndarray,
     init = init if init is not None else SLSTMState.zeros(B, d)
     _check_state("slstm_forward", init, B, d)
     # the input GEMM's time-major rows, kept on the tape for the W gradient
-    x_rows = x_seq.transpose(1, 0, 2).reshape(S * B, -1)
+    x_rows = _time_major_rows(x_seq)
     out = _tape_arrays(S, B, d, mode)
     gates = np.empty((S, B, 4 * d))
     _run_sequence(params, x_rows, init, mode, gates, out, keep=True)
@@ -481,9 +500,8 @@ def slstm_predict(params: SLSTMParams, x_seq: np.ndarray,
     d = params.d_hidden
     gates, h = np.split(np.empty(5 * S * B * d), [4 * S * B * d])
     out = _tape_arrays(S, B, d, mode, h=h.reshape(S, B, d))
-    _run_sequence(params, x_seq.transpose(1, 0, 2).reshape(S * B, -1),
-                  SLSTMState.zeros(B, d), mode, gates.reshape(S, B, 4 * d),
-                  out, keep=False)
+    _run_sequence(params, _time_major_rows(x_seq), SLSTMState.zeros(B, d),
+                  mode, gates.reshape(S, B, 4 * d), out, keep=False)
     return out[2].transpose(1, 0, 2)
 
 

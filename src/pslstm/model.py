@@ -34,18 +34,12 @@ import numpy as np
 
 from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
                     slstm_forward, slstm_predict)
-from .tensorops import (AtLeast0, AtLeast1, DataError, Rng, ShapeError,
-                        check_fields, for_blocks, from_dict, matmul_rows,
-                        read_json, row_slices)
+from .tensorops import (_ELEMENTWISE_SPLIT_BLOCKS, _MAX_VALUES, AtLeast0,
+                        AtLeast1, DataError, Rng, ShapeError, check_fields,
+                        for_blocks, from_dict, matmul_rows, read_json,
+                        row_slices, split_point)
 
 _LN_EPS = 1e-5
-#: Fewest row blocks the layer norm splits over two CPUs: from 4 blocks
-#: on, the worker's half holds a full block besides the tail. A layer-norm
-#: block is about 15 cheap passes, so a worker given only a short tail
-#: costs more than it saves: sinusoid_tiny's 192-window evaluation call
-#: (blocks of 170 and 22 rows) took evaluate from 26.3 to 28.7 ms when
-#: split. A cell block runs a whole time loop and splits from 2.
-_LN_SPLIT_BLOCKS = 4
 _INORM_EPS = 1e-5
 #: 2: kernel layout; version-1 files (per-gate arrays) are converted on load
 CHECKPOINT_VERSION = 2
@@ -68,12 +62,29 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.patch_size > self.lookback:
-            raise ValueError(f"patch_size {self.patch_size} exceeds "
-                             f"lookback {self.lookback}")
+        for name in ("patch_size", "patch_stride"):
+            if getattr(self, name) > self.lookback:
+                raise ValueError(f"{name} {getattr(self, name)} exceeds "
+                                 f"lookback {self.lookback}")
         if self.embed_dim % self.n_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"{self.n_heads} heads")
+        if self.n_params > _MAX_VALUES:
+            raise ValueError(f"the model would have more than {_MAX_VALUES:,} "
+                             f"parameters")
+
+    @property
+    def n_params(self) -> int:
+        """Forecaster(self).count_params(), from the config alone: the
+        embedding, per block the cell's W, b and on-block R (with memory
+        mixing) and the layer norm's gain and bias, then the head."""
+        g = self.n_channels if self.channel_strategy == "mixed" else 1
+        d, d_out = self.embed_dim * g, self.horizon * g
+        s = d // self.n_heads
+        recurrent = 4 * s * d if self.gate_mode.memory_mixing else 0
+        block = 4 * d * d + 4 * d + recurrent + 2 * d
+        return d * self.patch_size * g + d + self.n_blocks * block \
+            + d_out * self.n_patches * d + d_out
 
     @property
     def stride(self) -> int:
@@ -172,17 +183,38 @@ class Forecaster:
     def _keep_mask(self, shape: tuple, rng: Rng | None) -> np.ndarray | None:
         """A bool dropout keep-mask, rng.uniform(shape) >= dropout_rate bit
         for bit and leaving rng where that draw would; None without an rng.
-        The draw fills one reused float scratch a row block at a time, in
-        stream order, so no float array of the whole shape is made."""
+
+        The draw runs a row block at a time through for_blocks, each part
+        into one reused float scratch of its own, in stream order, so no
+        float array of the whole shape is made. The caller's part draws
+        from rng. The worker's part draws from rng.ahead(n), n the values
+        before its first row, copied before the split starts; rng then
+        skips the worker's values. So the mask has the bytes of one draw,
+        split or not."""
         if rng is None:
             return None
+        shape = tuple(shape)
         keep = np.empty(shape, dtype=bool)
         blocks = row_slices(shape)
-        scratch = np.empty((blocks[0].stop,) + tuple(shape)[1:])
-        for blk in blocks:
-            u = scratch[:blk.stop - blk.start]
-            np.greater_equal(rng.uniform(u.shape, out=u),
-                             self.config.dropout_rate, out=keep[blk])
+        row = math.prod(shape[1:])
+        ahead = None
+        if len(blocks) >= _ELEMENTWISE_SPLIT_BLOCKS:
+            ahead = rng.ahead(blocks[split_point(len(blocks))].start * row)
+        drawn = 0           # the rows drawn from rng itself
+
+        def draw(part: list) -> None:
+            nonlocal drawn
+            stream = rng if part[0] is blocks[0] else ahead
+            scratch = np.empty((part[0].stop - part[0].start,) + shape[1:])
+            for blk in part:
+                u = scratch[:blk.stop - blk.start]
+                np.greater_equal(stream.uniform(u.shape, out=u),
+                                 self.config.dropout_rate, out=keep[blk])
+            if stream is rng:
+                drawn = part[-1].stop
+        for_blocks(draw, blocks, _ELEMENTWISE_SPLIT_BLOCKS)
+        if drawn < shape[0]:
+            rng.skip((shape[0] - drawn) * row)
         return keep
 
     def _apply_keep(self, a: np.ndarray, keep: np.ndarray | None) -> None:
@@ -192,10 +224,25 @@ class Forecaster:
             a *= keep
             a *= 1.0 / (1.0 - self.config.dropout_rate)
 
+    def _add_and_keep(self, a: np.ndarray, add: np.ndarray | None,
+                      keep: np.ndarray | None) -> None:
+        """a += add (unless None: a bias, or an array of a's shape), then
+        _apply_keep(a, keep), in place, a row block at a time through
+        for_blocks, which may run two halves at once, to the same bytes."""
+        def run(blocks: list) -> None:
+            for blk in blocks:
+                if add is not None:
+                    a[blk] += add if add.ndim == 1 else add[blk]
+                self._apply_keep(a[blk], None if keep is None else keep[blk])
+        if add is not None or keep is not None:
+            for_blocks(run, row_slices(a.shape), _ELEMENTWISE_SPLIT_BLOCKS)
+
     def _embed(self, x: np.ndarray):
         """Check x, instance-normalize it, patchify it, join each row's g
-        channels at every patch index and embed: returns (mu, sigma,
-        patches, u), patches (B*M/g, N, g*P) and u (B*M/g, N, width)."""
+        channels at every patch index and multiply by embed.W: returns (mu,
+        sigma, patches, u), patches (B*M/g, N, g*P) and u (B*M/g, N,
+        width), the embedding without its bias, which the caller adds
+        (_add_and_keep)."""
         c = self.config
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != c.lookback or x.shape[2] != c.n_channels:
@@ -222,7 +269,6 @@ class Forecaster:
         u = matmul_rows(patches.reshape(-1, self.in_width),
                         self.params["embed.W"].T) \
             .reshape(patches.shape[:2] + (self.width,))
-        u += self.params["embed.b"]
         return mu, sigma, patches, u
 
     def _head(self, flat: np.ndarray, mu: np.ndarray,
@@ -244,7 +290,7 @@ class Forecaster:
             raise ValueError("training forward with dropout needs a dropout_rng")
         rng = dropout_rng if drop > 0 else None
         masks = [self._keep_mask(u.shape, rng)]
-        self._apply_keep(u, masks[0])
+        self._add_and_keep(u, self.params["embed.b"], masks[0])
 
         cell_tapes, ln_caches = [], []
         for k, cell in enumerate(self.blocks):
@@ -276,6 +322,7 @@ class Forecaster:
         row block at a time, keeping no cache.
         """
         mu, sigma, _, u = self._embed(x)
+        self._add_and_keep(u, self.params["embed.b"], None)
         for k, cell in enumerate(self.blocks):
             h_seq = slstm_predict(cell, u, self.config.gate_mode)
             u = self._layer_norm(k, u, h_seq, cache=False)
@@ -321,7 +368,7 @@ class Forecaster:
                 y = np.multiply(x, gain, out=out[blk])
                 y += bias
                 self._apply_keep(y, None if keep is None else keep[blk])
-        for_blocks(run, row_slices(u.shape), _LN_SPLIT_BLOCKS)
+        for_blocks(run, row_slices(u.shape), _ELEMENTWISE_SPLIT_BLOCKS)
         return (xhat, std, out) if cache else out
 
     def _layer_norm_backward(self, k: int, g_u: np.ndarray, xhat: np.ndarray,
@@ -344,7 +391,7 @@ class Forecaster:
             for blk in blocks:
                 self._apply_keep(g_u[blk], None if keep is None else keep[blk])
                 np.multiply(g_u[blk], xhat[blk], out=g_r[blk])
-        for_blocks(masked_products, blocks, _LN_SPLIT_BLOCKS)
+        for_blocks(masked_products, blocks, _ELEMENTWISE_SPLIT_BLOCKS)
         grads = {f"block{k}.ln_gain": g_r.sum(axis=(0, 1)),
                  f"block{k}.ln_bias": g_u.sum(axis=(0, 1))}
 
@@ -360,7 +407,7 @@ class Forecaster:
                 gx -= mean
                 gx -= np.multiply(x, proj, out=tmp)
                 gx /= std[blk]
-        for_blocks(run, blocks, _LN_SPLIT_BLOCKS)
+        for_blocks(run, blocks, _ELEMENTWISE_SPLIT_BLOCKS)
         return grads, g_r
 
     def backward(self, tape: ModelTape, grad_y: np.ndarray) -> dict[str, np.ndarray]:
@@ -398,10 +445,11 @@ class Forecaster:
                                               tape.cell_tapes[k], g_u)
             for name, arr in cell_grads.items():
                 grads[f"block{k}.{name}"] = arr
-            g_u += g_in
+            # g_u += g_in, then block 0's input takes the first mask
+            self._add_and_keep(g_u, g_in,
+                               tape.dropout_masks[0] if k == 0 else None)
             del g_in
 
-        self._apply_keep(g_u, tape.dropout_masks[0])
         grads["embed.W"] = matmul_rows(g_u.reshape(-1, self.width).T,
                                        tape.patches.reshape(-1, self.in_width))
         grads["embed.b"] = g_u.sum(axis=(0, 1))

@@ -33,8 +33,8 @@ import numpy as np
 
 from .cells import (GateMode, SLSTMParams, SLSTMState, _forward_rows,
                     slstm_step)  # unused: kept because perfbench wraps it
-from .tensorops import (AtLeast0, AtLeast1, DataError, NonNegative, Positive,
-                        Rng, check_fields)
+from .tensorops import (_MAX_VALUES, AtLeast0, AtLeast1, DataError,
+                        NonNegative, Positive, Rng, check_fields)
 
 
 @dataclass
@@ -52,7 +52,13 @@ class ChainConfig:
     positive_feedback: bool = False            # nonnegative z/output weights
     param_seed: AtLeast0 | None = None         # weights seed; defaults to seed
 
-    __post_init__ = check_fields
+    def __post_init__(self):
+        check_fields(self)
+        # the horizon's (p + q)-wide trace and noise rows and the q x (p + q)
+        # weights of each gate bound what a chain holds
+        if (self.horizon + 4 * self.q) * (self.p + self.q) > _MAX_VALUES:
+            raise ValueError(f"the chain would hold more than "
+                             f"{_MAX_VALUES:,} values")
 
 
 def chain_params(config: ChainConfig) -> tuple[SLSTMParams, np.ndarray, np.ndarray]:

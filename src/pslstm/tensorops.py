@@ -5,10 +5,11 @@ The module holds the shape and data errors, the seeded random stream, the
 overflow-free sigmoid and log-sigmoid, the row-block rule shared by the
 cell's time loops, the layer norm and the dropout draw (Adam's chunks take
 the same element bound, _CHUNK), the runner of independent blocks on two
-CPUs (for_blocks), the matrix product split over the same two CPUs by
-output rows (matmul_rows), the element budget of an evaluation call, and
-the config schema checks, which read a field's type, values and range
-(``AtLeast1``) off its annotation.
+CPUs (for_blocks) and the fewest blocks an elementwise pass splits from
+(_ELEMENTWISE_SPLIT_BLOCKS), the matrix product split over the same two
+CPUs by output rows (matmul_rows), the element budget of an evaluation
+call, and the config schema checks, which read a field's type, values and
+range (``AtLeast1``) off its annotation.
 
 matmul_rows never splits the summed (K) dimension, so a row's bytes do
 not depend on the thread that computes it. It splits only when each half
@@ -59,9 +60,33 @@ class Rng:
 
     def uniform(self, shape, out: np.ndarray | None = None) -> np.ndarray:
         """Uniform [0, 1) tensor; given out (of that shape), filled in
-        place. A C-ordered array drawn in leading-axis slices, in order,
-        gets the bytes of one draw of the whole."""
+        place. Each value takes one 64-bit output of the PCG64 stream, so
+        a C-ordered array drawn in leading-axis slices gets the bytes of
+        one draw of the whole: in order from this stream, or a slice
+        starting at value n from ahead(n)."""
         return self._gen.random(size=shape, dtype=np.float64, out=out)
+
+    def ahead(self, n: int) -> "Rng":
+        """A copy of this stream moved on by n uniform values: its uniform
+        draws are the bytes this stream would draw after n values. This
+        stream does not move."""
+        bits = np.random.PCG64(0)
+        bits.state = self._gen.bit_generator.state
+        copy = Rng.__new__(Rng)
+        copy.seed, copy._gen = self.seed, np.random.Generator(bits.advance(n))
+        return copy
+
+    def skip(self, n: int) -> None:
+        """Move this stream on by n uniform values, to where drawing them
+        leaves it. PCG64.advance drops the buffered half of an output that
+        a 32-bit integer draw left, which a uniform draw keeps, so that
+        half is saved and restored."""
+        bits = self._gen.bit_generator
+        half = bits.state
+        bits.advance(n)
+        state = bits.state
+        state.update(has_uint32=half["has_uint32"], uinteger=half["uinteger"])
+        bits.state = state
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
@@ -101,6 +126,17 @@ def log_sigmoid(x: np.ndarray, out: np.ndarray | None = None,
 #: Elements per row block and per Adam chunk: 256 KB of float64, so a block
 #: and the scratch of its elementwise passes stay in a core's L2 cache.
 _CHUNK = 32768
+
+#: Fewest row blocks an elementwise pass splits over two CPUs: the layer
+#: norm, the dropout draw, the dropout multiply, the embedding bias, the
+#: copy of the cell's input rows and the add of its input gradient.
+#: From 4 blocks on, the worker's half holds a full block besides the
+#: tail. Such a pass is cheap per block, so a worker given only a short
+#: tail costs more than it saves: sinusoid_tiny's 192-window evaluation
+#: call (blocks of 170 and 22 rows) took evaluate from 26.3 to 28.7 ms
+#: when its layer norm split. A cell block runs a whole time loop and
+#: splits from 2.
+_ELEMENTWISE_SPLIT_BLOCKS = 4
 
 #: Gate-buffer elements one evaluation predict call may hold (1.25 MiB of
 #: float64): training._score puts k >= 1 batches in a call, the most whose
@@ -252,6 +288,13 @@ def read_json(path, error: type[Exception], what: str):
 
 
 # -- config schema ---------------------------------------------------------
+
+#: Most float64 values a config may ask for in one model's parameters or
+#: one probe chain's arrays: 2^32 values are 32 GiB (Adam keeps two more
+#: of each parameter). A config past it (an embed_dim, n_blocks or chain
+#: horizon of 2^63, say) is rejected before anything is allocated, rather
+#: than failing inside numpy or building blocks without end.
+_MAX_VALUES = 1 << 32
 
 _KINDS = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
 _OPS = {">": operator.gt, ">=": operator.ge, "<": operator.lt}

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import shutil
 import tempfile
 import typing
@@ -111,6 +112,9 @@ SYNTHETIC = {"source": "synthetic",
     ("train", {"model": {**TINY_MODEL, "gate_mode": {"stabilized": "no"}},
                "data": SYNTHETIC}),
     ("train", {"model": {**TINY_MODEL, "lookback": 32.5}, "data": SYNTHETIC}),
+    ("train", {"model": {**TINY_MODEL, "n_blocks": 2**63}, "data": SYNTHETIC}),
+    ("train", {"model": {**TINY_MODEL, "patch_stride": 10**400},
+               "data": SYNTHETIC}),
     ("train", {"model": TINY_MODEL, "train": {"max_epochs": "one"},
                "data": SYNTHETIC}),
     ("train", {"model": TINY_MODEL, "train": {"batch_size": 0},
@@ -125,6 +129,8 @@ SYNTHETIC = {"source": "synthetic",
     ("probe", {"probe": {"q": "eight"}}),
     ("probe", {"probe": {"horizon": 2.5}}),
     ("probe", {"probe": {"q": 0}}),
+    ("probe", {"probe": {"horizon": 2**63}}),
+    ("probe", {"probe": {"q": 10**400}}),
     ("probe", {"probe": {"p": True}}),
     ("probe", {"probe": {"weight_scale": "big"}}),
     ("probe", {"probe": {"noise_std": float("nan")}}),
@@ -165,11 +171,13 @@ SYNTHETIC = {"source": "synthetic",
 ], ids=["top_level_number", "section_number", "data_list", "stride_word",
         "stride_zero", "data_seed_word", "train_seed_word", "params_number",
         "length_word", "memory_mixing_string", "stabilized_string",
-        "lookback_float", "max_epochs_word", "batch_size_zero",
+        "lookback_float", "blocks_past_the_parameter_bound",
+        "stride_past_the_lookback", "max_epochs_word", "batch_size_zero",
         "data_key_typo", "has_header_string", "delimiter_number",
         "delimiter_two_chars", "max_rows_negative", "csv_without_path",
         "probe_q_word",
-        "probe_horizon_float", "probe_q_zero",
+        "probe_horizon_float", "probe_q_zero", "probe_horizon_past_the_bound",
+        "probe_q_past_the_bound",
         "probe_p_bool", "probe_scale_word", "probe_noise_nan",
         "probe_negative_gate_bound", "train_seed_negative",
         "data_seed_negative", "probe_seed_negative",
@@ -940,3 +948,115 @@ def test_ablate_two_axes_product(tmp_path):
 def test_gradcheck_command(tmp_path, capsys):
     assert run(tmp_path, "gradcheck") == EXIT_OK
     assert "max relative error" in capsys.readouterr().out
+
+
+# -- the input-file contract ------------------------------------------------
+
+#: the last stderr line's prefix of each error exit a damaged input file
+#: may end in; never exit 1, a gradcheck failure or an uncaught exception
+ERROR_LINES = {EXIT_CONFIG: "config error: ", EXIT_DATA: "data error: ",
+               cli.EXIT_DIVERGED: "numerical divergence: "}
+
+#: one number token of a JSON or CSV file
+NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+
+#: replacements of a number: no array of their size can be allocated, so an
+#: accepted one fails early instead of filling the machine's memory
+HUGE = [b"1e400", b"-1e400", b"1e308", b"-1.7e308", str(2**63).encode(),
+        b"1" + b"0" * 400, b"-1" + b"0" * 400]
+
+#: bytes that are not UTF-8: a stray continuation byte, a lone lead byte,
+#: an encoded surrogate, bytes UTF-8 never uses
+NOT_UTF8 = [b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xff", b"\xfe\xff"]
+
+MUTATIONS = ["truncate", "flip", "not_utf8", "nest", "huge"]
+
+
+@st.composite
+def mutated(draw, text: bytes, mutation: str) -> bytes:
+    """text with one mutation: cut short, 1 to 3 bytes XORed, bytes that
+    are not UTF-8 inserted, a number wrapped in up to 100,000 lists, or
+    a number replaced by a huge one."""
+    if mutation == "truncate":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if mutation == "flip":
+        out = bytearray(text)
+        for _ in range(draw(st.integers(1, 3))):
+            out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if mutation == "not_utf8":
+        k = draw(st.integers(0, len(text)))
+        return text[:k] + draw(st.sampled_from(NOT_UTF8)) + text[k:]
+    numbers = list(re.finditer(NUMBER.encode(), text))
+    match = draw(st.sampled_from(numbers))
+    if mutation == "nest":
+        depth = draw(st.sampled_from([1, 100, 5_000, 100_000]))
+        new = b"[" * depth + match.group() + b"]" * depth
+    else:
+        new = draw(st.sampled_from(HUGE))
+    return text[:match.start()] + new + text[match.end():]
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """{file: (bytes, argv builder)}: the shipped sinusoid_tiny config, a
+    checkpoint it trained for one epoch, and a 2-channel CSV with two
+    non-finite cells, each with the command that reads it. argv(path,
+    tmp) runs that command on the file at path, writing under tmp."""
+    tmp = tmp_path_factory.mktemp("contract")
+    shipped = str(CONFIGS / "sinusoid_tiny.json")
+    one_epoch = json.loads(Path(shipped).read_text())
+    one_epoch["train"]["max_epochs"] = 1
+    (tmp / "one_epoch.json").write_text(json.dumps(one_epoch))
+    assert run(tmp, "train", "--config", str(tmp / "one_epoch.json")) \
+        == EXIT_OK
+    checkpoint = str(tmp / "runs" / "train" / "checkpoint.json")
+    rows = ["date,a,b"]
+    for k in range(300):
+        cells = [repr(math.sin(2 * math.pi * k / 24) + 0.1 * math.cos(0.37 * k)),
+                 repr(math.cos(2 * math.pi * k / 48))]
+        if k in (40, 133):
+            cells[k % 2] = "nan"
+        rows.append(f"t{k}," + ",".join(cells))
+
+    def csv_argv(path, out):
+        cfg = write_config(out, model={**TINY_MODEL, "n_channels": 2},
+                           data={"source": "csv", "path": path})
+        return ["train", "--config", cfg]
+    return {
+        "config": (Path(shipped).read_bytes(), lambda path, out: [
+            "eval", "--config", path, "--checkpoint", checkpoint]),
+        "checkpoint": (Path(checkpoint).read_bytes(), lambda path, out: [
+            "eval", "--config", shipped, "--checkpoint", path]),
+        "csv": ("\n".join(rows).encode() + b"\n", csv_argv),
+    }
+
+
+@pytest.mark.parametrize("file, mutation", [
+    (file, mutation) for file in ("config", "checkpoint", "csv")
+    for mutation in MUTATIONS if (file, mutation) != ("csv", "nest")])
+@settings(max_examples=8)
+@given(data=st.data())
+def test_a_mutated_input_file_exits_with_a_documented_line(contract_inputs,
+                                                          file, mutation,
+                                                          data):
+    # whatever a damaged file holds, the run ends in 0, 2, 3 or 4: an error
+    # is one documented last line after any warnings, never a traceback
+    # (exit 1), and a config error leaves no run directory
+    text, argv = contract_inputs[file]
+    bad = data.draw(mutated(text, mutation))
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        path = Path(tmp) / f"mutated.{'csv' if file == 'csv' else 'json'}"
+        path.write_bytes(bad)
+        code = main(argv(str(path), Path(tmp)) + [
+            "--output-dir", str(Path(tmp) / "runs"), "--force"])
+        left = (Path(tmp) / "runs").exists()
+    lines = err.getvalue().splitlines()
+    assert code in (EXIT_OK, *ERROR_LINES), (code, lines)
+    if code != EXIT_OK:
+        assert lines and lines[-1].startswith(ERROR_LINES[code]), lines
+        lines = lines[:-1]
+    assert all(line.startswith("warning: ") for line in lines), lines
+    if code == EXIT_CONFIG:
+        assert not left

@@ -36,6 +36,7 @@ def tiny_config(**overrides):
 def test_config_rejects_patch_larger_than_lookback():
     with pytest.raises(ValueError):
         tiny_config(patch_size=32)
+    assert tiny_config(patch_stride=16).n_patches == 1
 
 
 def test_config_rejects_indivisible_heads():
@@ -172,25 +173,48 @@ def test_dropout_off_at_evaluation_time():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("int32_first", [False, True],
+                         ids=["fresh", "buffered_half"])
+@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("shape, rows_per_block", [
     ((11, 4, 8), 3),            # three full blocks and a tail of 2
+    ((12, 4, 8), 4),            # three blocks, one short of the split bound
+    ((13, 4, 8), 4),            # four blocks, the worker's half from row 8
     ((11, 4, 8), 10**6),        # one block
     ((7, 5), 1),                # 2-D, a block per row
     ((1344, 21, 128), None),    # the Weather shape at the shipped budget
 ])
-def test_keep_mask_is_one_uniform_draw_compared_with_the_rate(shape,
-                                                             rows_per_block):
+def test_keep_mask_is_one_uniform_draw_compared_with_the_rate(
+        shape, rows_per_block, cpus, int32_first):
     model = Forecaster(tiny_config(dropout_rate=0.3), seed=0)
     budget = tensorops._CHUNK if rows_per_block is None \
         else rows_per_block * int(np.prod(shape[1:]))
     drawn, whole = Rng(5), Rng(5)
-    with mock.patch.object(tensorops, "_CHUNK", budget):
+    if int32_first:
+        # leaves half of a 64-bit output buffered, which a uniform draw
+        # keeps for the next 32-bit draw
+        for rng in (drawn, whole):
+            rng._gen.integers(0, 2**32, dtype=np.uint32)
+    with mock.patch.object(tensorops, "_CHUNK", budget), \
+            mock.patch.object(tensorops, "_cpus", lambda: cpus), \
+            mock.patch.object(Rng, "skip", autospec=True,
+                              side_effect=Rng.skip) as skip:
+        split = cpus == 2 and len(tensorops.row_slices(shape)) \
+            >= tensorops._ELEMENTWISE_SPLIT_BLOCKS
         keep = model._keep_mask(shape, drawn)
+    # the caller's stream skips the worker's half exactly when it split
+    assert skip.call_count == split
     want = whole.uniform(shape) >= 0.3
     assert keep.dtype == bool and keep.shape == shape
     assert keep.tobytes() == want.tobytes()
-    # the stream is left where the whole draw leaves it
-    assert drawn.uniform((3,)).tobytes() == whole.uniform((3,)).tobytes()
+
+    # the stream is left where the whole draw leaves it: the next 32-bit
+    # draw takes the buffered half, if any, and the next uniform values
+    # the next 64-bit outputs
+    def following(stream):
+        return [stream._gen.integers(0, 2**32, (3,), dtype=np.uint32)
+                .tobytes(), stream.uniform((3,)).tobytes()]
+    assert following(drawn) == following(whole)
     assert model._keep_mask(shape, None) is None
 
 
@@ -670,6 +694,30 @@ def test_count_params_closed_form_tiny():
     model = Forecaster(tiny_config(), seed=0)
     expect = (8 * 4 + 8) + 4 * (64 + 32 + 8) + 16 + (4 * 32 + 4)
     assert model.count_params() == expect
+
+
+@pytest.mark.parametrize("shape", [
+    {}, dict(n_blocks=3, n_heads=4), dict(channel_strategy="mixed"),
+    dict(gate_mode=GateMode(memory_mixing=False), n_blocks=2),
+    dict(lookback=21, patch_size=6, patch_stride=3, n_channels=4,
+         embed_dim=4, channel_strategy="mixed"),
+    TINY_SHAPE, MIXED_SHAPE, WEATHER_SHAPE])
+def test_config_counts_the_parameters_of_its_model(shape):
+    cfg = tiny_config(**shape)
+    assert cfg.n_params == Forecaster(cfg, seed=0).count_params()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_blocks", 2**63, "parameters"), ("embed_dim", 2**62, "parameters"),
+    ("embed_dim", 10**400, "parameters"), ("horizon", 2**40, "parameters"),
+    ("patch_stride", 17, "exceeds lookback"),
+    ("patch_stride", 10**400, "exceeds lookback")])
+def test_config_rejects_a_model_too_large_to_build(field, value, message):
+    # rejected before any array is made: a parameter count this large
+    # would fail inside numpy or build blocks without end, and a stride
+    # of 2^63 or more overflowed patchify's int64 indices
+    with pytest.raises(ValueError, match=message):
+        tiny_config(**{field: value})
 
 
 # -- checkpointing ----------------------------------------------------------

@@ -187,23 +187,30 @@ def test_non_finite_state_in_the_worker_half_raises_after_both_halves(mode):
     assert errors[0] == errors[1]
 
 
-def test_weather_model_step_split_matches_serial():
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_weather_model_step_split_matches_serial(n_blocks):
     # configs/weather_extended.json's model and batch: every routed GEMM
-    # splits by rows, besides the cell's row blocks, the layer norm and Adam
-    cfg = ModelConfig(**WEATHER_SHAPE)
+    # splits by rows, besides the cell's row blocks with their bias adds,
+    # the copies of the cell's input rows, the dropout draws and
+    # multiplies, the embedding bias, the layer norm and Adam; with two
+    # blocks a mask draw and a cell bias sit between two cells
+    cfg = ModelConfig(**WEATHER_SHAPE, n_blocks=n_blocks)
     x = Rng(3).normal((64, cfg.lookback, cfg.n_channels))
     y = Rng(4).normal((64, cfg.horizon, cfg.n_channels))
 
     def run():
         model = Forecaster(cfg, seed=1)
         state = AdamState(model.params)
-        yhat, tape = model.forward(x, training=True, dropout_rng=Rng(9))
-        got = bytes_of([yhat, *tape.dropout_masks])
+        rng = Rng(9)
+        yhat, tape = model.forward(x, training=True, dropout_rng=rng)
+        # the dropout stream's next draw tells where the masks left it
+        got = bytes_of([yhat, *tape.dropout_masks, rng.uniform((3,))])
         grads = model.backward(tape, mse_loss(yhat, y)[1])
         got += bytes_of(grads.values())
         norm = adam_step(model.params, grads, state, TrainConfig(),
                          clip_norm=1.0)
-        return got + bytes_of([np.float64(norm), *model.params.values()])
+        return got + bytes_of([np.float64(norm), *model.params.values(),
+                               model.predict(x[:16])])
 
     chunk = tensorops._CHUNK
     assert on_cpus(2, run, chunk) == on_cpus(1, run, chunk)

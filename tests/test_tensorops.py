@@ -221,6 +221,30 @@ def test_row_slices_cover_the_rows_in_budget_sized_blocks(shape):
     assert len({sl.stop - sl.start for sl in slices[:-1]}) <= 1
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_ahead_draws_the_bytes_at_offset_n_and_leaves_the_stream(n):
+    source, whole = Rng(11), Rng(11)
+    want = whole.uniform((n + 20,))
+    assert source.ahead(n).uniform((20,)).tobytes() == want[n:].tobytes()
+    # the source has not moved
+    assert source.uniform((n + 20,)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("int32_first", [False, True],
+                         ids=["fresh", "buffered_half"])
+@pytest.mark.parametrize("n", [0, 5, 1000])
+def test_skip_leaves_the_stream_where_drawing_n_values_does(n, int32_first):
+    skipped, drawn = Rng(12), Rng(12)
+    if int32_first:
+        for rng in (skipped, drawn):
+            rng._gen.integers(0, 2**32, dtype=np.uint32)
+    skipped.skip(n)
+    drawn.uniform((n,))
+    # the buffered half of a 64-bit output included
+    assert skipped._gen.bit_generator.state == drawn._gen.bit_generator.state
+    assert skipped.uniform((4,)).tobytes() == drawn.uniform((4,)).tobytes()
+
+
 # -- two halves on two CPUs ---------------------------------------------------
 
 def record_parts(blocks, cpus, min_blocks=2):
