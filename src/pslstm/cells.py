@@ -30,7 +30,8 @@ units. SLSTMParams stores only what the kernels read:
   mixing (the recurrent GEMM is then skipped).
 
 from_gates and gates() convert from and to the 12 per-gate arrays, which
-the initializer draws, version-1 checkpoints store and the probe reads.
+the initializer draws and the probe reads; checkpoints store only the
+kernel layout.
 
 States are (B, d) and sequences (B, S, d). slstm_forward computes every
 step's input products with one (B*S, d_input) x (d_input, 4d) GEMM before
@@ -188,7 +189,8 @@ class SLSTMParams:
         return cls(W=W, b=b, R=R, n_heads=H)
 
     def gates(self) -> dict[str, np.ndarray]:
-        """The per-gate arrays (new copies), the inverse of from_gates.
+        """The per-gate arrays (new copies), the inverse of from_gates; the
+        probe reads its forget gate and contraction bound from them.
         Off-block entries of each Rg are zero; without R there are no Rg."""
         d, H = self.d_hidden, self.n_heads
         s = d // H

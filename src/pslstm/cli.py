@@ -18,8 +18,6 @@ exception is a bug and propagates. A non-finite training loss only warns
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
@@ -39,7 +37,8 @@ from .probe import (ChainConfig, chain_params, check_contraction,
                     memory_report, ratio_stability_report, simulate_chain,
                     two_trajectory_coupling, write_acf_csv, write_probe_report,
                     write_trace_csv)
-from .tensorops import DataError, Rng, from_dict, read_json
+from .tensorops import (DataError, Rng, from_dict, read_json, write_csv,
+                        write_json)
 from .training import (TrainConfig, evaluate, mse_loss, persistence_metrics,
                        train, write_history_csv)
 
@@ -138,10 +137,8 @@ def write_run_info(run_dir: Path, cfg: dict, seed: int | None,
                    seconds: float) -> None:
     info = {"version": __version__, "seed": seed,
             "wall_clock_seconds": round(seconds, 3)}
-    with open(run_dir / "run_info.json", "w") as fh:
-        json.dump(info, fh, sort_keys=True, indent=2)
-    with open(run_dir / "resolved_config.json", "w") as fh:
-        json.dump(cfg, fh, sort_keys=True, indent=2, default=str)
+    write_json(run_dir / "run_info.json", info, indent=2)
+    write_json(run_dir / "resolved_config.json", cfg, indent=2)
 
 
 def _prepare_run(cfg: dict, datasets: dict | None = None):
@@ -168,9 +165,9 @@ def cmd_train(args) -> int:
     save_checkpoint(model, run_dir / "checkpoint.json")
     write_history_csv(history, run_dir / "history.csv")
     baseline = persistence_metrics(dataset, "test")
-    with open(run_dir / "metrics.json", "w") as fh:
-        json.dump({"test": asdict(metrics), "persistence": asdict(baseline),
-                   "seed": train_cfg.seed}, fh, sort_keys=True)
+    write_json(run_dir / "metrics.json",
+               {"test": asdict(metrics), "persistence": asdict(baseline),
+                "seed": train_cfg.seed})
     write_run_info(run_dir, cfg, train_cfg.seed, time.perf_counter() - t0)
     print(f"train: test mse={metrics.mse:.6f} mae={metrics.mae:.6f} "
           f"-> {run_dir}")
@@ -180,12 +177,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     cfg = load_run_config(args.config, {})
+    # the model comes from the checkpoint; train's checks still hold
+    if cfg["model"]:
+        make_model_config(cfg["model"])
+    if cfg["train"]:
+        make_train_config(cfg["train"])
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(cfg["data"], model.config)
     run_dir = prepare_run_dir(args.output_dir, "eval", args.force)
     metrics = evaluate(model, dataset, args.split)
-    with open(run_dir / "metrics.json", "w") as fh:
-        json.dump({args.split: asdict(metrics)}, fh, sort_keys=True)
+    write_json(run_dir / "metrics.json", {args.split: asdict(metrics)})
     write_run_info(run_dir, cfg, None, time.perf_counter() - t0)
     print(f"eval: {args.split} mse={metrics.mse:.6f} mae={metrics.mae:.6f}")
     return EXIT_OK
@@ -234,8 +235,7 @@ def _run_grid(args, cfg: dict, filename: str, header: list, variants: list,
             print(f"warning: duplicate {header[0].replace('_', ' ')} {label} "
                   f"ignored", file=sys.stderr)
             continue
-        sub = json.loads(json.dumps(cfg))
-        sub["model"].update(overrides)
+        sub = {**cfg, "model": {**cfg["model"], **overrides}}
         runs[label] = _prepare_run(sub, datasets)
     run_dir = prepare_run_dir(args.output_dir, args.command, args.force)
     rows = []
@@ -246,10 +246,7 @@ def _run_grid(args, cfg: dict, filename: str, header: list, variants: list,
         rows.append([label] + [repr(v) for v in values])
         print(f"{args.command} {label}: " + " ".join(
             f"{name}={v:.6f}" for name, v in zip(header[1:], values)))
-    with open(run_dir / filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    write_csv(run_dir / filename, header, rows)
     write_run_info(run_dir, cfg, cfg["train"]["seed"],
                    time.perf_counter() - t0)
     return EXIT_OK
@@ -372,7 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(ABLATION_AXES))
     p.set_defaults(fn=cmd_ablate)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check")
+    p = sub.add_parser("gradcheck", help="finite-difference gradient check "
+                       "of the config's model (default: a 16-step, 2-channel "
+                       "model) on two random windows drawn from train.seed; "
+                       "reads no data")
     common(p)
     p.set_defaults(fn=cmd_gradcheck)
     return parser

@@ -25,23 +25,23 @@ to the same bytes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Annotated, Literal
 
 import numpy as np
 
-from .cells import (GATE_NAMES, GateMode, SLSTMParams, slstm_backward,
-                    slstm_forward, slstm_predict)
+from .cells import (GateMode, SLSTMParams, slstm_backward, slstm_forward,
+                    slstm_predict)
 from .tensorops import (_ELEMENTWISE_SPLIT_BLOCKS, _MAX_VALUES, AtLeast0,
                         AtLeast1, DataError, Rng, ShapeError, check_fields,
                         for_blocks, from_dict, matmul_rows, read_json,
-                        row_slices, split_point)
+                        row_slices, split_point, write_json)
 
 _LN_EPS = 1e-5
 _INORM_EPS = 1e-5
-#: 2: kernel layout; version-1 files (per-gate arrays) are converted on load
+#: 2: each block's W, b and R in the kernel layout (SLSTMParams), the only
+#: version load_checkpoint accepts
 CHECKPOINT_VERSION = 2
 
 
@@ -78,13 +78,19 @@ class ModelConfig:
         """Forecaster(self).count_params(), from the config alone: the
         embedding, per block the cell's W, b and on-block R (with memory
         mixing) and the layer norm's gain and bias, then the head."""
-        g = self.n_channels if self.channel_strategy == "mixed" else 1
+        g = self.channels_per_row
         d, d_out = self.embed_dim * g, self.horizon * g
         s = d // self.n_heads
         recurrent = 4 * s * d if self.gate_mode.memory_mixing else 0
         block = 4 * d * d + 4 * d + recurrent + 2 * d
         return d * self.patch_size * g + d + self.n_blocks * block \
             + d_out * self.n_patches * d + d_out
+
+    @property
+    def channels_per_row(self) -> int:
+        """g, the channels that share one cell row: all M under channel
+        mixing, 1 under channel independence."""
+        return self.n_channels if self.channel_strategy == "mixed" else 1
 
     @property
     def stride(self) -> int:
@@ -139,9 +145,7 @@ class Forecaster:
         self.config = config
         rng = Rng(seed)
         c = config
-        # g, the channels that share one cell row
-        g = self.channels_per_row = \
-            c.n_channels if c.channel_strategy == "mixed" else 1
+        g = self.channels_per_row = c.channels_per_row
         self.width = c.embed_dim * g
         self.in_width = c.patch_size * g
         self.out_width = c.horizon * g
@@ -475,27 +479,24 @@ def save_checkpoint(model: Forecaster, path) -> None:
                           "data": arr.ravel().tolist()}
                    for name, arr in sorted(model.params.items())},
     }
-    with open(path, "w") as fh:
-        json.dump(blob, fh, sort_keys=True)
+    write_json(path, blob)
 
 
 def load_checkpoint(path) -> Forecaster:
     """Rebuild a Forecaster from a checkpoint written by save_checkpoint.
 
     The file must hold a valid config and exactly the model's parameters,
-    each with its model's shape; anything else raises DataError. A
-    version-1 file is converted to the kernel layout first.
+    each with its model's shape, and its version must be the integer
+    CHECKPOINT_VERSION; anything else raises DataError.
     """
     blob = read_json(path, DataError, "checkpoint")
     version = blob.get("version") if isinstance(blob, dict) else None
-    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {version!r}")
     try:
         model = Forecaster(from_dict(ModelConfig, blob["config"]), seed=0)
         stored = {name: _stored_array(name, entry)
                   for name, entry in blob["params"].items()}
-        if version == 1:
-            _convert_version_1(stored, model)
     except DataError:
         raise
     except (AttributeError, IndexError, KeyError, OverflowError, TypeError,
@@ -531,14 +532,3 @@ def _stored_array(name: str, entry) -> np.ndarray:
         raise DataError(f"checkpoint entry {name}: non-finite data")
     return arr.reshape(shape)
 
-
-def _convert_version_1(stored: dict[str, np.ndarray], model: Forecaster) -> None:
-    """Replace each block's 12 per-gate arrays (block{k}.W_z ... b_o) by its
-    kernel-layout arrays, in place; raises KeyError for a missing array and
-    ValueError for non-zero R_* without memory mixing."""
-    for k, cell in enumerate(model.blocks):
-        prefix = f"block{k}."
-        gates = {name: stored.pop(prefix + name) for name in GATE_NAMES}
-        if cell.R is None and any([np.any(gates.pop(f"R_{g}")) for g in "zifo"]):
-            raise ValueError(f"non-zero {prefix}R_* without memory mixing")
-        stored.update(SLSTMParams.from_gates(gates, cell.n_heads).as_dict(prefix))

@@ -24,8 +24,6 @@ once per trajectory and takes the gaps from the two records.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from typing import Annotated, Literal
 
@@ -34,7 +32,8 @@ import numpy as np
 from .cells import (GateMode, SLSTMParams, SLSTMState, _forward_rows,
                     slstm_step)  # unused: kept because perfbench wraps it
 from .tensorops import (_MAX_VALUES, AtLeast0, AtLeast1, DataError,
-                        NonNegative, Positive, Rng, check_fields)
+                        NonNegative, Positive, Rng, check_fields, write_csv,
+                        write_json)
 
 
 @dataclass
@@ -367,16 +366,13 @@ def write_probe_report(path, config: ChainConfig, sup_norm: float,
         blob["overflow_step"] = ratio.overflow_step
         blob["max_ratio"] = None if np.isnan(ratio.max_ratio) else ratio.max_ratio
         blob["max_c_norm"] = None if np.isnan(ratio.max_c_norm) else ratio.max_c_norm
-    with open(path, "w") as fh:
-        json.dump(blob, fh, sort_keys=True, indent=2)
+    write_json(path, blob, indent=2)
 
 
 def write_acf_csv(path, report: MemoryReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag"] + [f"acf_dim{j}" for j in range(report.acf.shape[1])])
-        for k in range(report.acf.shape[0]):
-            writer.writerow([k] + [repr(float(v)) for v in report.acf[k]])
+    write_csv(path, ["lag"] + [f"acf_dim{j}" for j in range(report.acf.shape[1])],
+              ([k] + [repr(float(v)) for v in row]
+               for k, row in enumerate(report.acf)))
 
 
 def write_trace_csv(path, trace: ChainTrace) -> None:
@@ -384,12 +380,8 @@ def write_trace_csv(path, trace: ChainTrace) -> None:
     steps = len(trace.finite) if trace.overflow_step is None \
         else trace.overflow_step + 1
     norms = (trace.f_norm, trace.c_norm, trace.n_norm, trace.ratio_norm)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step"]
-                        + [f"y_dim{j}" for j in range(trace.y_seq.shape[1])]
-                        + ["f_norm", "c_norm", "n_norm", "ratio_norm", "finite"])
-        for t in range(steps):
-            writer.writerow([t] + [repr(float(v)) for v in trace.y_seq[t]]
-                            + [repr(float(a[t])) for a in norms]
-                            + [int(trace.finite[t])])
+    write_csv(path, ["step"] + [f"y_dim{j}" for j in range(trace.y_seq.shape[1])]
+              + ["f_norm", "c_norm", "n_norm", "ratio_norm", "finite"],
+              ([t] + [repr(float(v)) for v in trace.y_seq[t]]
+               + [repr(float(a[t])) for a in norms] + [int(trace.finite[t])]
+               for t in range(steps)))

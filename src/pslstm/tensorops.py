@@ -8,8 +8,10 @@ the same element bound, _CHUNK), the runner of independent blocks on two
 CPUs (for_blocks) and the fewest blocks an elementwise pass splits from
 (_ELEMENTWISE_SPLIT_BLOCKS), the matrix product split over the same two
 CPUs by output rows (matmul_rows), the element budget of an evaluation
-call, and the config schema checks, which read a field's type, values and
-range (``AtLeast1``) off its annotation.
+call, the JSON reader of configs and checkpoints (read_json), the one
+writer of every JSON run file (write_json) and of every CSV run file
+(write_csv), and the config schema checks, which read a field's type,
+values and range (``AtLeast1``) off its annotation.
 
 matmul_rows never splits the summed (K) dimension, so a row's bytes do
 not depend on the thread that computes it. It splits only when each half
@@ -20,6 +22,7 @@ out of this OpenBLAS's small-matrix kernel, which rounds differently.
 from __future__ import annotations
 
 import contextvars
+import csv
 import dataclasses
 import functools
 import json
@@ -285,6 +288,22 @@ def read_json(path, error: type[Exception], what: str):
         raise error(f"cannot read {what} {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:     # bad UTF-8 or JSON
         raise error(f"malformed {what} {path}: {exc}") from exc
+
+
+def write_json(path, value, indent: int | None = None) -> None:
+    """Write value to path as JSON with sorted keys, on one line, or
+    indented by indent spaces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(value, fh, sort_keys=True, indent=indent)
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write the header row, then each of rows, to path as CSV lines in
+    csv.writer's default dialect (each line ends in CR LF)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # -- config schema ---------------------------------------------------------

@@ -13,7 +13,6 @@ mode; `evaluate(model, dataset, "train")` gives that figure.
 
 from __future__ import annotations
 
-import csv
 import time
 import warnings
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from .datasets import WindowedDataset
 from .model import Forecaster
 from .tensorops import (_CHUNK, _EVAL_BUDGET, AtLeast0, AtLeast1, DataError,
                         Positive, Rng, ShapeError, check_fields, for_blocks,
-                        split_point)
+                        split_point, write_csv)
 
 
 @dataclass
@@ -356,12 +355,9 @@ def evaluate(model: Forecaster, dataset: WindowedDataset,
 
 
 def write_history_csv(history: list[EpochRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_mse", "val_mse", "seconds"])
-        for rec in history:
-            writer.writerow([rec.epoch, repr(rec.train_mse),
-                             repr(rec.val_mse), f"{rec.seconds:.3f}"])
+    write_csv(path, ["epoch", "train_mse", "val_mse", "seconds"],
+              ([rec.epoch, repr(rec.train_mse), repr(rec.val_mse),
+                f"{rec.seconds:.3f}"] for rec in history))
 
 
 # -- naive reference forecasters ------------------------------------------

@@ -5,7 +5,6 @@ import io
 import json
 import math
 import re
-import shutil
 import tempfile
 import typing
 from pathlib import Path
@@ -26,7 +25,6 @@ from pslstm.probe import ChainConfig
 from pslstm.tensorops import ShapeError, from_dict
 from pslstm.training import TrainConfig
 
-DATA = Path(__file__).resolve().parent / "data"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TINY_MODEL = {"lookback": 16, "horizon": 4, "n_channels": 1, "patch_size": 4,
@@ -723,38 +721,58 @@ def test_eval_checkpoint_string_bool_exits_data(tmp_path, capsys):
     assert err.startswith("data error: ") and "memory_mixing" in err
 
 
-def test_eval_version_1_checkpoint_missing_gate_exits_data(tmp_path, capsys):
-    cfg = write_config(tmp_path, model={**TINY_MODEL, "n_channels": 2},
-                       data={"source": "synthetic",
-                             "params": {"length": 400, "period": 24,
-                                        "channels": 2}})
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """(config path, checkpoint object): a trained checkpoint and the config
+    it was trained with."""
+    tmp = tmp_path_factory.mktemp("checkpoint")
+    cfg = write_config(tmp)
+    run(tmp, "train", "--config", cfg)
+    return cfg, json.loads((tmp / "runs" / "train" / "checkpoint.json")
+                           .read_text())
+
+
+def test_eval_version_1_checkpoint_exits_data_with_one_line(tmp_path, capsys,
+                                                            checkpoint):
+    # the retired version 1 stored each block as its 12 dense per-gate
+    # arrays; such a file is not converted but rejected
+    cfg, blob = checkpoint
+    blob = json.loads(json.dumps(blob))
+    model = Forecaster(make_model_config(blob["config"]))
+    for name in ("W", "b", "R"):
+        del blob["params"][f"block0.{name}"]
+    for name, arr in model.blocks[0].gates().items():
+        blob["params"][f"block0.{name}"] = {"shape": list(arr.shape),
+                                            "data": arr.ravel().tolist()}
+    blob["version"] = 1
     ckpt = tmp_path / "v1.json"
-    shutil.copy(DATA / "v1_heads2.json", ckpt)
-    assert run(tmp_path, "eval", "--config", cfg,
-               "--checkpoint", str(ckpt)) == EXIT_OK
-    blob = json.loads(ckpt.read_text())
-    del blob["params"]["block0.R_o"]
     ckpt.write_text(json.dumps(blob))
     assert run(tmp_path, "eval", "--config", cfg,
                "--checkpoint", str(ckpt)) == EXIT_DATA
-    assert "block0.R_o" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: unsupported checkpoint version 1"]
+    assert not (tmp_path / "runs").exists()
 
 
-@pytest.fixture(scope="module")
-def checkpoints(tmp_path_factory):
-    """{version: (config path, checkpoint object)}: a trained version-2
-    checkpoint and the shipped version-1 file, each with a config it fits."""
-    tmp = tmp_path_factory.mktemp("checkpoints")
-    cfg = write_config(tmp)
-    run(tmp, "train", "--config", cfg)
-    v2 = json.loads((tmp / "runs" / "train" / "checkpoint.json").read_text())
-    cfg_v1 = write_config(tmp, "config_v1.json",
-                          model={**TINY_MODEL, "n_channels": 2},
-                          data={"source": "synthetic",
-                                "params": {"length": 400, "period": 24,
-                                           "channels": 2}})
-    v1 = json.loads((DATA / "v1_heads2.json").read_text())
-    return {2: (cfg, v2), 1: (cfg_v1, v1)}
+@pytest.mark.parametrize("section, field, value", [
+    ("model", "lookback", 10**400), ("train", "batch_size", -1e308)],
+    ids=["huge_lookback", "negative_batch_size"])
+def test_eval_rejects_a_model_or_train_section_that_train_rejects(
+        tmp_path, capsys, checkpoint, section, field, value):
+    # eval takes its model from the checkpoint, yet checks the config's
+    # model and train sections as train does, before it loads the checkpoint
+    cfg, blob = checkpoint
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(json.dumps(blob))
+    bad = json.loads(Path(cfg).read_text())
+    bad[section][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    for argv in (["train"], ["eval", "--checkpoint", str(ckpt)]):
+        assert run(tmp_path, *argv, "--config", str(path)) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        assert not (tmp_path / "runs").exists()
 
 
 CHECKPOINT_DEFECTS = ["truncated", "version", "config", "params", "entry",
@@ -801,11 +819,11 @@ def break_checkpoint(data, defect, blob) -> str:
 @pytest.mark.parametrize("defect", CHECKPOINT_DEFECTS)
 @settings(max_examples=12)
 @given(data=st.data())
-def test_broken_checkpoint_exits_data_with_one_error_line(checkpoints, defect,
+def test_broken_checkpoint_exits_data_with_one_error_line(checkpoint, defect,
                                                           data):
     # truncated JSON, a wrong JSON kind anywhere, non-finite, bool or nested
     # data, a version swap: exit 3, never a traceback, a result or exit 4
-    cfg, blob = checkpoints[data.draw(st.sampled_from([1, 2]))]
+    cfg, blob = checkpoint
     text = break_checkpoint(data, defect, blob)
     with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stderr(io.StringIO()) as err:

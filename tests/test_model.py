@@ -21,8 +21,6 @@ from pslstm.model import (Forecaster, ModelConfig, load_checkpoint, patchify,
 from pslstm.tensorops import DataError, Rng, ShapeError, from_dict
 from pslstm.training import mse_loss
 
-DATA = Path(__file__).resolve().parent / "data"
-
 TINY = dict(lookback=16, horizon=4, n_channels=2, patch_size=4,
             embed_dim=8, n_blocks=1, n_heads=2, dropout_rate=0.0)
 
@@ -791,27 +789,6 @@ def test_checkpoint_bad_config_rejected(tmp_path):
     path = _edited_checkpoint(
         tmp_path, lambda b: b["config"].update({"hidden_layers": 3}))
     with pytest.raises(ValueError, match="malformed"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("name", ["v1_heads2", "v1_no_mixing"])
-def test_version_1_checkpoint_predicts_its_stored_output(name):
-    # version-1 files (per-gate arrays): n_heads=2, and n_heads=1 without
-    # memory mixing, each stored with its forward output on a fixed input
-    model = load_checkpoint(DATA / f"{name}.json")
-    blob = json.loads((DATA / f"{name}.expected.json").read_text())
-    x = np.array(blob["x"]).reshape(blob["x_shape"])
-    yhat, _ = model.forward(x)
-    assert np.array_equal(yhat, np.array(blob["yhat"]).reshape(blob["yhat_shape"]))
-    assert ("block0.R" in model.params) == model.config.gate_mode.memory_mixing
-
-
-def test_version_1_checkpoint_recurrent_weights_without_mixing_rejected(tmp_path):
-    blob = json.loads((DATA / "v1_no_mixing.json").read_text())
-    blob["params"]["block0.R_i"]["data"][0] = 0.5
-    path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps(blob))
-    with pytest.raises(DataError, match="memory mixing"):
         load_checkpoint(path)
 
 
