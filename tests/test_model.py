@@ -705,6 +705,14 @@ def test_config_counts_the_parameters_of_its_model(shape):
     assert cfg.n_params == Forecaster(cfg, seed=0).count_params()
 
 
+@pytest.mark.parametrize("strategy, g", [("independent", 1), ("mixed", 3)])
+def test_config_and_model_share_the_channels_per_row(strategy, g):
+    cfg = tiny_config(n_channels=3, channel_strategy=strategy)
+    model = Forecaster(cfg, seed=0)
+    assert cfg.channels_per_row == model.channels_per_row == g
+    assert model.width == cfg.embed_dim * g
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("n_blocks", 2**63, "parameters"), ("embed_dim", 2**62, "parameters"),
     ("embed_dim", 10**400, "parameters"), ("horizon", 2**40, "parameters"),

@@ -16,8 +16,8 @@ import pytest
 import pslstm
 from pslstm import tensorops
 from pslstm.tensorops import (AtLeast1, Positive, Rng, check_fields,
-                              for_blocks, from_dict, log_sigmoid, row_slices,
-                              sigmoid)
+                              for_blocks, from_dict, log_sigmoid, read_json,
+                              row_slices, sigmoid, write_csv, write_json)
 
 
 def test_rng_reproducible():
@@ -202,6 +202,29 @@ def test_from_dict_builds_nested_and_rejects_unknown_keys():
         from_dict(Outer, {"inner": {"flg": False}})
     with pytest.raises(TypeError):
         from_dict(Outer, [1])
+
+
+# -- run-file writers ---------------------------------------------------------
+
+def test_write_json_sorts_keys_on_one_line_or_indented(tmp_path):
+    path = tmp_path / "value.json"
+    value = {"b": [1, 2.5], "a": {"d": None, "c": "x"}}
+    write_json(path, value)
+    assert path.read_bytes() \
+        == b'{"a": {"c": "x", "d": null}, "b": [1, 2.5]}'
+    write_json(path, value, indent=2)
+    assert path.read_bytes() == (b'{\n  "a": {\n    "c": "x",\n'
+                                 b'    "d": null\n  },\n  "b": [\n'
+                                 b'    1,\n    2.5\n  ]\n}')
+    assert read_json(path, ValueError, "value") == value
+
+
+def test_write_csv_writes_the_header_then_each_row_in_crlf_lines(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ["step", "name"], iter([(0, "a,b"), [1, 0.5]]))
+    assert path.read_bytes() == b'step,name\r\n0,"a,b"\r\n1,0.5\r\n'
+    write_csv(path, ["only"], [])
+    assert path.read_bytes() == b"only\r\n"
 
 
 # -- row blocks ---------------------------------------------------------------
