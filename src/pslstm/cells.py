@@ -82,10 +82,12 @@ the batch-major view of the time-major h buffer, and neither copies W, R
 or h. slstm_predict allocates the (S, B, 4d) gate buffer and h per call,
 as one block, and writes h in forward's layout, but keeps c, n and any
 sigmoid dlog in one (B, d) buffer each: no c or n tape, no activation
-copy-back. slstm_step runs the time loop (_forward_rows) for one step. A
-chain fed by its own output (the probe) runs a whole block of steps as one
-time loop: its feed callback writes the next step's input pre-activations
-from each new h.
+copy-back. Forecaster.predict calls it once per block and unit of rows,
+so B there is a unit's rows (64 at the Weather shape), not the batch's.
+slstm_step runs the time loop (_forward_rows) for one step. A chain fed
+by its own output (the probe) runs a whole block of steps as one time
+loop: its feed callback writes the next step's input pre-activations from
+each new h.
 """
 
 from __future__ import annotations

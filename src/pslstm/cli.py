@@ -61,6 +61,21 @@ def _build(cls, payload):
         raise ConfigError(str(exc)) from exc
 
 
+#: config section -> the dataclass it builds
+SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig,
+            "probe": ChainConfig}
+
+
+def check_sections(cfg: dict) -> None:
+    """Build each non-empty section of the run config cfg with its
+    dataclass (SECTIONS), so that a bad value stops every command before
+    its run directory is made, also in a section the command does not
+    read."""
+    for key, cls in SECTIONS.items():
+        if cfg[key]:
+            _build(cls, cfg[key])
+
+
 def load_run_config(path: str | None, overrides: dict) -> dict:
     cfg: dict = {"model": {}, "train": {}, "data": {}, "probe": {}}
     if path:
@@ -145,6 +160,7 @@ def _prepare_run(cfg: dict, datasets: dict | None = None):
     """The model config, train config and dataset of one training run, so a
     bad config or dataset stops the run before anything is written. Runs
     that share a datasets dict share the dataset of each window shape."""
+    check_sections(cfg)
     model_cfg = make_model_config(cfg["model"])
     train_cfg = make_train_config(cfg["train"])
     datasets = {} if datasets is None else datasets
@@ -177,11 +193,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     t0 = time.perf_counter()
     cfg = load_run_config(args.config, {})
-    # the model comes from the checkpoint; train's checks still hold
-    if cfg["model"]:
-        make_model_config(cfg["model"])
-    if cfg["train"]:
-        make_train_config(cfg["train"])
+    # the model comes from the checkpoint; the other sections' checks hold
+    check_sections(cfg)
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(cfg["data"], model.config)
     run_dir = prepare_run_dir(args.output_dir, "eval", args.force)
@@ -195,6 +208,7 @@ def cmd_eval(args) -> int:
 def cmd_probe(args) -> int:
     t0 = time.perf_counter()
     cfg = load_seeded_config(args, "probe")
+    check_sections(cfg)
     chain = _build(ChainConfig, cfg["probe"])
     run_dir = prepare_run_dir(args.output_dir, "probe", args.force)
     params, _, _ = chain_params(chain)
@@ -308,6 +322,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_seeded_config(args, "train")
+    check_sections(cfg)
     model_payload = cfg["model"] or {
         "lookback": 16, "horizon": 4, "n_channels": 2, "patch_size": 4,
         "embed_dim": 8, "n_blocks": 1, "n_heads": 2, "dropout_rate": 0.0}

@@ -18,9 +18,14 @@ each time index into one row, so the backbone width becomes E*M.
 
 Forecaster.forward keeps a tape for backward; Forecaster.predict, the
 evaluation path, runs the same pipeline to the same bytes and keeps none.
-The embedding and head products and their gradients go through
-tensorops.matmul_rows, which may split their output rows over two CPUs,
-to the same bytes.
+Rows never interact, so after the embedding predict runs the blocks, the
+layer norms and the head over units of cell rows (Forecaster._units: runs
+of the cell's row blocks whose GEMMs each hold tensorops._GEMM_SPLIT_WORK
+multiply-adds), one unit at a time on each of two CPUs. A unit's buffers
+stay small, where a pass over the whole batch allocated, faulted in and
+freed a gate buffer of the whole batch. The embedding and head products
+and their gradients go through tensorops.matmul_rows, which may split
+their output rows over two CPUs, to the same bytes.
 """
 
 from __future__ import annotations
@@ -33,10 +38,11 @@ import numpy as np
 
 from .cells import (GateMode, SLSTMParams, slstm_backward, slstm_forward,
                     slstm_predict)
-from .tensorops import (_ELEMENTWISE_SPLIT_BLOCKS, _MAX_VALUES, AtLeast0,
-                        AtLeast1, DataError, Rng, ShapeError, check_fields,
-                        for_blocks, from_dict, matmul_rows, read_json,
-                        row_slices, split_point, write_json)
+from .tensorops import (_ELEMENTWISE_SPLIT_BLOCKS, _GEMM_SPLIT_WORK,
+                        _MAX_VALUES, AtLeast0, AtLeast1, DataError, Rng,
+                        ShapeError, check_fields, for_blocks, from_dict,
+                        matmul_rows, read_json, row_slices, split_point,
+                        write_json)
 
 _LN_EPS = 1e-5
 _INORM_EPS = 1e-5
@@ -176,9 +182,11 @@ class Forecaster:
 
     @property
     def gate_elements_per_window(self) -> int:
-        """Elements one window adds to predict's (S, B, 4d) gate buffers,
-        summed over blocks: n_patches steps times 4 * n_channels *
-        embed_dim, per block (its M / g cell rows of width g * E)."""
+        """Elements one window adds to the (S, B, 4d) gate buffers of a
+        predict call over the whole batch, summed over blocks: n_patches
+        steps times 4 * n_channels * embed_dim, per block (its M / g cell
+        rows of width g * E). _score sizes its calls by it; predict itself
+        holds only the buffers of one unit (_units) per CPU at a time."""
         c = self.config
         return 4 * c.n_patches * c.n_channels * c.embed_dim * c.n_blocks
 
@@ -275,11 +283,11 @@ class Forecaster:
             .reshape(patches.shape[:2] + (self.width,))
         return mu, sigma, patches, u
 
-    def _head(self, flat: np.ndarray, mu: np.ndarray,
-              sigma: np.ndarray) -> np.ndarray:
-        """The forecast (B, T, M) from the flattened last block output."""
+    def _denormalize(self, out_rows: np.ndarray, mu: np.ndarray,
+                     sigma: np.ndarray) -> np.ndarray:
+        """The forecast (B, T, M) from the head product's (B*M/g, g*T)
+        rows, flat @ head.W.T, to which it adds head.b in place."""
         c = self.config
-        out_rows = matmul_rows(flat, self.params["head.W"].T)
         out_rows += self.params["head.b"]
         # channel-major rows back to (B, T, M)
         yhat_n = out_rows.reshape(-1, c.n_channels, c.horizon).transpose(0, 2, 1)
@@ -312,28 +320,65 @@ class Forecaster:
         tape = ModelTape(sigma=sigma, patches=patches,
                          cell_tapes=cell_tapes, ln_caches=ln_caches,
                          dropout_masks=masks, flat=flat)
-        return self._head(flat, mu, sigma), tape
+        return self._denormalize(matmul_rows(flat, self.params["head.W"].T),
+                                 mu, sigma), tape
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """forward(x)[0] bit for bit, without a tape: the evaluation path.
 
-        Each block runs slstm_predict, slstm_forward's sequence driver
-        without the tape: one (S, B, 4d) gate buffer per call (h is a view
-        of the same allocation), no c or n tape and no activation
-        copy-back; like slstm_forward it returns the batch-major view of a
-        time-major h. The layer norm then writes the residual sum and its
-        output over the block input u, which nothing reads afterwards, one
-        row block at a time, keeping no cache.
+        The embedding and its bias run over the whole call, as in forward.
+        The cell rows then run in units (_units), through for_blocks,
+        which may run two halves of them at once: per unit, each block
+        runs slstm_predict, slstm_forward's sequence driver without the
+        tape (one (S, b, 4d) gate buffer for the unit's b rows, h a view
+        of the same allocation, no c or n tape and no activation
+        copy-back), then the layer norm writes the residual sum and its
+        output over the unit's rows of u, which nothing reads afterwards,
+        keeping no cache; last, the head product writes the unit's rows
+        of one output, which is denormalized once. Rows never interact,
+        and the GEMMs of a call of several units hold _GEMM_SPLIT_WORK
+        multiply-adds in every unit, so each row keeps the bytes of the
+        whole call's products. A call of one unit runs in the caller, as
+        one pass over the whole call, where the products may split.
         """
         mu, sigma, _, u = self._embed(x)
         self._add_and_keep(u, self.params["embed.b"], None)
-        for k, cell in enumerate(self.blocks):
-            h_seq = slstm_predict(cell, u, self.config.gate_mode)
-            u = self._layer_norm(k, u, h_seq, cache=False)
-            # h_seq holds the cell's whole gate buffer: free it before the
-            # next block allocates its own
-            del h_seq
-        return self._head(u.reshape(u.shape[0], -1), mu, sigma)
+        out_rows = np.empty((u.shape[0], self.out_width))
+
+        def run(units: list) -> None:
+            for rows in units:
+                v = u[rows]
+                for k, cell in enumerate(self.blocks):
+                    h_seq = slstm_predict(cell, v, self.config.gate_mode)
+                    v = self._layer_norm(k, v, h_seq, cache=False)
+                    # h_seq holds the unit's gate buffer: free it before
+                    # the next block allocates its own
+                    del h_seq
+                matmul_rows(v.reshape(v.shape[0], -1),
+                            self.params["head.W"].T, out_rows[rows])
+        for_blocks(run, self._units(u.shape[0]))
+        return self._denormalize(out_rows, mu, sigma)
+
+    def _units(self, n_rows: int) -> list:
+        """predict's units for a call of n_rows cell rows: slices of
+        consecutive cell row blocks (row_slices of its (n_rows, 4 * width)
+        gate rows), each of the fewest blocks whose cell-input GEMM and
+        head GEMM both hold _GEMM_SPLIT_WORK multiply-adds; the last unit
+        also takes the remainder short of that, and a call too small for
+        one such unit is one unit. A unit starts at a block edge, so the
+        time loop's blocks are those of the whole call."""
+        S, d = self.config.n_patches, self.width
+        per_row = S * d * min(4 * d, self.out_width)
+        units, start = [], 0
+        for blk in row_slices((n_rows, 4 * d)):
+            if (blk.stop - start) * per_row >= _GEMM_SPLIT_WORK:
+                units.append(slice(start, blk.stop))
+                start = blk.stop
+        if start < n_rows:
+            # the remainder, short of the bound, joins the last unit
+            start = units.pop().start if units else 0
+            units.append(slice(start, n_rows))
+        return units
 
     def _layer_norm(self, k: int, u: np.ndarray, h_seq: np.ndarray,
                     keep: np.ndarray | None = None, cache: bool = True):

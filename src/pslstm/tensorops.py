@@ -141,9 +141,11 @@ _CHUNK = 32768
 #: splits from 2.
 _ELEMENTWISE_SPLIT_BLOCKS = 4
 
-#: Gate-buffer elements one evaluation predict call may hold (1.25 MiB of
+#: Gate-buffer elements of one evaluation predict call (1.25 MiB of
 #: float64): training._score puts k >= 1 batches in a call, the most whose
-#: (S, B, 4d) gate buffers, summed over blocks, fit. From a sweep of
+#: (S, B, 4d) gate buffers over the whole call, summed over blocks, fit
+#: (a call of several predict units holds only a unit's buffers per CPU
+#: at a time, but those calls are one batch already). From a sweep of
 #: tiny_fit (768 elements a window, batch 64): 2 to 5 batches a call beat
 #: 1 by 20-31% in evaluation windows/s, and 3 kept the peak RSS within 4%
 #: (4 reached +6%, 5 +8%). A criterion-6 mixed batch of 32 (196,608) or
@@ -244,10 +246,13 @@ def for_blocks(fn: typing.Callable[[list], None], blocks: list,
 #: multiply-adds a half) and cost its forward_only_per_s 4-7%; 2^23
 #: multiply-adds a half keeps every tiny_fit and probe product whole. Every
 #: product routed through matmul_rows at the Weather shape, batch 64, holds
-#: at least 2.9e7 a half. The bound also keeps each half out of this OpenBLAS's small-matrix
-#: kernel, which takes a product of at most 100^3 multiply-adds and, once K
-#: exceeds 384, rounds differently from the blocked kernel the whole
-#: product takes (measured on an AVX-512 host, OpenBLAS 0.3.31).
+#: at least 2.9e7 a half. The bound also keeps each half out of this
+#: OpenBLAS's small-matrix kernel, which takes a product of at most 100^3
+#: multiply-adds and, once K exceeds 384, rounds differently from the
+#: blocked kernel the whole product takes (measured on an AVX-512 host,
+#: OpenBLAS 0.3.31). For the same reason it sizes Forecaster.predict's
+#: units: each unit's cell-input and head products hold at least this
+#: many multiply-adds, so its rows keep the whole call's bytes.
 _GEMM_SPLIT_WORK = 1 << 23
 
 

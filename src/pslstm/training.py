@@ -344,12 +344,15 @@ def evaluate(model: Forecaster, dataset: WindowedDataset,
     Scores model.predict, the tape-free path, in calls of k * batch_size
     windows, k from model.gate_elements_per_window (see _score), so the
     sinusoid_tiny config scores 3 batches a call while a criterion-6 mixed
-    or Weather-shaped model makes one call per batch. Per call and block
-    predict allocates the cell's (S, B, 4d) gate buffer, one (B, d) buffer
-    each for c and n, and a time-major h (the layer norm's output
-    overwrites the block input). It writes no c or n tape and no
-    layer-norm cache, copies no W, R or h, and predicts the bytes of
-    model.forward(x)[0]. batch_size must be at least 1."""
+    or Weather-shaped model makes one call per batch. predict runs a
+    call's cell rows in units (Forecaster._units: 21 of 64 rows for a
+    Weather batch, one for sinusoid_tiny's calls), one at a time on each
+    of two CPUs; per unit and block it allocates the cell's (S, b, 4d)
+    gate buffer for the unit's b rows, one (b, d) buffer each for c and
+    n, and a time-major h (the layer norm's output overwrites the block
+    input). It writes no c or n tape and no layer-norm cache, copies no
+    W, R or h, and predicts the bytes of model.forward(x)[0]. batch_size
+    must be at least 1."""
     return _score(dataset, split, batch_size, model.predict,
                   model.gate_elements_per_window)
 

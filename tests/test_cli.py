@@ -232,6 +232,25 @@ def test_grid_and_flag_errors_exit_config_without_a_run_dir(tmp_path, capsys,
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train"], ["eval", "--checkpoint", "unread.json"], ["probe"],
+    ["sweep-patch", "--sizes", "4"], ["sweep-lookback", "--sizes", "16"],
+    ["ablate", "--axes", "memory_mixing"], ["gradcheck"]],
+    ids=lambda argv: argv[0])
+@pytest.mark.parametrize("section, payload", [
+    ("probe", {"q": -1, "horizon": "x"}), ("model", {"lookback": -5})],
+    ids=["bad_probe_section", "bad_model_section"])
+def test_every_command_checks_every_section_before_its_run_dir(
+        tmp_path, capsys, argv, section, payload):
+    # train reads no probe section and probe no model section, yet each
+    # command builds every non-empty section with its dataclass first
+    cfg = write_config(tmp_path, **{section: payload})
+    assert run(tmp_path, *argv, "--config", cfg) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
+
+
 #: config section -> the dataclass its fields are checked against
 SECTIONS = {"model": ModelConfig, "model.gate_mode": GateMode,
             "train": TrainConfig, "data": DataConfig, "probe": ChainConfig}

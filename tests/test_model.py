@@ -289,6 +289,23 @@ def test_predict_calls_share_nothing():
     assert got[4] == alone[0]
 
 
+def test_predict_holds_no_gate_buffer_of_the_whole_batch():
+    # 64 Weather windows run in 21 units of 64 rows: the call's traced peak
+    # (about 50 MB, the embedding's 29 MB output included) stays below the
+    # 116 MB gate buffer of all 1,344 rows, which a pass over the whole
+    # batch allocated (its peak was about 205 MB)
+    cfg = ModelConfig(**WEATHER_SHAPE)
+    model = Forecaster(cfg, seed=0)
+    x = Rng(3).normal((64, cfg.lookback, cfg.n_channels))
+    tracemalloc.start()
+    try:
+        model.predict(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * model.gate_elements_per_window * 8
+
+
 # -- backward ---------------------------------------------------------------
 
 def _model_gradcheck(cfg, seed=0, eps=1e-5, training=False):

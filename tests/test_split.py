@@ -10,9 +10,10 @@ and a patched _CHUNK makes small shapes span several row blocks or Adam
 chunks. Compared byte for byte: the cell's forward h and whole tape, its
 gradients and predict in every GateMode, raw overflow included; the layer
 norm forward and backward; a whole model step, at a small shape and at
-the Weather shape; Adam's params, m, v and returned norm, clipped and
-unclipped; every product routed through matmul_rows, split, against the
-whole product, at the shipped shapes and on both sides of the work bound.
+the Weather shape; predict's units, split over the two threads, against
+forward; Adam's params, m, v and returned norm, clipped and unclipped;
+every product routed through matmul_rows, split, against the whole
+product, at the shipped shapes and on both sides of the work bound.
 """
 
 import threading
@@ -216,29 +217,117 @@ def test_weather_model_step_split_matches_serial(n_blocks):
     assert on_cpus(2, run, chunk) == on_cpus(1, run, chunk)
 
 
-def checked_matmul_rows(log: list):
+@pytest.mark.parametrize("shape, windows, n_units", [
+    (WEATHER_SHAPE, 64, 21), (WEATHER_SHAPE, 16, 5), (MIXED_SHAPE, 64, 2),
+    (MIXED_SHAPE, 32, 1), (TINY_SHAPE, 192, 1)],
+    ids=["weather_64", "weather_16", "mixed_64", "mixed_32", "tiny_192"])
+def test_predict_units_are_runs_of_cell_blocks_that_fill_both_gemms(
+        shape, windows, n_units):
+    # 16 Weather windows are five 64-row blocks and one of 16 rows, which
+    # joins the last unit; sinusoid_tiny's 192-window call is one unit
+    cfg = ModelConfig(**shape)
+    model = Forecaster(cfg, seed=0)
+    n_rows = windows * cfg.n_channels // cfg.channels_per_row
+    units = model._units(n_rows)
+    assert len(units) == n_units
+    assert [u.start for u in units] == [0] + [u.stop for u in units[:-1]]
+    assert units[-1].stop == n_rows
+    edges = {blk.start for blk in tensorops.row_slices((n_rows,
+                                                        4 * model.width))}
+    assert {u.start for u in units} <= edges
+    S, d = cfg.n_patches, model.width
+    for u in units if n_units > 1 else ():
+        rows = u.stop - u.start
+        assert rows * S * d * 4 * d >= tensorops._GEMM_SPLIT_WORK
+        assert rows * S * d * model.out_width >= tensorops._GEMM_SPLIT_WORK
+    if shape is WEATHER_SHAPE and windows == 64:
+        assert [u.stop - u.start for u in units] == [64] * 21
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2])
+def test_weather_predict_in_units_matches_forward_split_and_serial(n_blocks):
+    # 21 units of one 64-row block, split 11 / 10 over the two threads
+    cfg = ModelConfig(**WEATHER_SHAPE, n_blocks=n_blocks)
+    model = Forecaster(cfg, seed=1)
+    x = Rng(3).normal((64, cfg.lookback, cfg.n_channels))
+    chunk = tensorops._CHUNK
+    whole = on_cpus(1, lambda: model.forward(x)[0].tobytes(), chunk)
+    assert on_cpus(2, lambda: model.predict(x).tobytes(), chunk) == whole
+    assert on_cpus(1, lambda: model.predict(x).tobytes(), chunk) == whole
+
+
+@pytest.mark.parametrize("shape, windows, splits", [
+    (TINY_SHAPE, 192, False), (MIXED_SHAPE, 32, True)],
+    ids=["tiny_192", "mixed_32"])
+def test_a_one_unit_predict_runs_in_the_caller(shape, windows, splits):
+    # both blocks of the one unit run on the caller's thread, where the
+    # mixed call's cell and head products still split
+    cfg = ModelConfig(**shape, n_blocks=2)
+    model = Forecaster(cfg, seed=0)
+    x = Rng(3).normal((windows, cfg.lookback, cfg.n_channels))
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return slstm_predict(*args)
+
+    with mock.patch.object(model_module, "slstm_predict", recording), \
+            mock.patch.object(tensorops, "_cpus", lambda: 2), \
+            mock.patch.object(tensorops, "split_point",
+                              wraps=tensorops.split_point) as split:
+        got = model.predict(x)
+    assert threads == [threading.get_ident()] * 2
+    assert split.called == splits
+    assert got.tobytes() == model.forward(x)[0].tobytes()
+
+
+def test_non_finite_state_in_a_late_unit_reaches_the_caller():
+    # a NaN in the last window's first channel: its row, 1,323 of 1,344,
+    # is in the last of the 21 Weather units, the worker's, and the
+    # stabilized cell raises there once its block ends
+    cfg = ModelConfig(**WEATHER_SHAPE)
+    model = Forecaster(cfg, seed=1)
+    x = Rng(3).normal((64, cfg.lookback, cfg.n_channels))
+    x[63, 5, 0] = np.nan
+    errors = []
+    for cpus in (1, 2):
+        with mock.patch.object(model_module, "slstm_predict",
+                               wraps=slstm_predict) as cell, \
+                pytest.raises(FloatingPointError) as raised:
+            on_cpus(cpus, lambda: model.predict(x), tensorops._CHUNK)
+        # every unit ran: the caller's half does not stop for the worker's
+        assert cell.call_count == 21
+        errors.append(str(raised.value))
+    assert errors[0] == errors[1]
+
+
+def checked_matmul_rows(log: list, split: mock.Mock):
     """matmul_rows that asserts its result has the bytes of np.matmul's
-    whole product, and logs whether each call split."""
+    whole product, and logs whether each call split: whether it called
+    split, the caller's Mock of tensorops.for_blocks, patched in once.
+    Only a call that splits calls it, so the log holds while predict's
+    units run whole products on two threads (a patch entered and left per
+    call on both threads could leave the Mock in the module)."""
     def call(a, b, out=None):
         whole = np.matmul(a, b)
-        with mock.patch.object(tensorops, "for_blocks",
-                               wraps=tensorops.for_blocks) as split:
-            got = matmul_rows(a, b, out)
+        calls = split.call_count
+        got = matmul_rows(a, b, out)
         assert got.tobytes() == whole.tobytes(), (a.shape, b.shape)
-        log.append(split.called)
+        log.append(split.call_count > calls)
         return got
     return call
 
 
 # the matmul_rows calls of forward(training=True), backward and predict, in
 # order: embedding, input GEMM, head; head.W gradient, head input gradient,
-# W gradient, cell input gradient, embed.W gradient; embedding, input GEMM,
-# head
+# W gradient, cell input gradient, embed.W gradient; embedding, then per
+# unit of predict (one at the tiny and mixed shapes, 21 at the Weather
+# shape, run inside a split and so unsplit) input GEMM and head
 @pytest.mark.parametrize("shape, batch, splits", [
     (TINY_SHAPE, 64, [False] * 11),
     (MIXED_SHAPE, 32, [False, True, True, True, True, True, True, False,
                        False, True, True]),
-    (WEATHER_SHAPE, 64, [True] * 11),
+    (WEATHER_SHAPE, 64, [True] * 9 + [False] * 42),
 ], ids=["tiny", "mixed", "weather"])
 def test_routed_products_split_to_the_bytes_of_the_whole_product(
         shape, batch, splits):
@@ -246,9 +335,10 @@ def test_routed_products_split_to_the_bytes_of_the_whole_product(
     model = Forecaster(cfg, seed=0)
     x = Rng(5).normal((batch, cfg.lookback, cfg.n_channels))
     g_y = Rng(6).normal((batch, cfg.horizon, cfg.n_channels))
-    log = []
-    check = checked_matmul_rows(log)
+    log, split = [], mock.Mock(wraps=tensorops.for_blocks)
+    check = checked_matmul_rows(log, split)
     with mock.patch.object(tensorops, "_cpus", lambda: 2), \
+            mock.patch.object(tensorops, "for_blocks", split), \
             mock.patch.object(cells, "matmul_rows", check), \
             mock.patch.object(model_module, "matmul_rows", check):
         yhat, tape = model.forward(x, training=True, dropout_rng=Rng(7))
