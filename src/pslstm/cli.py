@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: train, eval, probe, sweep-patch, sweep-lookback, ablate,
-gradcheck. Runs read a JSON config file ({"model": ..., "train": ...,
-"data": ..., "probe": ...}; unknown keys are rejected), and every run
-writes a resolved-config snapshot into its own timestamp-suffixed artifact
-directory. --seed sets probe.seed for probe and train.seed for the rest
-(eval draws nothing at random and has none); the grid commands (the sweeps
-and ablate) drop a repeated grid value with a warning.
+gradcheck. main loads the JSON config file ({"model": ..., "train": ...,
+"data": ..., "probe": ...}; unknown keys are rejected); each command builds
+its sections once (check_sections), then writes a resolved-config snapshot
+into its own timestamp-suffixed run directory. --seed sets the parser's
+seed_section: probe.seed for probe, train.seed for the rest (eval draws
+nothing at random and has none); the grid commands (the sweeps and ablate)
+drop a repeated grid value with a warning.
 
 Exit codes: 0 success, 1 a gradcheck error of at least 1e-4, 2 config
 error (ConfigError), 3 data error (DataError or OSError), 4 numerical
@@ -66,14 +67,13 @@ SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": DataConfig,
             "probe": ChainConfig}
 
 
-def check_sections(cfg: dict) -> None:
-    """Build each non-empty section of the run config cfg with its
-    dataclass (SECTIONS), so that a bad value stops every command before
-    its run directory is made, also in a section the command does not
-    read."""
-    for key, cls in SECTIONS.items():
-        if cfg[key]:
-            _build(cls, cfg[key])
+def check_sections(cfg: dict, *reads: str) -> dict:
+    """section -> its dataclass (SECTIONS) built from the run config cfg,
+    for each section that is non-empty or that the command reads, a
+    synthetic data section's params included: a bad value stops every
+    command before its run directory, also in a section it does not read."""
+    return {key: _build(cls, cfg[key]) for key, cls in SECTIONS.items()
+            if cfg[key] or key in reads}
 
 
 def load_run_config(path: str | None, overrides: dict) -> dict:
@@ -96,16 +96,6 @@ def load_run_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def load_seeded_config(args, section: str) -> dict:
-    """The run config of args.config with --seed, if given, as the seed the
-    command draws from, cfg[section]["seed"]. That seed (default 0) is
-    written into the section, so resolved_config.json records it."""
-    overrides = {} if args.seed is None else {f"{section}.seed": args.seed}
-    cfg = load_run_config(args.config, overrides)
-    cfg[section].setdefault("seed", 0)
-    return cfg
-
-
 def make_model_config(payload: dict) -> ModelConfig:
     return _build(ModelConfig, payload)
 
@@ -115,16 +105,17 @@ def make_train_config(payload: dict) -> TrainConfig:
 
 
 def load_dataset(data_cfg: dict, model_cfg: ModelConfig):
-    cfg = _build(DataConfig, data_cfg)
+    """_dataset of the data section data_cfg, built here."""
+    return _dataset(_build(DataConfig, data_cfg), model_cfg)
+
+
+def _dataset(cfg: DataConfig, model_cfg: ModelConfig):
+    """The series of cfg (its params are checked), split and standardized
+    into the windows of model_cfg, whose channel count it must have."""
     if cfg.source == "csv":
         raw = load_csv(cfg)
     else:
-        try:
-            raw = make_synthetic(cfg.kind, cfg.params, seed=cfg.seed)
-        except DataError:
-            raise
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synthetic data params: {exc}") from exc
+        raw = make_synthetic(cfg.kind, cfg.params, seed=cfg.seed)
     if raw.n_channels != model_cfg.n_channels:
         raise DataError(f"dataset has {raw.n_channels} channels, the model "
                         f"expects {model_cfg.n_channels}")
@@ -156,24 +147,11 @@ def write_run_info(run_dir: Path, cfg: dict, seed: int | None,
     write_json(run_dir / "resolved_config.json", cfg, indent=2)
 
 
-def _prepare_run(cfg: dict, datasets: dict | None = None):
-    """The model config, train config and dataset of one training run, so a
-    bad config or dataset stops the run before anything is written. Runs
-    that share a datasets dict share the dataset of each window shape."""
-    check_sections(cfg)
-    model_cfg = make_model_config(cfg["model"])
-    train_cfg = make_train_config(cfg["train"])
-    datasets = {} if datasets is None else datasets
-    shape = (model_cfg.lookback, model_cfg.horizon, model_cfg.n_channels)
-    if shape not in datasets:
-        datasets[shape] = load_dataset(cfg["data"], model_cfg)
-    return model_cfg, train_cfg, datasets[shape]
-
-
-def cmd_train(args) -> int:
+def cmd_train(args, cfg: dict) -> int:
     t0 = time.perf_counter()
-    cfg = load_seeded_config(args, "train")
-    model_cfg, train_cfg, dataset = _prepare_run(cfg)
+    built = check_sections(cfg, "model", "train", "data")
+    model_cfg, train_cfg = built["model"], built["train"]
+    dataset = _dataset(built["data"], model_cfg)
     run_dir = prepare_run_dir(args.output_dir, "train", args.force)
     model, history = train(Forecaster(model_cfg, seed=train_cfg.seed), dataset,
                            train_cfg)
@@ -190,13 +168,12 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg: dict) -> int:
     t0 = time.perf_counter()
-    cfg = load_run_config(args.config, {})
     # the model comes from the checkpoint; the other sections' checks hold
-    check_sections(cfg)
+    data_cfg = check_sections(cfg, "data")["data"]
     model = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(cfg["data"], model.config)
+    dataset = _dataset(data_cfg, model.config)
     run_dir = prepare_run_dir(args.output_dir, "eval", args.force)
     metrics = evaluate(model, dataset, args.split)
     write_json(run_dir / "metrics.json", {args.split: asdict(metrics)})
@@ -205,11 +182,9 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args, cfg: dict) -> int:
     t0 = time.perf_counter()
-    cfg = load_seeded_config(args, "probe")
-    check_sections(cfg)
-    chain = _build(ChainConfig, cfg["probe"])
+    chain = check_sections(cfg, "probe")["probe"]
     run_dir = prepare_run_dir(args.output_dir, "probe", args.force)
     params, _, _ = chain_params(chain)
     sup, contractive = check_contraction(params, threshold=0.9, n_grid=256,
@@ -240,20 +215,27 @@ def _run_grid(args, cfg: dict, filename: str, header: list, variants: list,
               score) -> int:
     """Train once per (label, model overrides) variant and write one CSV row
     per variant: the label, then score(model, dataset)'s floats as repr. A
-    repeated label is dropped with one warning line. Every variant's configs
-    and dataset are checked before training starts."""
+    repeated label is dropped with one warning line. Every section, each
+    variant's model section and the dataset of each window shape are
+    checked before training starts."""
     t0 = time.perf_counter()
+    # each variant builds its own model section
+    built = check_sections({**cfg, "model": {}}, "train", "data")
+    train_cfg = built["train"]
     runs, datasets = {}, {}
     for label, overrides in variants:
         if label in runs:
             print(f"warning: duplicate {header[0].replace('_', ' ')} {label} "
                   f"ignored", file=sys.stderr)
             continue
-        sub = {**cfg, "model": {**cfg["model"], **overrides}}
-        runs[label] = _prepare_run(sub, datasets)
+        model_cfg = make_model_config({**cfg["model"], **overrides})
+        shape = (model_cfg.lookback, model_cfg.horizon, model_cfg.n_channels)
+        if shape not in datasets:
+            datasets[shape] = _dataset(built["data"], model_cfg)
+        runs[label] = model_cfg, datasets[shape]
     run_dir = prepare_run_dir(args.output_dir, args.command, args.force)
     rows = []
-    for label, (model_cfg, train_cfg, dataset) in runs.items():
+    for label, (model_cfg, dataset) in runs.items():
         model, _ = train(Forecaster(model_cfg, seed=train_cfg.seed), dataset,
                          train_cfg)
         values = score(model, dataset)
@@ -261,8 +243,7 @@ def _run_grid(args, cfg: dict, filename: str, header: list, variants: list,
         print(f"{args.command} {label}: " + " ".join(
             f"{name}={v:.6f}" for name, v in zip(header[1:], values)))
     write_csv(run_dir / filename, header, rows)
-    write_run_info(run_dir, cfg, cfg["train"]["seed"],
-                   time.perf_counter() - t0)
+    write_run_info(run_dir, cfg, train_cfg.seed, time.perf_counter() - t0)
     return EXIT_OK
 
 
@@ -274,7 +255,7 @@ SWEEPS = {
 }
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, cfg: dict) -> int:
     fields = SWEEPS[args.command][1]
     variants = [(s, dict.fromkeys(fields, s)) for s in sorted(args.sizes)]
 
@@ -282,8 +263,7 @@ def cmd_sweep(args) -> int:
         m = evaluate(model, dataset, "test")
         return m.mse, m.mae
 
-    return _run_grid(args, load_seeded_config(args, "train"),
-                     args.command.replace("-", "_") + ".csv",
+    return _run_grid(args, cfg, args.command.replace("-", "_") + ".csv",
                      [fields[0], "test_mse", "test_mae"], variants, scores)
 
 
@@ -295,14 +275,16 @@ ABLATION_AXES = {
 }
 
 
-def cmd_ablate(args) -> int:
-    cfg = load_seeded_config(args, "train")
+def cmd_ablate(args, cfg: dict) -> int:
     combos = [{}]
     for axis in args.axes:
         combos = [{**c, axis: v} for c in combos for v in ABLATION_AXES[axis]]
+    gate_mode = cfg["model"].get("gate_mode", {})
+    if not isinstance(gate_mode, dict):     # the variants update its keys
+        raise ConfigError(f"gate_mode must be GateMode, got {gate_mode!r}")
     variants = []
     for combo in combos:
-        overrides = {"gate_mode": dict(cfg["model"].get("gate_mode", {}))}
+        overrides = {"gate_mode": dict(gate_mode)}
         for axis, value in combo.items():
             if axis == "channel_strategy":
                 overrides["channel_strategy"] = value
@@ -320,14 +302,12 @@ def cmd_ablate(args) -> int:
                      scores)
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = load_seeded_config(args, "train")
-    check_sections(cfg)
-    model_payload = cfg["model"] or {
+def cmd_gradcheck(args, cfg: dict) -> int:
+    cfg["model"] = cfg["model"] or {
         "lookback": 16, "horizon": 4, "n_channels": 2, "patch_size": 4,
         "embed_dim": 8, "n_blocks": 1, "n_heads": 2, "dropout_rate": 0.0}
-    model_cfg = make_model_config(model_payload)
-    seed = make_train_config(cfg["train"]).seed
+    built = check_sections(cfg, "model", "train")
+    model_cfg, seed = built["model"], built["train"].seed
     model = Forecaster(model_cfg, seed=seed)
     rng = Rng(seed).spawn(5)
     x = rng.normal((2, model_cfg.lookback, model_cfg.n_channels))
@@ -349,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_section: str | None = "train"):
+    def command(name, fn, help_text, seed_section: str | None = "train"):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output-dir", default="runs")
         if seed_section:
@@ -357,39 +338,24 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"overrides the config's {seed_section}.seed")
         p.add_argument("--force", action="store_true",
                        help="reuse a fixed run directory instead of timestamping")
+        p.set_defaults(fn=fn, seed_section=seed_section, seed=None)
+        return p
 
-    p = sub.add_parser("train", help="train a model and report test metrics")
-    common(p)
-    p.set_defaults(fn=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p, seed_section=None)
+    command("train", cmd_train, "train a model and report test metrics")
+    p = command("eval", cmd_eval, "evaluate a checkpoint", seed_section=None)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("probe", help="run the memory-property probe")
-    common(p, seed_section="probe")
-    p.set_defaults(fn=cmd_probe)
-
+    command("probe", cmd_probe, "run the memory-property probe",
+            seed_section="probe")
     for name, (help_text, _) in SWEEPS.items():
-        p = sub.add_parser(name, help=help_text)
-        common(p)
+        p = command(name, cmd_sweep, help_text)
         p.add_argument("--sizes", type=int, nargs="+", required=True)
-        p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("ablate", help="toggle design axes and compare")
-    common(p)
+    p = command("ablate", cmd_ablate, "toggle design axes and compare")
     p.add_argument("--axes", nargs="+", required=True,
                    choices=sorted(ABLATION_AXES))
-    p.set_defaults(fn=cmd_ablate)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient check "
-                       "of the config's model (default: a 16-step, 2-channel "
-                       "model) on two random windows drawn from train.seed; "
-                       "reads no data")
-    common(p)
-    p.set_defaults(fn=cmd_gradcheck)
+    command("gradcheck", cmd_gradcheck, "finite-difference gradient check "
+            "of the config's model (default: a 16-step, 2-channel model) on "
+            "two random windows drawn from train.seed; reads no data")
     return parser
 
 
@@ -399,11 +365,16 @@ def _warn_one_line(message, category, filename, lineno, file=None, line=None):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    section = args.seed_section
     with warnings.catch_warnings():
         # one stderr line per warning; an error, if any, is the last line
         warnings.showwarning = _warn_one_line
         try:
-            return args.fn(args)
+            cfg = load_run_config(args.config, {} if args.seed is None else
+                                  {f"{section}.seed": args.seed})
+            if section:     # resolved_config.json records the seed used
+                cfg[section].setdefault("seed", 0)
+            return args.fn(args, cfg)
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -18,8 +18,8 @@ from typing import Literal
 
 import numpy as np
 
-from .tensorops import (AtLeast0, AtLeast1, DataError, NonNegative,
-                        Positive, Rng, check_fields, from_dict)
+from .tensorops import (_MAX_VALUES, AtLeast0, AtLeast1, DataError,
+                        NonNegative, Positive, Rng, check_fields, from_dict)
 
 #: name -> (train/val/test ratios, expected channel count)
 DATASET_PRESETS = {
@@ -41,8 +41,9 @@ class DataConfig:
     column, delimiter is one character, has_header skips the first line,
     and max_rows, if set, ends the read at that many usable rows. A
     synthetic source draws kind with params (None: those of length=4000,
-    period=24, noise_std=0.1 that kind reads) from seed. window_stride
-    spaces the window starts; preset applies to a csv source only.
+    period=24, noise_std=0.1 that kind reads, built here with the kind's
+    params class) from seed; a csv source leaves params unchecked.
+    window_stride spaces the window starts; preset applies to csv only.
     """
     source: Literal["synthetic", "csv"] = "synthetic"
     window_stride: AtLeast1 = 1
@@ -66,6 +67,8 @@ class DataConfig:
             raise ValueError(f"delimiter {self.delimiter!r} is not one character")
         if self.source == "csv" and not self.path:
             raise ValueError('a "csv" data source needs a path')
+        if self.source == "synthetic":
+            from_dict(_PARAMS_CLASSES[self.kind], self.params)
 
 
 @dataclass
@@ -250,13 +253,30 @@ SyntheticKind = Literal[tuple(SYNTHETIC_PARAMS)]
 _PARAM_RANGES = dict(length=AtLeast1, channels=AtLeast1, n_components=AtLeast1,
                      period=Positive, noise_std=NonNegative)
 
+
+def _check_params(p) -> None:
+    """check_fields on a kind's params p; then the series draws at most
+    _MAX_VALUES values, and only then, so that no huge length reaches a
+    float division, a period keeps 2*pi*(length - 1)/period finite."""
+    check_fields(p)
+    sizes = (p.length, p.channels, getattr(p, "n_components", 1))
+    if math.prod(map(int, sizes)) > _MAX_VALUES:      # numpy ints can wrap
+        raise ValueError(f"the synthetic series would draw more than "
+                         f"{_MAX_VALUES:,} values")
+    if hasattr(p, "period") and \
+            not math.isfinite(2.0 * math.pi * (p.length - 1) / p.period):
+        raise ValueError(f"period {float(p.period)!r} is too small for "
+                         f"length {p.length}: 2*pi*(length - 1)/period "
+                         f"overflows")
+
+
 #: synthetic kind -> the dataclass of its params, so that from_dict and
-#: check_fields check them as they check every config section
+#: _check_params check them as every config section is checked
 _PARAMS_CLASSES = {
     kind: make_dataclass(f"{kind} params",
                          [(key, _PARAM_RANGES.get(key, type(v)), v)
                           for key, v in defaults.items()],
-                         namespace={"__post_init__": check_fields})
+                         namespace={"__post_init__": _check_params})
     for kind, defaults in SYNTHETIC_PARAMS.items()}
 
 
@@ -275,13 +295,12 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
 
     kinds: constant, sinusoid, ar1, long_memory_arfima_like (a superposition
     of AR(1) processes with coefficients crowding 1, which mimics slowly
-    decaying autocorrelation). An unknown kind is a DataError. params go
-    through the config check (tensorops.from_dict): a key the kind does not
-    read, or a value not of its default's type (SYNTHETIC_PARAMS) or outside
-    its range (_PARAM_RANGES: length, channels and n_components at least 1,
-    period above 0, noise_std at least 0), is a TypeError or ValueError, and
-    so is a sinusoid period so small that 2*pi*(length - 1)/period is not
-    finite.
+    decaying autocorrelation). An unknown kind is a DataError. params are
+    built with the kind's params class, as in a DataConfig: a key the kind
+    does not read, or a value not of its default's type (SYNTHETIC_PARAMS)
+    or outside its range (_PARAM_RANGES), is a TypeError or ValueError, and
+    so is a series past the value bound or a too small period
+    (_check_params).
     """
     if kind not in SYNTHETIC_PARAMS:
         raise DataError(f"unknown synthetic kind {kind!r}")
@@ -296,9 +315,6 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
         values = np.full((length, channels), real["value"])
     elif kind == "sinusoid":
         period, amp = real["period"], real["amplitude"]
-        if not math.isfinite(2.0 * math.pi * (length - 1) / period):
-            raise ValueError(f"period {period!r} is too small for length "
-                             f"{length}: 2*pi*(length - 1)/period overflows")
         phases = np.arange(channels) * 2.0 * np.pi / channels
         t = np.arange(length)[:, None]
         values = amp * np.sin(2.0 * np.pi * t / period + phases[None, :])

@@ -166,6 +166,15 @@ SYNTHETIC = {"source": "synthetic",
         "source": "synthetic", "kind": "ar1",
         "params": {"length": 400, "phi": 1.0,
                    "allow_nonstationary": "false"}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"length": 100_000_000_000}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"length": 2**63}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        **SYNTHETIC, "params": {"channels": 2**63}}}),
+    ("train", {"model": TINY_MODEL, "data": {
+        "source": "synthetic", "kind": "long_memory_arfima_like",
+        "params": {"n_components": 2**63}}}),
 ], ids=["top_level_number", "section_number", "data_list", "stride_word",
         "stride_zero", "data_seed_word", "train_seed_word", "params_number",
         "length_word", "memory_mixing_string", "stabilized_string",
@@ -184,7 +193,8 @@ SYNTHETIC = {"source": "synthetic",
         "probe_weight_scale_negative", "probe_out_scale_negative",
         "sinusoid_noise_negative", "sinusoid_period_zero", "length_float",
         "channels_float", "n_components_float", "ar1_phi_nan",
-        "period_huge_int", "ar1_string_bool"])
+        "period_huge_int", "ar1_string_bool", "length_past_the_bound",
+        "length_huge_int", "channels_huge_int", "n_components_huge_int"])
 def test_malformed_config_value_exits_config(tmp_path, capsys, command,
                                              payload):
     path = tmp_path / "bad.json"
@@ -215,15 +225,19 @@ def test_sinusoid_period_too_small_for_length_exits_config(tmp_path, capsys):
     ["sweep-patch", "--sizes", "4", "8", "--config", "BAD"],
     ["ablate", "--axes", "memory_mixing", "--config", "BAD"],
     ["sweep-patch", "--sizes", "32"],
+    ["ablate", "--axes", "stabilized", "--config", "GATE"],
 ], ids=["train_flag", "gradcheck_flag", "probe_flag", "sweep_flag",
         "sweep_config",
-        "ablate_config", "sweep_patch_over_lookback"])
+        "ablate_config", "sweep_patch_over_lookback", "ablate_gate_mode_number"])
 def test_grid_and_flag_errors_exit_config_without_a_run_dir(tmp_path, capsys,
                                                             argv):
-    bad = write_config(tmp_path, "bad.json",
-                       model={**TINY_MODEL, "dropout_rate": "x"})
+    bad = {"BAD": write_config(tmp_path, "bad.json",
+                               model={**TINY_MODEL, "dropout_rate": "x"}),
+           # ablate updates each variant's gate_mode keys from this one
+           "GATE": write_config(tmp_path, "gate.json",
+                                model={**TINY_MODEL, "gate_mode": 5})}
     cfg = write_config(tmp_path)
-    argv = [bad if a == "BAD" else a for a in argv]
+    argv = [bad.get(a, a) for a in argv]
     if "--config" not in argv:
         argv += ["--config", cfg]
     assert main([*argv, "--output-dir", str(tmp_path / "runs")]) == EXIT_CONFIG
@@ -238,12 +252,14 @@ def test_grid_and_flag_errors_exit_config_without_a_run_dir(tmp_path, capsys,
     ["ablate", "--axes", "memory_mixing"], ["gradcheck"]],
     ids=lambda argv: argv[0])
 @pytest.mark.parametrize("section, payload", [
-    ("probe", {"q": -1, "horizon": "x"}), ("model", {"lookback": -5})],
-    ids=["bad_probe_section", "bad_model_section"])
+    ("probe", {"q": -1, "horizon": "x"}), ("model", {"lookback": -5}),
+    ("data", {"params": {"lenght": 400}})],
+    ids=["bad_probe_section", "bad_model_section", "bad_data_params"])
 def test_every_command_checks_every_section_before_its_run_dir(
         tmp_path, capsys, argv, section, payload):
-    # train reads no probe section and probe no model section, yet each
-    # command builds every non-empty section with its dataclass first
+    # train reads no probe section and probe no model or data section, yet
+    # each command builds every non-empty section with its dataclass first,
+    # a synthetic data section's params included
     cfg = write_config(tmp_path, **{section: payload})
     assert run(tmp_path, *argv, "--config", cfg) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 
 from pslstm.datasets import (DATASET_PRESETS, DataConfig, RawSeries, load_csv,
                              make_synthetic, split_and_standardize)
-from pslstm.tensorops import DataError
+from pslstm.tensorops import _MAX_VALUES, DataError, from_dict
 
 
 def write_csv(path, text):
@@ -303,6 +303,39 @@ def test_sinusoid_period_must_keep_the_phase_finite():
     # a one-step series has phase 0 at any positive period
     raw = make_synthetic("sinusoid", {"length": 1, "period": 5e-324})
     assert raw.values.shape == (1, 1)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sinusoid", {"length": 100_000_000_000}),
+    ("sinusoid", {"length": 2**63, "period": 5e-324}),
+    ("ar1", {"channels": 2**63}),
+    ("long_memory_arfima_like", {"n_components": 2**63}),
+    ("long_memory_arfima_like", {"length": 2**16, "channels": 2**8,
+                                 "n_components": 2**8 + 1}),
+], ids=["length", "length_before_period", "channels", "n_components",
+        "product"])
+def test_synthetic_series_past_the_value_bound_is_rejected(kind, params):
+    # length x channels (x n_components) above 2^32 is refused before any
+    # array is made, and before the period rule divides by the period
+    with pytest.raises(ValueError, match=f"more than {_MAX_VALUES:,} values"):
+        make_synthetic(kind, params)
+    with pytest.raises(ValueError, match=f"more than {_MAX_VALUES:,} values"):
+        from_dict(DataConfig, {"kind": kind, "params": params})
+
+
+def test_synthetic_series_at_the_value_bound_is_accepted():
+    # the config alone, so that no 32 GiB array is drawn
+    params = {"length": 2**16, "channels": 2**8, "n_components": 2**8}
+    cfg = from_dict(DataConfig, {"kind": "long_memory_arfima_like",
+                                 "params": params})
+    assert cfg.params == params
+
+
+def test_csv_data_config_leaves_params_unchecked():
+    # a csv source reads no params
+    cfg = from_dict(DataConfig, {"source": "csv", "path": "x.csv",
+                                 "params": {"lenght": 400}})
+    assert cfg.params == {"lenght": 400}
 
 
 def test_synthetic_unknown_kind():
