@@ -25,5 +25,5 @@ for strategy in ("independent", "mixed"):
                      TrainConfig(max_epochs=10, patience=10, batch_size=32))
     tr = evaluate(model, dataset, "train")
     te = evaluate(model, dataset, "test")
-    print(f"{strategy:12s} params {model.count_params():7d}  "
+    print(f"{strategy:12s} params {config.n_params:7d}  "
           f"train mse {tr.mse:.4f}  test mse {te.mse:.4f}")

@@ -17,7 +17,7 @@ print("windows:", {k: dataset.n_windows(k) for k in ("train", "val", "test")})
 config = ModelConfig(lookback=96, horizon=24, n_channels=1, patch_size=8,
                      embed_dim=16, n_blocks=1, n_heads=2, dropout_rate=0.1)
 model = Forecaster(config, seed=0)
-print("trainable parameters:", model.count_params())
+print("trainable parameters:", config.n_params)
 
 model, history = train(model, dataset,
                        TrainConfig(max_epochs=5, patience=3, batch_size=64))

@@ -116,8 +116,8 @@ def _dataset(cfg: DataConfig, model_cfg: ModelConfig):
         raw = load_csv(cfg)
     else:
         raw = make_synthetic(cfg.kind, cfg.params, seed=cfg.seed)
-    if raw.n_channels != model_cfg.n_channels:
-        raise DataError(f"dataset has {raw.n_channels} channels, the model "
+    if raw.shape[1] != model_cfg.n_channels:
+        raise DataError(f"dataset has {raw.shape[1]} channels, the model "
                         f"expects {model_cfg.n_channels}")
     return split_and_standardize(
         raw, model_cfg.lookback, model_cfg.horizon, stride=cfg.window_stride,

@@ -71,18 +71,6 @@ class DataConfig:
             from_dict(_PARAMS_CLASSES[self.kind], self.params)
 
 
-@dataclass
-class RawSeries:
-    values: np.ndarray              # (total_len, M)
-
-    @property
-    def n_channels(self) -> int:
-        return self.values.shape[1]
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
 #: a carriage return that ends a line by itself (not part of \r\n)
 _LONE_CR = re.compile(rb"(?<=\r)(?!\n)")
 
@@ -97,14 +85,15 @@ def _decoded_lines(fh):
                 yield line.decode("utf-8")
 
 
-def load_csv(config: DataConfig) -> RawSeries:
-    """Read the delimited numeric matrix at config.path, as the config's
-    has_date_column, delimiter and has_header describe it, up to
-    config.max_rows usable rows: no row after the last of them is parsed
-    or decoded. Rows with any unparseable or non-finite cell are dropped
-    with one warning that counts them. A file that cannot be opened is an
-    OSError naming the path; a ragged row, bytes before the cut that are
-    not UTF-8, or no usable row is a DataError."""
+def load_csv(config: DataConfig) -> np.ndarray:
+    """The (rows, channels) float64 array of the delimited numeric matrix
+    at config.path, read as the config's has_date_column, delimiter and
+    has_header describe it, up to config.max_rows usable rows: no row after
+    the last of them is parsed or decoded. Rows with any unparseable or
+    non-finite cell are dropped with one warning that counts them. A file
+    that cannot be opened is an OSError naming the path; a ragged row,
+    bytes before the cut that are not UTF-8, or no usable row is a
+    DataError."""
     path = config.path
     rows: list[list[float]] = []
     dropped = 0
@@ -147,32 +136,25 @@ def load_csv(config: DataConfig) -> RawSeries:
     if dropped:
         warnings.warn(f"{path}: dropped {dropped} unparseable or "
                       f"non-finite rows")
-    return RawSeries(values=np.array(rows, dtype=np.float64))
+    return np.array(rows, dtype=np.float64)
 
 
 @dataclass
 class WindowedDataset:
     """Sliding-window samples over a standardized series.
 
-    values holds the full standardized series; each split is a list of
-    window start indices s with x = values[s : s+L] and y the following
-    T rows.
+    values is the full standardized (rows, channels) series; each split is
+    an array of window start indices s with x = values[s : s+L] and y the
+    following T rows, which batch gathers.
     """
 
     values: np.ndarray
     lookback: int
     horizon: int
     starts: dict[str, np.ndarray]
-    norm_mean: np.ndarray
-    norm_std: np.ndarray
 
     def n_windows(self, split: str) -> int:
         return len(self.starts[split])
-
-    def window(self, split: str, i: int) -> tuple[np.ndarray, np.ndarray]:
-        s = self.starts[split][i]
-        L, T = self.lookback, self.horizon
-        return self.values[s:s + L], self.values[s + L:s + L + T]
 
     def batch(self, split: str, indices) -> tuple[np.ndarray, np.ndarray]:
         """Windows (B, L, M) and targets (B, T, M) of the indexed windows."""
@@ -187,10 +169,11 @@ class WindowedDataset:
         return self.values[:hi].mean(axis=0)
 
 
-def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
+def split_and_standardize(raw: np.ndarray, lookback: int, horizon: int,
                           preset: str | None = None,
                           stride: int = 1) -> WindowedDataset:
-    """Chronological split, z-score from train statistics, dense windows.
+    """Chronological split, z-score from train statistics, dense windows,
+    of the (rows, channels) series raw.
 
     The split ratios are DEFAULT_RATIOS, or the preset's with a preset
     name, which also checks the channel count (warning only; file variants
@@ -198,9 +181,9 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
     ratios = DEFAULT_RATIOS
     if preset is not None:
         ratios, expect_m = DATASET_PRESETS[preset]
-        if raw.n_channels != expect_m:
+        if raw.shape[1] != expect_m:
             warnings.warn(f"{preset}: expected {expect_m} channels, "
-                          f"file has {raw.n_channels}")
+                          f"file has {raw.shape[1]}")
     n = len(raw)
     n_train = int(n * ratios[0])
     n_test = int(n * ratios[2])
@@ -210,14 +193,14 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
         raise DataError(f"series too short: {n} rows for L={L}, T={T} "
                         f"with ratios {ratios}")
 
-    train_rows = raw.values[:n_train]
+    train_rows = raw[:n_train]
     # finite cells can still be too large to standardize
     with np.errstate(over="ignore", invalid="ignore"):
         mean = train_rows.mean(axis=0)
         std = train_rows.std(axis=0)
         constant = std == 0.0
         std = np.where(constant, 1.0, std)
-        values = (raw.values - mean) / std
+        values = (raw - mean) / std
     if not (np.all(np.isfinite(std)) and np.all(np.isfinite(values))):
         raise DataError("values too large to standardize: the train "
                         "statistics or the scaled series overflow")
@@ -233,8 +216,7 @@ def split_and_standardize(raw: RawSeries, lookback: int, horizon: int,
         last = hi - L - T
         starts[split] = np.arange(max(lo, 0), last + 1, stride, dtype=np.int64) \
             if last >= max(lo, 0) else np.empty(0, dtype=np.int64)
-    return WindowedDataset(values=values, lookback=L, horizon=T, starts=starts,
-                           norm_mean=mean, norm_std=std)
+    return WindowedDataset(values=values, lookback=L, horizon=T, starts=starts)
 
 
 #: synthetic kind -> {params key: default} of every key the kind reads; a
@@ -290,8 +272,9 @@ def _ar1(phi: float, eps: np.ndarray) -> np.ndarray:
     return eps
 
 
-def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
-    """Deterministic synthetic series for property tests and demos.
+def make_synthetic(kind: str, params: dict, seed: int = 0) -> np.ndarray:
+    """A deterministic synthetic (length, channels) float64 series for
+    property tests and demos.
 
     kinds: constant, sinusoid, ar1, long_memory_arfima_like (a superposition
     of AR(1) processes with coefficients crowding 1, which mimics slowly
@@ -331,4 +314,4 @@ def make_synthetic(kind: str, params: dict, seed: int = 0) -> RawSeries:
         for phi in phis:
             values += _ar1(phi, rng.normal((length, channels), 0.0, noise)) \
                 * (1.0 - phi)
-    return RawSeries(values=values)
+    return values

@@ -81,9 +81,10 @@ class ModelConfig:
 
     @property
     def n_params(self) -> int:
-        """Forecaster(self).count_params(), from the config alone: the
-        embedding, per block the cell's W, b and on-block R (with memory
-        mixing) and the layer norm's gain and bias, then the head."""
+        """The size of every array of Forecaster(self), summed, from the
+        config alone: the embedding, per block the cell's W, b and on-block
+        R (with memory mixing) and the layer norm's gain and bias, then the
+        head."""
         g = self.channels_per_row
         d, d_out = self.embed_dim * g, self.horizon * g
         s = d // self.n_heads
@@ -505,13 +506,6 @@ class Forecaster:
         # params order: the global norm (adam_step, clip_gradients) sums the
         # squared norms in dict order
         return {name: grads[name] for name in self.params}
-
-    # -- bookkeeping -------------------------------------------------------
-
-    def count_params(self) -> int:
-        """Trainable scalar count: every entry of every parameter. Only the
-        diagonal blocks of the recurrent matrices are stored."""
-        return sum(arr.size for arr in self.params.values())
 
 
 # -- checkpointing ---------------------------------------------------------

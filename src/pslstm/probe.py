@@ -108,7 +108,6 @@ class ChainTrace:
     ratio_norm: np.ndarray         # ||c/n||_inf
     finite: np.ndarray             # monotone flags; False stays False
     overflow_step: int | None      # first step with a non-finite state
-    config: ChainConfig
 
 
 def _gate_f(gates: dict[str, np.ndarray], x: np.ndarray,
@@ -192,7 +191,7 @@ def simulate_chain(config: ChainConfig) -> ChainTrace:
             ratio_norm[s] = np.abs(c[1:] / n[1:]).max(axis=1)
     finite = np.arange(H) < (H if overflow_step is None else overflow_step)
     return ChainTrace(y_seq, f_norm, c_norm, n_norm, ratio_norm, finite,
-                      overflow_step, config)
+                      overflow_step)
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
@@ -226,7 +225,6 @@ class MemoryReport:
     acf: np.ndarray                # (max_lag + 1, p), lag 0 first
     rho_hat: float                 # fitted decay rate of |acf(k)| ~ rho^k
     r_squared: float
-    contraction_bound: float       # sup over the trace of ||f_t||_inf
     lags_used: int
 
 
@@ -250,7 +248,6 @@ def memory_report(trace: ChainTrace, max_lag: int = 20) -> MemoryReport:
     keep = mean_abs[1:] > 0.01
     rho, r2 = _geometric_fit(lags[keep], mean_abs[1:][keep])
     return MemoryReport(acf=acf, rho_hat=rho, r_squared=r2,
-                        contraction_bound=float(np.nanmax(trace.f_norm)),
                         lags_used=int(keep.sum()))
 
 
@@ -284,7 +281,6 @@ def check_contraction(params: SLSTMParams, threshold: float = 0.9,
 class CouplingReport:
     gaps: np.ndarray               # sup-norm state gap per step
     decay_rate: float              # geometric fit over the decaying stretch
-    r_squared: float
     step_below_tol: int | None     # first step with gap < tol
 
 
@@ -322,8 +318,8 @@ def two_trajectory_coupling(config: ChainConfig, horizon: int | None = None,
     step_below = int(np.argmax(gaps < tol)) if np.any(gaps < tol) else None
     decay = gaps if step_below is None else gaps[:step_below + 1]
     k = np.flatnonzero(decay > 0)
-    rate, r2 = _geometric_fit(k, decay[k])
-    return CouplingReport(gaps, rate, r2, step_below)
+    rate, _ = _geometric_fit(k, decay[k])
+    return CouplingReport(gaps, rate, step_below)
 
 
 @dataclass

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pslstm.datasets import (DATASET_PRESETS, DataConfig, RawSeries, load_csv,
+from pslstm.datasets import (DATASET_PRESETS, DataConfig, load_csv,
                              make_synthetic, split_and_standardize)
 from pslstm.tensorops import _MAX_VALUES, DataError, from_dict
 
@@ -30,8 +30,8 @@ def test_load_csv_toy_file(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no row dropped
         raw = read(p)
-    assert raw.values.shape == (3, 2)
-    assert np.array_equal(raw.values, [[1, 2], [3, 4], [5, 6]])
+    assert raw.shape == (3, 2)
+    assert np.array_equal(raw, [[1, 2], [3, 4], [5, 6]])
 
 
 def test_load_csv_drops_unparseable_row(tmp_path):
@@ -39,7 +39,7 @@ def test_load_csv_drops_unparseable_row(tmp_path):
                   "date,a\n2020-01-01,1.0\n2020-01-02,oops\n2020-01-03,3.0\n")
     with pytest.warns(UserWarning, match="dropped 1 "):
         raw = read(p)
-    assert np.array_equal(raw.values, [[1], [3]])
+    assert np.array_equal(raw, [[1], [3]])
 
 
 def test_load_csv_drops_non_finite_row(tmp_path):
@@ -48,7 +48,7 @@ def test_load_csv_drops_non_finite_row(tmp_path):
                   "2020-01-03,5.0,6.0\n")
     with pytest.warns(UserWarning, match="dropped 1 "):
         raw = read(p)
-    assert np.array_equal(raw.values, [[1, 2], [5, 6]])
+    assert np.array_equal(raw, [[1, 2], [5, 6]])
 
 
 def test_load_csv_ragged_row_rejected(tmp_path):
@@ -66,7 +66,7 @@ def test_load_csv_stops_at_max_rows(tmp_path):
     with pytest.warns(UserWarning, match="dropped 1 ") as caught:
         raw = read(p, max_rows=3)
     assert len(caught) == 1
-    assert np.array_equal(raw.values, [[1, 2], [4, 5], [6, 7]])
+    assert np.array_equal(raw, [[1, 2], [4, 5], [6, 7]])
 
 
 def test_load_csv_does_not_decode_past_max_rows(tmp_path):
@@ -76,7 +76,7 @@ def test_load_csv_does_not_decode_past_max_rows(tmp_path):
     p.write_bytes(b"date,v\n"
                   + b"".join(b"t%d,%d.5\n" % (k, k) for k in range(200))
                   + b"t_bad,\xff\n")
-    assert np.array_equal(read(p, max_rows=10).values[:, 0],
+    assert np.array_equal(read(p, max_rows=10)[:, 0],
                           np.arange(10) + 0.5)
     with pytest.raises(DataError, match="can't decode byte 0xff"):
         read(p)
@@ -97,7 +97,7 @@ def test_load_csv_reads_crlf_and_cr_line_ends(tmp_path, end):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no row dropped
         raw = read(p, max_rows=2)
-    assert np.array_equal(raw.values, [[1, 2], [3, 4]])
+    assert np.array_equal(raw, [[1, 2], [3, 4]])
 
 
 def test_load_csv_no_usable_rows(tmp_path):
@@ -114,7 +114,7 @@ def test_load_csv_missing_file(tmp_path):
 def test_load_csv_without_date_column(tmp_path):
     p = write_csv(tmp_path / "plain.csv", "a,b\n1,2\n3,4\n")
     raw = read(p, has_date_column=False)
-    assert np.array_equal(raw.values, [[1, 2], [3, 4]])
+    assert np.array_equal(raw, [[1, 2], [3, 4]])
 
 
 @pytest.mark.parametrize("fields, match", [
@@ -133,20 +133,32 @@ def test_load_csv_ettm1_shaped_header(tmp_path):
                      for i in range(5))
     p = write_csv(tmp_path / "ettm1.csv", header + "\n" + rows + "\n")
     raw = read(p)
-    assert raw.n_channels == 7
+    assert raw.shape[1] == 7
     assert DATASET_PRESETS["ettm1"][1] == 7
+
+
+@pytest.mark.parametrize("load", ["csv", "synthetic"])
+def test_loaders_return_a_float64_rows_by_channels_array(tmp_path, load):
+    if load == "csv":
+        raw = read(write_csv(tmp_path / "int.csv", "date,a,b,c\nx,1,2,3\n"
+                             "y,4,5,6\n"))
+        rows, channels = 2, 3
+    else:
+        raw = make_synthetic("ar1", {"length": 30, "channels": 4}, seed=0)
+        rows, channels = 30, 4
+    assert type(raw) is np.ndarray
+    assert raw.dtype == np.float64
+    assert raw.shape == (rows, channels)
 
 
 # -- split_and_standardize --------------------------------------------------
 
 def test_split_constant_channel_fallback():
-    values = np.ones((400, 2))
-    values[:, 1] = np.sin(np.arange(400))
-    raw = RawSeries(values=values)
+    raw = np.ones((400, 2))
+    raw[:, 1] = np.sin(np.arange(400))
     with pytest.warns(UserWarning, match="constant"):
         ds = split_and_standardize(raw, lookback=16, horizon=4)
     assert np.all(ds.values[:, 0] == 0.0)
-    assert ds.norm_std[0] == 1.0
 
 
 def test_split_train_stats_are_zero_one():
@@ -199,13 +211,13 @@ def test_split_too_short_series():
 
 
 def test_no_leakage_into_normalization_stats():
-    # stats recomputed from train rows only must match the stored stats;
-    # including val rows must move them
+    # the standardized train rows have mean 0; the mean of train and val
+    # rows together does not, so the val rows did not enter the stats
     raw = make_synthetic("ar1", {"length": 1000, "phi": 0.9}, seed=5)
     ds = split_and_standardize(raw, lookback=16, horizon=4)
     n_train = 700
-    assert np.allclose(ds.norm_mean, raw.values[:n_train].mean(axis=0))
-    assert not np.allclose(ds.norm_mean, raw.values[:n_train + 100].mean(axis=0))
+    assert np.allclose(ds.values[:n_train].mean(axis=0), 0.0)
+    assert not np.allclose(ds.values[:n_train + 100].mean(axis=0), 0.0)
 
 
 def test_window_alignment():
@@ -214,10 +226,11 @@ def test_window_alignment():
     for split in ("train", "val", "test"):
         for i in (0, ds.n_windows(split) - 1):
             s = ds.starts[split][i]
-            x, y = ds.window(split, i)
-            assert np.array_equal(y[0], ds.values[s + 16])
-            assert x.shape == (16, raw.n_channels)
-            assert y.shape == (4, raw.n_channels)
+            x, y = ds.batch(split, [i])
+            assert np.array_equal(x[0], ds.values[s:s + 16])
+            assert np.array_equal(y[0], ds.values[s + 16:s + 20])
+            assert x.shape == (1, 16, raw.shape[1])
+            assert y.shape == (1, 4, raw.shape[1])
 
 
 def test_split_and_standardize_deterministic():
@@ -225,8 +238,7 @@ def test_split_and_standardize_deterministic():
     a = split_and_standardize(raw, lookback=16, horizon=4)
     raw2 = make_synthetic("sinusoid", {"length": 600, "noise_std": 0.2}, seed=3)
     b = split_and_standardize(raw2, lookback=16, horizon=4)
-    for name in ("values", "norm_mean", "norm_std"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.values.tobytes() == b.values.tobytes()
     for split in ("train", "val", "test"):
         assert np.array_equal(a.starts[split], b.starts[split])
 
@@ -237,34 +249,36 @@ def test_batch_stacks_windows():
     x, y = ds.batch("train", [0, 5, 9])
     assert x.shape == (3, 16, 2)
     assert y.shape == (3, 4, 2)
-    assert np.array_equal(x[1], ds.window("train", 5)[0])
+    s = ds.starts["train"][5]
+    assert np.array_equal(x[1], ds.values[s:s + 16])
+    assert np.array_equal(y[1], ds.values[s + 16:s + 20])
 
 
 # -- synthetic generators ---------------------------------------------------
 
 def test_synthetic_constant():
     raw = make_synthetic("constant", {"length": 100, "value": 3.0}, seed=0)
-    assert np.all(raw.values == 3.0)
+    assert np.all(raw == 3.0)
 
 
 def test_synthetic_noiseless_sinusoid_exact():
     raw = make_synthetic("sinusoid", {"length": 48, "period": 24,
                                       "amplitude": 1.0, "noise_std": 0.0})
     t = np.arange(48)
-    assert np.allclose(raw.values[:, 0], np.sin(2 * np.pi * t / 24))
+    assert np.allclose(raw[:, 0], np.sin(2 * np.pi * t / 24))
 
 
 def test_synthetic_seed_determinism():
-    a = make_synthetic("ar1", {"length": 200}, seed=9).values
-    b = make_synthetic("ar1", {"length": 200}, seed=9).values
-    c = make_synthetic("ar1", {"length": 200}, seed=10).values
+    a = make_synthetic("ar1", {"length": 200}, seed=9)
+    b = make_synthetic("ar1", {"length": 200}, seed=9)
+    c = make_synthetic("ar1", {"length": 200}, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_synthetic_ar1_lag1_autocorrelation():
     raw = make_synthetic("ar1", {"length": 100_000, "phi": 0.8}, seed=4)
-    x = raw.values[:, 0]
+    x = raw[:, 0]
     xc = x - x.mean()
     rho1 = np.dot(xc[:-1], xc[1:]) / np.dot(xc, xc)
     assert abs(rho1 - 0.8) < 0.02
@@ -276,7 +290,7 @@ def test_synthetic_ar1_nonstationary_rejected():
     # explicit override allowed
     raw = make_synthetic("ar1", {"length": 100, "phi": 1.0,
                                  "allow_nonstationary": True}, seed=0)
-    assert raw.values.shape == (100, 1)
+    assert raw.shape == (100, 1)
 
 
 def test_synthetic_long_memory_decays_slower_than_ar1():
@@ -289,8 +303,8 @@ def test_synthetic_long_memory_decays_slower_than_ar1():
 
     # by lag 50 the AR(1) correlation is gone (0.8^50 ~ 1e-5) while the
     # superposition still carries measurable correlation
-    assert acf(lm.values[:, 0], 50) > 0.02
-    assert abs(acf(ar.values[:, 0], 50)) < 0.02
+    assert acf(lm[:, 0], 50) > 0.02
+    assert abs(acf(ar[:, 0], 50)) < 0.02
 
 
 def test_sinusoid_period_must_keep_the_phase_finite():
@@ -299,10 +313,10 @@ def test_sinusoid_period_must_keep_the_phase_finite():
         make_synthetic("sinusoid", {"length": 400, "period": 5e-324})
     with np.errstate(all="raise"):
         raw = make_synthetic("sinusoid", {"length": 400, "period": 1e-300})
-    assert np.all(np.isfinite(raw.values))
+    assert np.all(np.isfinite(raw))
     # a one-step series has phase 0 at any positive period
     raw = make_synthetic("sinusoid", {"length": 1, "period": 5e-324})
-    assert raw.values.shape == (1, 1)
+    assert raw.shape == (1, 1)
 
 
 @pytest.mark.parametrize("kind, params", [

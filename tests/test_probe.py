@@ -33,14 +33,13 @@ def with_forget_bias(params, b_f):
                                   params.n_heads)
 
 
-def trace_from_series(y, config=None):
+def trace_from_series(y):
     """Wrap a plain 1-d series as a finite ChainTrace for memory_report."""
     y = np.asarray(y, dtype=np.float64)[:, None]
     H = len(y)
     return ChainTrace(y_seq=y, f_norm=np.full(H, 0.5), c_norm=np.zeros(H),
                       n_norm=np.ones(H), ratio_norm=np.zeros(H),
-                      finite=np.ones(H, dtype=bool), overflow_step=None,
-                      config=config or ChainConfig(horizon=H))
+                      finite=np.ones(H, dtype=bool), overflow_step=None)
 
 
 # -- config and parameter construction --------------------------------------
@@ -163,8 +162,7 @@ def _reference_simulate_chain(config):
     trace = ChainTrace(y_seq=np.full((H, config.p), np.nan),
                        f_norm=np.full(H, np.nan), c_norm=np.full(H, np.nan),
                        n_norm=np.full(H, np.nan), ratio_norm=np.full(H, np.nan),
-                       finite=np.zeros(H, dtype=bool), overflow_step=None,
-                       config=config)
+                       finite=np.zeros(H, dtype=bool), overflow_step=None)
     for t in range(H):
         with np.errstate(over="ignore"):
             f = np.exp(y @ gates["W_f"].T + state.h @ gates["R_f"].T
@@ -413,7 +411,7 @@ def test_memory_report_white_noise_band():
 def test_memory_report_ar1_oracle():
     # AR(1) with phi = 0.8 has acf(k) = 0.8^k exactly
     from pslstm.datasets import make_synthetic
-    y = make_synthetic("ar1", {"length": 100_000, "phi": 0.8}, seed=7).values[:, 0]
+    y = make_synthetic("ar1", {"length": 100_000, "phi": 0.8}, seed=7)[:, 0]
     rep = memory_report(trace_from_series(y), max_lag=20)
     assert abs(rep.rho_hat - 0.8) < 0.05
     assert rep.r_squared > 0.95

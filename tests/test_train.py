@@ -606,10 +606,10 @@ class _ConstantOffsetModel:
 
     def predict(self, x):
         n = x.shape[0]
-        ys = [self.dataset.window(self.split, self._cursor + i)[1]
-              for i in range(n)]
+        _, y = self.dataset.batch(self.split,
+                                  np.arange(self._cursor, self._cursor + n))
         self._cursor += n
-        return np.stack(ys) + self.offset
+        return y + self.offset
 
 
 def test_evaluate_perfect_predictor():
@@ -631,9 +631,9 @@ def test_evaluate_matches_brute_force():
     m = evaluate(model, ds, "test", batch_size=7)
     se = ae = cnt = 0.0
     for i in range(ds.n_windows("test")):
-        x, y = ds.window("test", i)
-        yhat, _ = model.forward(x[None])
-        d = yhat[0] - y
+        x, y = ds.batch("test", [i])
+        yhat, _ = model.forward(x)
+        d = yhat - y
         se += np.sum(d * d); ae += np.sum(np.abs(d)); cnt += d.size
     assert m.mse == pytest.approx(se / cnt, abs=1e-12)
     assert m.mae == pytest.approx(ae / cnt, abs=1e-12)
